@@ -19,8 +19,7 @@ from .layout import (Arrangement, ArrangementReport, edge_length,
                      is_anchored_arrangement, is_anchored_reassembling,
                      parse_arrangement, restrict_arrangement, restrict_tree)
 from .reduction import (A2R, R2A, AlphaReductionReport, AuxiliaryGraph,
-                        ReductionReport, VCSequence,
-                        alpha_reassembling_from_arrangement, build_auxiliary,
+                        ReductionReport, VCSequence, build_auxiliary,
                         descatter_move, normalize_sequence, rebalance_move,
                         reduce_alpha, reduce_beta, scatter, unbalance,
                         vc_sequence)
@@ -41,7 +40,7 @@ __all__ = [
     "AuxiliaryGraph", "Deg3Report", "Graph", "LimitError", "MeasureReport",
     "MergeStep", "ReassemblyTree", "ReductionReport", "SeqTrace",
     "SolveResult", "VCSequence", "ValidationError",
-    "alpha_reassembling_from_arrangement", "block_tree", "build_auxiliary",
+    "block_tree", "build_auxiliary",
     "canonical_ordering", "chain_to_ordering", "classify_deg3",
     "complete_graph", "count_binary_trees", "cross_sections", "cycle_graph",
     "descatter_move", "edge_length", "evaluate_arrangement",

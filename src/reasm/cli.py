@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import LimitError, ValidationError
 from .graph import Graph, format_graph, generate, parse_graph
-from .layout import (Arrangement, evaluate_arrangement, format_arrangement,
+from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling,
                      parse_arrangement)
 from .reduction import A2R, R2A, reduce_alpha, reduce_beta
@@ -209,10 +209,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
     else:
         obj = parse_ordering(_read(args.ordering))
     result = _convert(g, kind, obj, args.to)
-    if isinstance(result, ReassemblyTree):
-        text = print_tree(result) + "\n"
-    elif isinstance(result, Arrangement):
-        text = format_arrangement(result)
+    if isinstance(result, (Arrangement, ReassemblyTree)):
+        text = format_witness(result) + "\n"
     else:
         text = format_ordering(result)
     out = {"from": kind, "to": args.to, "text": text}

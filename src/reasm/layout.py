@@ -15,11 +15,11 @@ are mutually inverse on linear trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Union
 
 from .errors import ValidationError
-from .graph import Graph, mask_of, popcount, vertices_of
-from .tree import ReassemblyTree
+from .graph import Graph, mask_of, popcount
+from .tree import ReassemblyTree, print_tree
 
 
 @dataclass(frozen=True)
@@ -193,3 +193,10 @@ def parse_arrangement(text: str) -> Arrangement:
 
 def format_arrangement(arr: Arrangement) -> str:
     return " ".join(str(v) for v in arr.order) + "\n"
+
+
+def format_witness(obj: Union[Arrangement, ReassemblyTree]) -> str:
+    """One-line text of an arrangement or a tree, without a newline."""
+    if isinstance(obj, Arrangement):
+        return format_arrangement(obj).strip()
+    return print_tree(obj)

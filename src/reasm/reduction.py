@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .errors import ValidationError
 from .graph import Deg3Report, Graph, classify_deg3, popcount
-from .layout import (Arrangement, evaluate_arrangement, format_arrangement,
+from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
 from .solvers import exact_arrangement, exact_linear_reassembling
-from .tree import ReassemblyTree, measures, print_tree
+from .tree import measures
 
 R2A = "reassembling_to_arrangement"  # solve reassembling with an arrangement solver
 A2R = "arrangement_to_reassembling"  # solve arrangement with a reassembling solver
@@ -65,7 +65,6 @@ def build_auxiliary(g: Graph, w: int) -> AuxiliaryGraph:
         raise ValidationError("auxiliary construction needs a connected base graph")
     g._check_vertex(w)
     p = 2 * g.m
-    assert p % 2 == 0
     us = range(g.n + 1, g.n + p + 1)
     edges = list(g.edges)
     edges.extend((w, u) for u in us)
@@ -117,18 +116,28 @@ def _k_positions(seq: VCSequence) -> list:
     return [i for i, v in enumerate(seq.order, start=1) if (1 << (v - 1)) & k]
 
 
-def scatter(seq: VCSequence) -> int:
-    """0 iff the clique vertices sit consecutively; otherwise min(j-i, l-k)
+def _scatter_positions(seq: VCSequence):
+    """None if the clique vertices sit consecutively; otherwise (i, j, k, l)
     where i/l are the outermost clique positions and j/k the nearest base
     vertices inside them."""
     pos = _k_positions(seq)
     i, l = pos[0], pos[-1]
     if l - i + 1 == len(pos):
-        return 0
+        return None
     kset = set(pos)
     j = next(t for t in range(i + 1, l) if t not in kset)
-    kk = next(t for t in range(l - 1, i, -1) if t not in kset)
-    return min(j - i, l - kk)
+    k = next(t for t in range(l - 1, i, -1) if t not in kset)
+    return i, j, k, l
+
+
+def scatter(seq: VCSequence) -> int:
+    """0 iff the clique vertices sit consecutively; otherwise min(j-i, l-k)
+    in the notation of _scatter_positions."""
+    pos = _scatter_positions(seq)
+    if pos is None:
+        return 0
+    i, j, k, l = pos
+    return min(j - i, l - k)
 
 
 def unbalance(seq: VCSequence) -> int:
@@ -151,19 +160,16 @@ def unbalance(seq: VCSequence) -> int:
 def descatter_move(seq: VCSequence) -> VCSequence:
     """Pull the blocking base vertex across the nearer outer clique run
     (left on ties).  Strictly decreases beta."""
-    pos = _k_positions(seq)
-    i, l = pos[0], pos[-1]
-    if l - i + 1 == len(pos):
+    pos = _scatter_positions(seq)
+    if pos is None:
         raise ValidationError("sequence is not scattered")
-    kset = set(pos)
-    j = next(t for t in range(i + 1, l) if t not in kset)
-    kk = next(t for t in range(l - 1, i, -1) if t not in kset)
+    i, j, k, l = pos
     order = list(seq.order)
-    if j - i <= l - kk:
+    if j - i <= l - k:
         v = order.pop(j - 1)
         order.insert(i - 1, v)
     else:
-        v = order.pop(kk - 1)
+        v = order.pop(k - 1)
         order.insert(l - 1, v)  # lands right after the old position l
     out = vc_sequence(seq.aux, tuple(order))
     assert out.beta < seq.beta, "descatter failed to decrease beta"
@@ -258,30 +264,19 @@ class ReductionReport:
     checks: dict
 
     def to_json(self) -> dict:
-        if isinstance(self.best_object, Arrangement):
-            text = format_arrangement(self.best_object).strip()
-        else:
-            text = print_tree(self.best_object)
         return {"problem": self.problem, "direction": self.direction,
                 "anchors": [{"w": w, "beta": b} for w, b in self.anchors],
-                "best": {"w": self.best_anchor, "beta": self.best_value, "object": text},
+                "best": {"w": self.best_anchor, "beta": self.best_value,
+                         "object": format_witness(self.best_object)},
                 "checks": dict(self.checks)}
 
 
-def _solve_anchor(g: Graph, w: int, direction: str,
-                  inner_solver: Optional[Callable]) -> tuple:
+def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     aux = build_auxiliary(g, w)
     if direction == R2A:
-        solver = inner_solver or (lambda gg: exact_arrangement(gg, "beta"))
-        res = solver(aux.combined)
-        if res.mode != "arrangement":
-            raise ValidationError("inner solver must produce arrangements for r2a")
-        order = res.witness.order
+        order = exact_arrangement(aux.combined, "beta").witness.order
     else:
-        solver = inner_solver or (lambda gg: exact_linear_reassembling(gg, "beta"))
-        res = solver(aux.combined)
-        if res.mode != "linear_reassembling":
-            raise ValidationError("inner solver must produce linear reassemblings for a2r")
+        res = exact_linear_reassembling(aux.combined, "beta")
         order = induce_arrangement(aux.combined, res.witness).order
     s = vc_sequence(aux, order)
     scatter0 = scatter(s) == 0
@@ -303,27 +298,19 @@ def _solve_anchor(g: Graph, w: int, direction: str,
     return w, beta, obj, scatter0, balanced
 
 
-def _solve_anchor_task(args):
-    g, w, direction = args
-    return _solve_anchor(g, w, direction, None)
-
-
-def reduce_beta(g: Graph, direction: str,
-                inner_solver: Optional[Callable] = None,
-                jobs: int = 1) -> ReductionReport:
+def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     """Solve one beta problem exactly through the other, one auxiliary graph
     per anchor; the winner is the (beta, anchor) lexicographic minimum."""
     if direction not in (R2A, A2R):
         raise ValidationError(f"direction must be {R2A!r} or {A2R!r}")
     if not g.is_connected():
         raise ValidationError("beta reduction needs a connected graph")
-    if jobs > 1 and inner_solver is None and g.n > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_solve_anchor_task,
-                                 [(g, w, direction) for w in g.vertices]))
-    else:
-        rows = [_solve_anchor(g, w, direction, inner_solver) for w in g.vertices]
-    rows.sort(key=lambda row: row[0])
+    parallel = jobs > 1 and g.n > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        mapper = pool.map if parallel else map
+        # both maps keep the order of g.vertices, so rows are in anchor order
+        rows = list(mapper(_solve_anchor, itertools.repeat(g), g.vertices,
+                           itertools.repeat(direction)))
     best = min(rows, key=lambda row: (row[1], row[0]))
     return ReductionReport(
         problem="beta",
@@ -352,10 +339,10 @@ class AlphaReductionReport:
                                "all_deg3_are_cut": self.classifier.all_deg3_are_cut,
                                "noncut_deg3_witness": self.classifier.noncut_deg3_witness},
                 "value": self.value,
-                "witness": format_arrangement(self.witness).strip()}
+                "witness": format_witness(self.witness)}
 
 
-def reduce_alpha(g: Graph, inner_solver: Optional[Callable] = None) -> AlphaReductionReport:
+def reduce_alpha(g: Graph) -> AlphaReductionReport:
     """Cutwidth-optimal arrangement for max degree <= 3.
 
     If every degree-3 vertex is a cut vertex, solve the arrangement problem
@@ -374,18 +361,9 @@ def reduce_alpha(g: Graph, inner_solver: Optional[Callable] = None) -> AlphaRedu
         res = exact_arrangement(g, "alpha")
         return AlphaReductionReport(branch="all_deg3_cut", classifier=report,
                                     value=res.value, witness=res.witness)
-    solver = inner_solver or (lambda gg: exact_linear_reassembling(gg, "alpha"))
-    res = solver(g)
-    if res.mode != "linear_reassembling":
-        raise ValidationError("inner solver must produce linear reassemblings")
+    res = exact_linear_reassembling(g, "alpha")
     arr = induce_arrangement(g, res.witness)
     value = evaluate_arrangement(g, arr).alpha
     return AlphaReductionReport(branch="noncut_deg3", classifier=report,
                                 value=value, witness=arr)
 
-
-def alpha_reassembling_from_arrangement(g: Graph, arr: Arrangement) -> ReassemblyTree:
-    """The linear reassembling induced by an arrangement; applied to an
-    alpha-optimal arrangement it is alpha-optimal among linear
-    reassemblings."""
-    return induce_reassembling(g, arr)

@@ -3,9 +3,14 @@
 The workhorse is a subset DP over prefix sets: the cost of the best
 completion h[S] only depends on the set S of already-placed vertices, since
 every later cut is the boundary degree of a superset of S.  beta accumulates
-cuts, alpha takes the running maximum; witnesses are rebuilt greedily from
-the front, always taking the smallest vertex that still allows an optimal
-completion, so reported witnesses are lexicographically least.
+cuts, alpha takes the running maximum.
+
+Witnesses come from one budgeted rule.  Starting from a prefix, it keeps the
+cost spent so far and appends the smallest vertex v whose cut and best
+suffix still fit: spent (+) cut[S + v] (+) h[S + v] <= budget, where (+) is
+the sum for beta and the maximum for alpha.  After a one-vertex prefix (an
+anchor w) v must also have deg(v) >= deg(w).  With the budget set to the
+optimum, the witness is the lexicographically least optimal order.
 
 Linear reassemblings are solved through arrangements: a linear tree whose
 first cluster is {w, w'} with deg(w) <= deg(w') corresponds to an
@@ -14,7 +19,10 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
     beta(G, L) = beta(G, phi) + sum of deg(v) over v != w
     alpha(G, L) = max(max degree, alpha(G, phi))
 
-so minimizing over feasible anchors is exact.
+so minimizing over feasible anchors is exact.  The three exact problems
+differ only in the budget: h[0] for a free arrangement, the anchored
+optimum for an anchored one, and for a linear tree the tree value (alpha)
+or the tree value minus the degree sum over v != w (beta).
 
 Brute-force engines (factorial scan of arrangements, full enumeration of
 unordered binary trees) cover small instances as independent references.
@@ -29,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import LimitError, ValidationError
-from .graph import Graph, iter_bits, popcount, vertices_of
-from .layout import Arrangement, format_arrangement, induce_reassembling
-from .tree import ReassemblyTree, print_tree
+from .graph import Graph, iter_bits, popcount
+from .layout import Arrangement, format_witness, induce_reassembling
+from .tree import ReassemblyTree
 
 DEFAULT_DP_LIMIT = 24
 BRUTE_ARRANGEMENT_LIMIT = 10
@@ -60,9 +68,7 @@ class SolveResult:
     stats: dict = field(default_factory=dict, compare=False)
 
     def witness_text(self) -> str:
-        if isinstance(self.witness, Arrangement):
-            return format_arrangement(self.witness).strip()
-        return print_tree(self.witness)
+        return format_witness(self.witness)
 
     def to_json(self) -> dict:
         return {"objective": self.objective, "mode": self.mode, "value": self.value,
@@ -132,76 +138,76 @@ def _combine(objective: str, step: int, rest) -> int:
     return step + rest if objective == "beta" else max(step, rest)
 
 
-def _greedy_completion(g: Graph, objective: str, cut: list, h: list, prefix: list,
-                       budget: int = 0) -> list:
-    """Lexicographically least optimal completion of `prefix`.
+def _infeasible_anchor(w: int) -> ValidationError:
+    return ValidationError(f"anchor {w} infeasible: no second vertex of degree >= deg({w})")
 
-    For beta every step must be exactly tight against the suffix table; for
-    alpha a step is fine whenever it stays within `budget` (the final
-    value), since an earlier cut may already dominate the maximum.
-    """
+
+def _anchor_feasible(g: Graph, w: int) -> bool:
+    return any(v != w and g.degree(v) >= g.degree(w) for v in g.vertices)
+
+
+def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
+    """Checks shared by the subset-DP solvers, then the cut and suffix
+    tables."""
+    _check_objective(objective)
+    _check_solvable(g, dp_limit())
+    if anchor is not None:
+        g._check_vertex(anchor)
+        if not _anchor_feasible(g, anchor):
+            raise _infeasible_anchor(anchor)
+    cut = _cut_table(g)
+    return cut, _suffix_table(g, objective, cut)
+
+
+def _greedy_completion(g: Graph, objective: str, cut: list, h: list, prefix: list,
+                       budget: int) -> list:
+    """Lexicographically least completion of `prefix` whose cost stays
+    within `budget`; after a one-vertex prefix w the second vertex has
+    degree >= deg(w)."""
     order = list(prefix)
-    s = 0
+    s = spent = 0
     for v in order:
         s |= 1 << (v - 1)
+        spent = _combine(objective, spent, cut[s])
+    min_deg = g.degree(order[0]) if len(order) == 1 else 0
     full = g.full_mask
     while s != full:
         for v in iter_bits(full ^ s):
+            if min_deg and g.degree(v) < min_deg:
+                continue
             t = s | (1 << (v - 1))
-            if objective == "beta":
-                good = cut[t] + h[t] == h[s]
-            else:
-                good = cut[t] <= budget and h[t] <= budget
-            if good:
+            step = _combine(objective, spent, cut[t])
+            if _combine(objective, step, h[t]) <= budget:
                 order.append(v)
-                s = t
+                s, spent, min_deg = t, step, 0
                 break
         else:
             raise AssertionError("suffix table is inconsistent")
     return order
 
 
-def _anchored_start(g: Graph, objective: str, cut: list, h: list, w: int):
-    """Best (value, second vertex) for arrangements anchored at w, or None
-    if no vertex of degree >= deg(w) can be placed second."""
+def _anchored_start(g: Graph, objective: str, cut: list, h: list, w: int) -> int:
+    """Best value of an arrangement anchored at w, a feasible anchor."""
     dw = g.degree(w)
     wbit = 1 << (w - 1)
-    best = None
+    best = _INF
     for v in g.vertices:
         if v == w or g.degree(v) < dw:
             continue
         t = wbit | (1 << (v - 1))
-        val = _combine(objective, cut[wbit], _combine(objective, cut[t], h[t]))
-        if best is None or (val, v) < best:
-            best = (val, v)
+        best = min(best, _combine(objective, cut[wbit], _combine(objective, cut[t], h[t])))
     return best
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:
     """Optimal arrangement by subset DP (free, or anchored at a vertex)."""
-    _check_objective(objective)
-    _check_solvable(g, dp_limit())
-    if anchor is not None:
-        g._check_vertex(anchor)
     t0 = time.perf_counter()
-    if g.n == 1:
-        if anchor is not None:
-            raise ValidationError(
-                f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
-        return SolveResult(objective, "arrangement", 0, Arrangement((1,)),
-                           stats={"states": 1, "millis": 0})
-    cut = _cut_table(g)
-    h = _suffix_table(g, objective, cut)
+    cut, h = _dp_tables(g, objective, anchor)
     if anchor is None:
-        value = h[0]
-        order = _greedy_completion(g, objective, cut, h, [], budget=value)
+        prefix, value = [], h[0]
     else:
-        start = _anchored_start(g, objective, cut, h, anchor)
-        if start is None:
-            raise ValidationError(
-                f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
-        value, second = start
-        order = _greedy_completion(g, objective, cut, h, [anchor, second], budget=value)
+        prefix, value = [anchor], _anchored_start(g, objective, cut, h, anchor)
+    order = _greedy_completion(g, objective, cut, h, prefix, value)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
                        anchor=anchor, stats={"states": len(h), "millis": millis})
@@ -210,52 +216,24 @@ def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) ->
 def exact_linear_reassembling(g: Graph, objective: str,
                               anchor: Optional[int] = None) -> SolveResult:
     """Optimal linear reassembling via anchored arrangements."""
-    _check_objective(objective)
-    _check_solvable(g, dp_limit())
-    if anchor is not None:
-        g._check_vertex(anchor)
     t0 = time.perf_counter()
-    if g.n == 1:
-        if anchor is not None:
-            raise ValidationError(
-                f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
-        tree = ReassemblyTree([[1]])
-        return SolveResult(objective, "linear_reassembling", 0, tree,
-                           stats={"states": 1, "millis": 0})
-    cut = _cut_table(g)
-    h = _suffix_table(g, objective, cut)
+    cut, h = _dp_tables(g, objective, anchor)
     total_deg = 2 * g.m
     maxdeg = g.max_degree()
-    anchors = [anchor] if anchor is not None else list(g.vertices)
-    best = None  # (value, w, second)
+    anchors = [anchor] if anchor is not None else [
+        w for w in g.vertices if _anchor_feasible(g, w)]
+    best = None  # (tree value, w, budget)
     for w in anchors:
-        start = _anchored_start(g, objective, cut, h, w)
-        if start is None:
-            if anchor is not None:
-                raise ValidationError(
-                    f"anchor {w} infeasible: no second vertex of degree >= deg({w})")
-            continue
-        arr_value, second = start
+        arr_value = _anchored_start(g, objective, cut, h, w)
         if objective == "beta":
-            value = arr_value + (total_deg - g.degree(w))
+            value, budget = arr_value + (total_deg - g.degree(w)), arr_value
         else:
-            value = max(maxdeg, arr_value)
+            value = budget = max(maxdeg, arr_value)
         if best is None or (value, w) < best[:2]:
-            best = (value, w, second)
-    assert best is not None, "some vertex of minimum degree is always feasible"
-    value, w, second = best
-    if objective == "alpha":
-        # the max degree may dominate the cut profile, leaving slack for a
-        # lexicographically smaller second vertex within the tree value
-        wbit = 1 << (w - 1)
-        for v in g.vertices:
-            if v == w or g.degree(v) < g.degree(w):
-                continue
-            t = wbit | (1 << (v - 1))
-            if cut[t] <= value and h[t] <= value:
-                second = v
-                break
-    order = _greedy_completion(g, objective, cut, h, [w, second], budget=value)
+            best = (value, w, budget)
+    # a single vertex has no feasible anchor: its one-leaf tree costs 0
+    value, w, budget = best if best is not None else (0, None, 0)
+    order = _greedy_completion(g, objective, cut, h, [w] if w is not None else [], budget)
     tree = induce_reassembling(g, Arrangement(tuple(order)))
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "linear_reassembling", int(value), tree,
@@ -303,8 +281,7 @@ def brute_force_arrangement(g: Graph, objective: str,
             if best is None or value < best[0]:
                 best = (value, order)
     if best is None:
-        raise ValidationError(
-            f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
+        raise _infeasible_anchor(anchor)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", best[0], Arrangement(best[1]),
                        anchor=anchor, stats={"states": count, "millis": millis})

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from reasm.errors import LimitError, ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph,
                          qcube3_graph, star_graph)
-from reasm.layout import Arrangement, evaluate_arrangement, is_anchored_arrangement
+from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
+                          is_anchored_arrangement)
 from reasm.solvers import (brute_force_arrangement,
                            brute_force_binary_reassembling,
                            count_binary_trees, dp_limit, exact_arrangement,
@@ -63,6 +66,42 @@ def test_dp_matches_brute_force_small():
                 assert a.value == b.value
                 assert a.witness == b.witness
                 assert is_anchored_arrangement(g, a.witness, w)
+
+
+def test_linear_witness_is_least_anchored_order():
+    # reference: the least (tree value, order) over all orders whose second
+    # vertex has degree >= the first's, with beta(tree) = beta(order) + 2m -
+    # deg(first) and alpha(tree) = max(max degree, alpha(order)); a single
+    # vertex has only its one-leaf tree, with value 0 and no anchor
+    for g in connected_atlas(6):
+        deg = [0] + [g.degree(v) for v in g.vertices]
+        scored = []
+        for order in itertools.permutations(g.vertices):
+            if len(order) > 1 and deg[order[1]] < deg[order[0]]:
+                continue
+            cuts, prefix, cut = [], 0, 0
+            for v in order:
+                cut += deg[v] - 2 * bin(g.adj[v - 1] & prefix).count("1")
+                prefix |= 1 << (v - 1)
+                cuts.append(cut)
+            scored.append((order, max(cuts), sum(cuts)))
+        for objective in ("alpha", "beta"):
+            for anchor in (None, *g.vertices):
+                expected = min(
+                    ((max(g.max_degree(), alpha) if objective == "alpha"
+                      else beta + 2 * g.m - deg[order[0]], order)
+                     for order, alpha, beta in scored
+                     if anchor is None or (len(order) > 1 and order[0] == anchor)),
+                    default=None)
+                if expected is None:
+                    with pytest.raises(ValidationError, match="infeasible"):
+                        exact_linear_reassembling(g, objective, anchor=anchor)
+                    continue
+                value, order = expected
+                res = exact_linear_reassembling(g, objective, anchor=anchor)
+                assert res.value == value
+                assert res.anchor == (order[0] if g.n > 1 else None)
+                assert res.witness == induce_reassembling(g, Arrangement(order))
 
 
 def test_anchored_witness_structure():
