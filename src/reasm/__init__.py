@@ -26,9 +26,8 @@ from .reduction import (A2R, R2A, AlphaReductionReport, AuxiliaryGraph,
 from .sequential import (MergeStep, SeqTrace, block_tree, canonical_ordering,
                          chain_to_ordering, format_ordering, parse_ordering,
                          seq_reassemble)
-from .solvers import (SolveResult, brute_force_arrangement,
-                      brute_force_binary_reassembling, count_binary_trees,
-                      exact_arrangement, exact_linear_reassembling)
+from .solvers import (SolveResult, brute_force_arrangement, exact_arrangement,
+                      exact_binary_reassembling, exact_linear_reassembling)
 from .tree import (MeasureReport, ReassemblyTree, cross_sections, is_strict,
                    first_nonstrict_pair, measures, parse_tree, print_tree,
                    validate_tree)
@@ -42,13 +41,14 @@ __all__ = [
     "SolveResult", "VCSequence", "ValidationError",
     "block_tree", "build_auxiliary",
     "canonical_ordering", "chain_to_ordering", "classify_deg3",
-    "complete_graph", "count_binary_trees", "cross_sections", "cycle_graph",
+    "complete_graph", "cross_sections", "cycle_graph",
     "descatter_move", "edge_length", "evaluate_arrangement",
-    "exact_arrangement", "exact_linear_reassembling", "first_nonstrict_pair",
+    "exact_arrangement", "exact_binary_reassembling",
+    "exact_linear_reassembling", "first_nonstrict_pair",
     "format_arrangement", "format_graph", "format_ordering", "generate",
     "induce_arrangement", "induce_reassembling", "is_anchored_arrangement",
     "is_anchored_reassembling", "is_strict", "measures",
-    "brute_force_arrangement", "brute_force_binary_reassembling",
+    "brute_force_arrangement",
     "normalize_sequence", "parse_arrangement", "parse_graph",
     "parse_ordering", "parse_tree", "path_graph", "print_tree",
     "qcube3_graph", "rebalance_move", "reduce_alpha", "reduce_beta",

@@ -25,9 +25,8 @@ from .layout import (Arrangement, evaluate_arrangement, format_witness,
 from .reduction import A2R, R2A, reduce_alpha, reduce_beta
 from .sequential import (block_tree, canonical_ordering, format_ordering,
                          parse_ordering, seq_reassemble)
-from .solvers import (brute_force_arrangement,
-                      brute_force_binary_reassembling, exact_arrangement,
-                      exact_linear_reassembling)
+from .solvers import (brute_force_arrangement, exact_arrangement,
+                      exact_binary_reassembling, exact_linear_reassembling)
 from .tree import ReassemblyTree, measures, parse_tree, print_tree
 from .verify import SUITES, run_suites
 
@@ -94,14 +93,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # solve
 
 def _pick_engine(mode: str, engine: str) -> str:
-    if engine is None:
-        return "brute" if mode == "binary" else "dp"
-    if mode == "binary" and engine == "dp":
-        raise ValidationError("mode binary is solved by the brute engine only")
-    if mode == "linear" and engine == "brute":
-        raise ValidationError("mode linear has no brute engine; use --mode binary "
-                              "or the dp engine")
-    return engine
+    if engine == "brute" and mode != "arrangement":
+        raise ValidationError(f"mode {mode} has no brute engine; use the dp engine")
+    return engine or "dp"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -115,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif args.mode == "linear":
         res = exact_linear_reassembling(g, args.objective, anchor=args.anchor)
     else:
-        res = brute_force_binary_reassembling(g, args.objective)
+        res = exact_binary_reassembling(g, args.objective)
     out = res.to_json()
     witness_path = args.witness_out
     if witness_path is None:
@@ -259,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("arrangement", "linear", "binary"))
     p.add_argument("--anchor", type=int, help="force this vertex first")
     p.add_argument("--engine", choices=("dp", "brute"),
-                   help="dp (default) or brute reference")
+                   help="dp (default) or brute reference (arrangement mode only)")
     p.add_argument("--witness-out", help="witness file path "
                    "(default <graph>.<mode>.<objective>.witness)")
     p.set_defaults(fn=cmd_solve)

@@ -27,9 +27,8 @@ def _norm_edge(e) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _partition_of(masks) -> Partition:
-    blocks = sorted((frozenset(vertices_of(m)) for m in masks), key=min)
-    return tuple(blocks)
+def _singletons(g: Graph) -> Partition:
+    return tuple(frozenset((v,)) for v in g.vertices)
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,8 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         raise ValidationError("sequential reassembling needs a connected graph")
     block = {v: 1 << (v - 1) for v in g.vertices}
     alive = [True] * len(pi)
-    chain = [_partition_of(set(block.values()))]
+    parts = list(_singletons(g))  # the current partition
+    chain = [tuple(parts)]
     steps = []
     i = 0
     while len(chain) < g.n:
@@ -71,18 +71,23 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
                 consumed.append(pi[j])
         for x in iter_bits(merged):
             block[x] = merged
-        pair = sorted((frozenset(vertices_of(a)), frozenset(vertices_of(b))), key=min)
-        steps.append(MergeStep(merged=tuple(pair),
-                               bridges=g.bridges(*pair),
+        lo, hi = sorted((frozenset(vertices_of(a)), frozenset(vertices_of(b))), key=min)
+        steps.append(MergeStep(merged=(lo, hi),
+                               bridges=g.bridges(lo, hi),
                                consumed=tuple(consumed)))
-        chain.append(_partition_of(set(block.values())))
+        # the merged block keeps lo's place in the min-vertex order
+        parts[parts.index(lo)] = lo | hi
+        parts.remove(hi)
+        chain.append(tuple(parts))
     return SeqTrace(chain=tuple(chain), steps=tuple(steps))
 
 
 def block_tree(g: Graph, ordering) -> ReassemblyTree:
     """The binary reassembling whose clusters are all blocks of the chain."""
     trace = seq_reassemble(g, ordering)
-    masks = {mask_of(b) for p in trace.chain for b in p}
+    # every block is a singleton or the union made by one merge step
+    masks = [1 << (v - 1) for v in g.vertices]
+    masks += [mask_of(step.merged[0] | step.merged[1]) for step in trace.steps]
     return ReassemblyTree._trusted(g.full_mask, masks)
 
 
@@ -93,7 +98,7 @@ def chain_to_ordering(g: Graph, chain) -> tuple:
     parts = [tuple(sorted((frozenset(b) for b in p), key=min)) for p in chain]
     if len(parts) != g.n:
         raise ValidationError(f"chain must have exactly {g.n} partitions")
-    if parts[0] != _partition_of([1 << (v - 1) for v in g.vertices]):
+    if parts[0] != _singletons(g):
         raise ValidationError("chain must start with the singleton partition")
     if parts[-1] != (frozenset(g.vertices),):
         raise ValidationError("chain must end with the one-block partition")
@@ -129,22 +134,17 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
         raise ValidationError(
             f"tree is not strict: no edge between {sorted(bad[0])} and {sorted(bad[1])}")
 
-    memo = {}
-
-    def can(m: int) -> tuple:
-        if popcount(m) == 1:
-            return ()
-        if m in memo:
-            return memo[m]
+    can = {}  # ordering of each cluster whose parent is not done yet
+    for m in sorted(tree.cluster_masks(), key=popcount):
+        if m not in tree._children:
+            can[m] = ()
+            continue
         a, b = tree._children[m]
-        ca, cb = can(a), can(b)
-        bridges = g.bridges(vertices_of(a), vertices_of(b))
+        ca, cb = can.pop(a), can.pop(b)
         if ca and cb and cb[0] < ca[0]:
             ca, cb = cb, ca
-        memo[m] = ca + cb + bridges
-        return memo[m]
-
-    out = can(tree.ground_mask)
+        can[m] = ca + cb + g.bridges(vertices_of(a), vertices_of(b))
+    out = can[tree.ground_mask]
     assert len(out) == g.m
     return out
 

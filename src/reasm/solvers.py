@@ -5,12 +5,20 @@ completion h[S] only depends on the set S of already-placed vertices, since
 every later cut is the boundary degree of a superset of S.  beta accumulates
 cuts, alpha takes the running maximum.
 
-Witnesses come from one budgeted rule.  Starting from a prefix, it keeps the
-cost spent so far and appends the smallest vertex v whose cut and best
-suffix still fit: spent (+) cut[S + v] (+) h[S + v] <= budget, where (+) is
-the sum for beta and the maximum for alpha.  After a one-vertex prefix (an
-anchor w) v must also have deg(v) >= deg(w).  With the budget set to the
-optimum, the witness is the lexicographically least optimal order.
+Binary reassemblings use a second subset DP, over splits: the best tree on
+S costs best[S] = cut[S] (+) min over splits {S - A, A} of best[S - A] (+)
+best[A].  Linear trees are the ones whose splits peel off one vertex.
+
+Witnesses of both DPs come from one budgeted rule: go through the choices
+in a fixed order and take the first whose cost still fits the budget,
+where (+) is the sum for beta and the maximum for alpha.  For an
+arrangement it keeps the cost spent so far and appends the smallest vertex
+v with spent (+) cut[S + v] (+) h[S + v] <= budget; after a one-vertex
+prefix (an anchor w) v must also have deg(v) >= deg(w).  With the budget
+set to the optimum, the witness is the lexicographically least optimal
+order.  For a binary tree it works top down from V and splits a cluster S
+at the first A (largest subset of S minus its lowest vertex first) with
+cut[S] (+) best[S - A] (+) best[A] <= budget.
 
 Linear reassemblings are solved through arrangements: a linear tree whose
 first cluster is {w, w'} with deg(w) <= deg(w') corresponds to an
@@ -19,13 +27,13 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
     beta(G, L) = beta(G, phi) + sum of deg(v) over v != w
     alpha(G, L) = max(max degree, alpha(G, phi))
 
-so minimizing over feasible anchors is exact.  The three exact problems
-differ only in the budget: h[0] for a free arrangement, the anchored
-optimum for an anchored one, and for a linear tree the tree value (alpha)
-or the tree value minus the degree sum over v != w (beta).
+so minimizing over feasible anchors is exact.  The three arrangement-based
+problems differ only in the budget: h[0] for a free arrangement, the
+anchored optimum for an anchored one, and for a linear tree the tree value
+(alpha) or the tree value minus the degree sum over v != w (beta).
 
-Brute-force engines (factorial scan of arrangements, full enumeration of
-unordered binary trees) cover small instances as independent references.
+Brute force is only the factorial scan of arrangements, kept as an
+independent reference for small instances.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .tree import ReassemblyTree
 
 DEFAULT_DP_LIMIT = 24
 BRUTE_ARRANGEMENT_LIMIT = 10
-BRUTE_TREE_LIMIT = 8
+BINARY_TREE_LIMIT = 8
 
 _INF = float("inf")
 
@@ -240,8 +248,47 @@ def exact_linear_reassembling(g: Graph, objective: str,
                        anchor=w, stats={"states": len(h), "millis": millis})
 
 
+def _splits(s: int):
+    """Non-empty subsets of s without its lowest vertex, largest first."""
+    rest = s & (s - 1)
+    a = rest
+    while a:
+        yield a
+        a = (a - 1) & rest
+
+
+def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
+    """Optimal binary reassembling by subset DP over splits."""
+    _check_objective(objective)
+    _check_solvable(g, BINARY_TREE_LIMIT)
+    t0 = time.perf_counter()
+    cut = _cut_table(g)
+    best = list(cut)
+    for s in range(3, len(best)):
+        if s & (s - 1):
+            best[s] = _combine(objective, cut[s], min(
+                _combine(objective, best[s ^ a], best[a]) for a in _splits(s)))
+    # top down: the first split that fits the budget; a beta child must be
+    # optimal, an alpha child only has to stay within the parent's budget
+    masks = []
+    stack = [(g.full_mask, best[g.full_mask])]
+    while stack:
+        s, budget = stack.pop()
+        masks.append(s)
+        for a in _splits(s):
+            if _combine(objective, cut[s],
+                        _combine(objective, best[s ^ a], best[a])) <= budget:
+                for child in (s ^ a, a):
+                    stack.append((child, best[child] if objective == "beta" else budget))
+                break
+    tree = ReassemblyTree._trusted(g.full_mask, masks)
+    millis = int((time.perf_counter() - t0) * 1000)
+    return SolveResult(objective, "binary_reassembling", best[g.full_mask], tree,
+                       stats={"states": len(best), "millis": millis})
+
+
 # ---------------------------------------------------------------------------
-# brute force references
+# brute force reference
 
 def brute_force_arrangement(g: Graph, objective: str,
                             anchor: Optional[int] = None) -> SolveResult:
@@ -285,80 +332,3 @@ def brute_force_arrangement(g: Graph, objective: str,
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", best[0], Arrangement(best[1]),
                        anchor=anchor, stats={"states": count, "millis": millis})
-
-
-def count_binary_trees(n: int) -> int:
-    """(2n-3)!! unordered binary trees on n labeled leaves."""
-    out = 1
-    for k in range(3, 2 * n - 2, 2):
-        out *= k
-    return out
-
-
-def _enumerate_subtrees(g: Graph, objective: str):
-    """Full enumeration of unordered binary trees per vertex subset.
-
-    Entries are (value, shape) where shape is the nested (mask, left, right)
-    structure; the recursion fixes the lowest vertex of each subset into the
-    left part, so every unordered tree appears exactly once.
-    """
-    deg = [popcount(a) for a in g.adj]
-    memo = {}
-
-    def enum(mask: int) -> list:
-        if mask in memo:
-            return memo[mask]
-        if not (mask & (mask - 1)):
-            v = mask.bit_length()
-            memo[mask] = [(deg[v - 1], mask)]
-            return memo[mask]
-        d = g.cut_mask(mask)
-        low = mask & -mask
-        rest = mask ^ low
-        out = []
-        # all sub-masks a of `rest`: left part is low | a
-        a = rest
-        while True:
-            left = low | (rest ^ a)
-            right = mask ^ left
-            if right:
-                for va, sa in enum(left):
-                    for vb, sb in enum(right):
-                        if objective == "beta":
-                            out.append((d + va + vb, (mask, sa, sb)))
-                        else:
-                            out.append((max(d, va, vb), (mask, sa, sb)))
-            if a == 0:
-                break
-            a = (a - 1) & rest
-        memo[mask] = out
-        return out
-
-    return enum
-
-
-def _shape_masks(shape, acc: list) -> None:
-    if isinstance(shape, int):
-        acc.append(shape)
-        return
-    mask, left, right = shape
-    acc.append(mask)
-    _shape_masks(left, acc)
-    _shape_masks(right, acc)
-
-
-def brute_force_binary_reassembling(g: Graph, objective: str) -> SolveResult:
-    """Optimum over all binary reassemblings by exhaustive enumeration."""
-    _check_objective(objective)
-    _check_solvable(g, BRUTE_TREE_LIMIT)
-    t0 = time.perf_counter()
-    enum = _enumerate_subtrees(g, objective)
-    entries = enum(g.full_mask)
-    assert len(entries) == count_binary_trees(g.n)
-    value, shape = min(entries, key=lambda e: e[0])
-    masks: list = []
-    _shape_masks(shape, masks)
-    tree = ReassemblyTree._trusted(g.full_mask, masks)
-    millis = int((time.perf_counter() - t0) * 1000)
-    return SolveResult(objective, "binary_reassembling", value, tree,
-                       stats={"states": len(entries), "millis": millis})

@@ -162,7 +162,7 @@ class ReassemblyTree:
         if m not in self._children:
             return None
         a, b = self._children[m]
-        if min(vertices_of(a)) > min(vertices_of(b)):
+        if a & -a > b & -b:
             a, b = b, a
         return Cluster(vertices_of(a)), Cluster(vertices_of(b))
 
@@ -292,55 +292,59 @@ def validate_tree(vertices: Iterable[int], clusters: Iterable[Iterable[int]]) ->
 
 def parse_tree(text: str) -> ReassemblyTree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
     seen = set()
     masks = []
-    children = {}
-
-    def node() -> int:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValidationError("unbalanced brackets: unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            a = node()
-            b = node()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValidationError("unbalanced brackets: expected ')'")
-            pos += 1
-            m = a | b
-            children[m] = (min(a, b), max(a, b))
-            masks.append(m)
-            return m
+    open_pairs = []  # per unclosed '(': the child masks read so far
+    root = None
+    for tok in tokens:
+        if root is not None:
+            raise ValidationError("unbalanced brackets: trailing input")
         if tok == ")":
-            raise ValidationError("unbalanced brackets: unexpected ')'")
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValidationError(f"unexpected token {tok!r}") from None
-        if v < 1:
-            raise ValidationError(f"vertex ids must be positive, got {v}")
-        if v in seen:
-            raise ValidationError(f"repeated leaf {v}")
-        seen.add(v)
-        m = 1 << (v - 1)
+            if not open_pairs or len(open_pairs[-1]) < 2:
+                raise ValidationError("unbalanced brackets: unexpected ')'")
+            a, b = open_pairs.pop()
+            m = a | b
+        elif open_pairs and len(open_pairs[-1]) == 2:
+            raise ValidationError("unbalanced brackets: expected ')'")
+        elif tok == "(":
+            open_pairs.append([])
+            continue
+        else:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValidationError(f"unexpected token {tok!r}") from None
+            if v < 1:
+                raise ValidationError(f"vertex ids must be positive, got {v}")
+            if v in seen:
+                raise ValidationError(f"repeated leaf {v}")
+            seen.add(v)
+            m = 1 << (v - 1)
         masks.append(m)
-        return m
-
-    root = node()
-    if pos != len(tokens):
-        raise ValidationError("unbalanced brackets: trailing input")
+        if open_pairs:
+            open_pairs[-1].append(m)
+        else:
+            root = m
+    if root is None:
+        if open_pairs and len(open_pairs[-1]) == 2:
+            raise ValidationError("unbalanced brackets: expected ')'")
+        raise ValidationError("unbalanced brackets: unexpected end of input")
     return ReassemblyTree._trusted(root, masks)
 
 
 def print_tree(tree: ReassemblyTree) -> str:
-    def render(m: int) -> str:
-        if m not in tree._children:
-            return str(vertices_of(m)[0])
-        a, b = tree._children[m]
-        if min(vertices_of(a)) > min(vertices_of(b)):
-            a, b = b, a
-        return f"({render(a)} {render(b)})"
-
-    return render(tree.ground_mask)
+    out = []
+    todo = [tree.ground_mask]  # masks still to render, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item in tree._children:
+            a, b = tree._children[item]
+            if a & -a > b & -b:
+                a, b = b, a
+            out.append("(")
+            todo.extend((")", b, " ", a))
+        else:
+            out.append(str(item.bit_length()))
+    return "".join(out)

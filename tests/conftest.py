@@ -1,5 +1,5 @@
 """Shared fixtures: the exhaustive small-graph catalog, an independent
-binary-tree enumerator and a CLI runner."""
+binary-tree enumerator, deep caterpillar trees and a CLI runner."""
 
 from functools import lru_cache
 from pathlib import Path
@@ -72,6 +72,11 @@ def binary_tree_masks(n: int) -> tuple:
     trees = _trees_over((1 << n) - 1)
     assert len(trees) == double_factorial(2 * n - 3)
     return trees
+
+
+def caterpillar_text(n: int) -> str:
+    """The linear tree ((((1 2) 3) 4) ... n), nested n - 1 levels deep."""
+    return "(" * (n - 1) + "1 " + " ".join(f"{v})" for v in range(2, n + 1))
 
 
 @pytest.fixture

@@ -19,9 +19,8 @@ from reasm.layout import (Arrangement, edge_length, evaluate_arrangement,
                           parse_arrangement)
 from reasm.reduction import A2R, R2A, build_auxiliary, reduce_alpha, reduce_beta
 from reasm.sequential import block_tree, canonical_ordering
-from reasm.solvers import (brute_force_arrangement,
-                           brute_force_binary_reassembling,
-                           exact_arrangement, exact_linear_reassembling)
+from reasm.solvers import (brute_force_arrangement, exact_arrangement,
+                           exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import ReassemblyTree, is_strict, measures, parse_tree
 from reasm.verify import run_suites
 
@@ -69,7 +68,7 @@ def test_criterion_02_exhaustive_binary_optima():
 
     def brute(g, objective):
         t0 = time.perf_counter()
-        res = brute_force_binary_reassembling(g, objective)
+        res = exact_binary_reassembling(g, objective)
         elapsed[(g, objective)] = time.perf_counter() - t0
         assert getattr(measures(g, res.witness), objective) == res.value
         return res

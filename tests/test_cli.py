@@ -10,7 +10,7 @@ import reasm
 from reasm import verify
 from reasm.graph import format_graph, parse_graph, path_graph, star_graph
 
-from conftest import FIXTURES
+from conftest import FIXTURES, caterpillar_text
 
 
 @pytest.fixture
@@ -30,6 +30,22 @@ def test_eval_tree(run_cli):
     assert code == 0
     data = json.loads(out)
     assert (data["alpha"], data["beta"], data["linear"]) == (4, 48, False)
+
+
+def test_deep_caterpillar_commands(run_cli, workdir):
+    # trees nested deeper than Python's default recursion limit
+    n = 1100
+    g = write(workdir / "p.g", format_graph(path_graph(n)))
+    t = write(workdir / "cat.t", caterpillar_text(n) + "\n")
+    code, out, _ = run_cli("eval", "--graph", g, "--tree", t)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["alpha"], data["linear"]) == (2, True)
+    arr = write(workdir / "p.a", " ".join(map(str, range(1, n + 1))) + "\n")
+    code, out, _ = run_cli("convert", "--graph", g, "--arrangement", arr, "--to", "tree")
+    assert code == 0 and json.loads(out)["text"].strip() == caterpillar_text(n)
+    code, _, _ = run_cli("convert", "--graph", g, "--tree", t, "--to", "ordering")
+    assert code == 0
 
 
 def test_eval_arrangement(run_cli):
@@ -98,11 +114,11 @@ def test_solve_binary(run_cli, workdir):
     g = write(workdir / "s5.g", format_graph(star_graph(5)))
     code, out, _ = run_cli("solve", g, "--objective", "beta", "--mode", "binary")
     assert code == 0
-    assert json.loads(out)["engine"] == "brute"
+    assert json.loads(out)["engine"] == "dp"
 
 
 @pytest.mark.parametrize("extra", [
-    ("--mode", "binary", "--engine", "dp"),
+    ("--mode", "binary", "--engine", "brute"),
     ("--mode", "linear", "--engine", "brute"),
     ("--mode", "binary", "--anchor", "1"),
     ("--anchor", "1"),  # star center is infeasible

@@ -9,6 +9,8 @@ from reasm.sequential import (block_tree, canonical_ordering,
                               parse_ordering, seq_reassemble)
 from reasm.tree import is_strict, parse_tree
 
+from conftest import caterpillar_text
+
 
 def frozensets(*groups):
     return tuple(frozenset(g) for g in groups)
@@ -111,6 +113,14 @@ def test_canonical_ordering_reproduces_the_tree():
             assert block_tree(g, can) == tree
             # canonical form is a fixpoint
             assert canonical_ordering(g, block_tree(g, can)) == can
+
+
+def test_canonical_ordering_of_a_deep_caterpillar():
+    g = path_graph(1100)
+    tree = parse_tree(caterpillar_text(g.n))
+    can = canonical_ordering(g, tree)
+    assert can == g.edges
+    assert block_tree(g, can) == tree
 
 
 def test_canonical_ordering_needs_a_strict_tree():

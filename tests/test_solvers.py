@@ -3,17 +3,16 @@ import itertools
 import pytest
 
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph,
-                         qcube3_graph, star_graph)
+from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
+                         path_graph, qcube3_graph, star_graph)
 from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
                           is_anchored_arrangement)
-from reasm.solvers import (brute_force_arrangement,
-                           brute_force_binary_reassembling,
-                           count_binary_trees, dp_limit, exact_arrangement,
+from reasm.solvers import (brute_force_arrangement, dp_limit,
+                           exact_arrangement, exact_binary_reassembling,
                            exact_linear_reassembling)
-from reasm.tree import measures
+from reasm.tree import measures, print_tree
 
-from conftest import connected_atlas
+from conftest import FIXTURES, binary_tree_masks, connected_atlas
 
 
 def test_hand_checked_optima():
@@ -43,7 +42,7 @@ def test_witnesses_reevaluate_to_the_value():
             lin = exact_linear_reassembling(g, objective)
             assert lin.witness.is_linear()
             assert getattr(measures(g, lin.witness), objective) == lin.value
-            bin_ = brute_force_binary_reassembling(g, objective)
+            bin_ = exact_binary_reassembling(g, objective)
             assert getattr(measures(g, bin_.witness), objective) == bin_.value
 
 
@@ -126,20 +125,53 @@ def test_linear_optimum_never_beats_binary_optimum():
     for g in (star_graph(5), qcube3_graph(), cycle_graph(6)):
         for objective in ("alpha", "beta"):
             lin = exact_linear_reassembling(g, objective)
-            bin_ = brute_force_binary_reassembling(g, objective)
+            bin_ = exact_binary_reassembling(g, objective)
             assert bin_.value <= lin.value
 
 
-def test_count_binary_trees():
-    assert [count_binary_trees(n) for n in range(1, 9)] == \
-        [1, 1, 3, 15, 105, 945, 10395, 135135]
-
-
 def test_brute_binary_on_a_triangle():
-    res = brute_force_binary_reassembling(complete_graph(3), "beta")
+    res = exact_binary_reassembling(complete_graph(3), "beta")
     # all three trees are isomorphic: 2 + 2 + 2 singletons, one pair cut 2
     assert res.value == 8
-    assert res.stats["states"] == 3
+    assert res.stats["states"] == 2 ** 3
+
+
+def test_binary_dp_matches_tree_enumeration():
+    for g in connected_atlas(6):
+        cut = {}
+        for objective in ("alpha", "beta"):
+            expected = None
+            for tree in binary_tree_masks(g.n):
+                cuts = []
+                for m in tree:
+                    if m not in cut:
+                        cut[m] = g.cut_mask(m)
+                    cuts.append(cut[m])
+                value = max(cuts) if objective == "alpha" else sum(cuts)
+                if expected is None or value < expected:
+                    expected = value
+            res = exact_binary_reassembling(g, objective)
+            assert res.value == expected
+            assert len(res.witness.cluster_masks()) == 2 * g.n - 1
+            assert getattr(measures(g, res.witness), objective) == res.value
+
+
+def test_binary_witness_pins():
+    # the first optimal tree in split order (the part holding the lowest
+    # vertex is tried smallest first); an alpha child only has to fit its
+    # parent's budget, it need not be optimal itself
+    q3, k8, s7 = (parse_graph((FIXTURES / f"{name}.g").read_text())
+                  for name in ("q3", "k8", "s7"))
+    cube = "(1 (2 ((3 4) ((5 6) (7 8)))))"
+    pins = [
+        (q3, "alpha", 4, cube), (q3, "beta", 47, cube), (k8, "beta", 127, cube),
+        (s7, "beta", 28, "(((1 ((2 3) (4 5))) (6 7)) 8)"),
+        (Graph(5, ((1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5))), "alpha", 4,
+         "(1 (2 (3 (4 5))))"),
+    ]
+    for g, objective, value, text in pins:
+        res = exact_binary_reassembling(g, objective)
+        assert (res.value, print_tree(res.witness)) == (value, text)
 
 
 def test_limits():
@@ -147,7 +179,7 @@ def test_limits():
     with pytest.raises(LimitError):
         brute_force_arrangement(big_path, "beta")
     with pytest.raises(LimitError):
-        brute_force_binary_reassembling(path_graph(9), "beta")
+        exact_binary_reassembling(path_graph(9), "beta")
 
 
 def test_dp_limit_env_override(monkeypatch):

@@ -6,7 +6,7 @@ from reasm.tree import (Cluster, ReassemblyTree, cross_sections,
                         first_nonstrict_pair, is_strict, measures, parse_tree,
                         print_tree, validate_tree)
 
-from conftest import binary_tree_masks
+from conftest import binary_tree_masks, caterpillar_text
 
 B1 = "((((1 2) (3 4)) (5 6)) (7 8))"
 CHAIN8 = "(((((((1 2) 3) 4) 5) 6) 7) 8)"
@@ -16,6 +16,14 @@ def test_parse_print_roundtrip():
     for text in (B1, CHAIN8, "(1 2)", "((2 3) 1)"):
         tree = parse_tree(text)
         assert parse_tree(print_tree(tree)) == tree
+
+
+def test_deep_caterpillar_roundtrip():
+    # deeper than Python's default recursion limit
+    text = caterpillar_text(1100)
+    tree = parse_tree(text)
+    assert tree.height() == 1099 and tree.is_linear()
+    assert print_tree(tree) == text
 
 
 def test_unordered_children_print_canonically():
