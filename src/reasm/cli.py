@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default="r2a", choices=sorted(DIRECTIONS),
                    help="beta only: which problem is reduced to which")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers, one auxiliary graph each")
+                   help="parallel workers, one auxiliary graph each "
+                        "(at most one per vertex and one per CPU)")
     p.set_defaults(fn=cmd_reduce)
 
     p = _sub(sub, "verify", help="run invariant suites")

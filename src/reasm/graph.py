@@ -16,7 +16,7 @@ from .errors import ValidationError
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -22,6 +22,7 @@ alpha-optimal arrangement.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -300,13 +301,19 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
 
 def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     """Solve one beta problem exactly through the other, one auxiliary graph
-    per anchor; the winner is the (beta, anchor) lexicographic minimum."""
+    per anchor; the winner is the (beta, anchor) lexicographic minimum.
+
+    `jobs` caps the worker processes, which are also at most one per anchor
+    and one per CPU: the pool starts all of its workers at once."""
     if direction not in (R2A, A2R):
         raise ValidationError(f"direction must be {R2A!r} or {A2R!r}")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     if not g.is_connected():
         raise ValidationError("beta reduction needs a connected graph")
-    parallel = jobs > 1 and g.n > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    workers = min(jobs, g.n, os.cpu_count() or 1)
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         # both maps keep the order of g.vertices, so rows are in anchor order
         rows = list(mapper(_solve_anchor, itertools.repeat(g), g.vertices,

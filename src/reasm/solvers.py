@@ -1,24 +1,33 @@
 """Exact optimizers for arrangements and reassemblings.
 
-The workhorse is a subset DP over prefix sets: the cost of the best
-completion h[S] only depends on the set S of already-placed vertices, since
-every later cut is the boundary degree of a superset of S.  beta accumulates
-cuts, alpha takes the running maximum.
+The workhorse is a subset DP over prefix sets (Bodlaender, Fomin, Koster,
+Kratsch and Thilikos, ToCS 2012), where (+) is the sum for beta and the
+maximum for alpha.  The prefix table
+
+    X[T] = cut[T] (+) min over v in T of X[T - v],    X[0] = 0
+
+is the best cost of the cuts of an order of T, T itself included.  Since
+cut[S] = cut[V - S], reading an order backwards turns the cuts still to
+come after a placed set t into the cuts of an order of V - t, so
+
+    X[V - t] = cut[t] (+) (best cost of the cuts after t).
+
+One table serves both objectives: the free optimum is X[V], and every
+test below reads X at a complement.
 
 Binary reassemblings use a second subset DP, over splits: the best tree on
 S costs best[S] = cut[S] (+) min over splits {S - A, A} of best[S - A] (+)
 best[A].  Linear trees are the ones whose splits peel off one vertex.
 
 Witnesses of both DPs come from one budgeted rule: go through the choices
-in a fixed order and take the first whose cost still fits the budget,
-where (+) is the sum for beta and the maximum for alpha.  For an
-arrangement it keeps the cost spent so far and appends the smallest vertex
-v with spent (+) cut[S + v] (+) h[S + v] <= budget; after a one-vertex
-prefix (an anchor w) v must also have deg(v) >= deg(w).  With the budget
-set to the optimum, the witness is the lexicographically least optimal
-order.  For a binary tree it works top down from V and splits a cluster S
-at the first A (largest subset of S minus its lowest vertex first) with
-cut[S] (+) best[S - A] (+) best[A] <= budget.
+in a fixed order and take the first whose cost still fits the budget.
+For an arrangement it keeps the cost spent so far and appends the
+smallest vertex v with spent (+) X[V - (S + v)] <= budget; after a
+one-vertex prefix (an anchor w) v must also have deg(v) >= deg(w).  With
+the budget set to the optimum, the witness is the lexicographically least
+optimal order.  For a binary tree it works top down from V and splits a
+cluster S at the first A (largest subset of S minus its lowest vertex
+first) with cut[S] (+) best[S - A] (+) best[A] <= budget.
 
 Linear reassemblings are solved through arrangements: a linear tree whose
 first cluster is {w, w'} with deg(w) <= deg(w') corresponds to an
@@ -28,7 +37,7 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
     alpha(G, L) = max(max degree, alpha(G, phi))
 
 so minimizing over feasible anchors is exact.  The three arrangement-based
-problems differ only in the budget: h[0] for a free arrangement, the
+problems differ only in the budget: X[V] for a free arrangement, the
 anchored optimum for an anchored one, and for a linear tree the tree value
 (alpha) or the tree value minus the degree sum over v != w (beta).
 
@@ -54,6 +63,10 @@ BRUTE_ARRANGEMENT_LIMIT = 10
 BINARY_TREE_LIMIT = 8
 
 _INF = float("inf")
+# leaf block of the prefix table; chunk of the list comprehensions that fill
+# the tables, which bounds their temporary lists
+_LEAF = 1 << 6
+_CHUNK = 1 << 13
 
 
 def dp_limit() -> int:
@@ -98,48 +111,57 @@ def _check_solvable(g: Graph, limit: int) -> None:
 
 
 def _cut_table(g: Graph) -> list:
-    """Boundary degree of every vertex subset, indexed by bitmask."""
-    full = g.full_mask
-    deg = [popcount(a) for a in g.adj]
-    adj = g.adj
-    cut = [0] * (full + 1)
-    for m in range(1, full + 1):
-        low = m & -m
-        v = low.bit_length()
-        rest = m ^ low
-        cut[m] = cut[rest] + deg[v - 1] - 2 * popcount(adj[v - 1] & rest)
+    """Boundary degree of every vertex subset, indexed by bitmask.
+
+    Filled by doubling: the subsets holding vertex v as their highest
+    vertex are the ones below v's bit with v added, so
+    cut[half + k] = cut[k] + deg(v) - 2 |N(v) & k| with half = v's bit.
+    """
+    cut = [0] * (g.full_mask + 1)
+    for i, a in enumerate(g.adj):
+        half, d = 1 << i, a.bit_count()
+        step = min(half, _CHUNK)
+        for k in range(0, half, step):
+            cut[half + k:half + k + step] = [
+                c + d - 2 * (a & j).bit_count()
+                for j, c in zip(range(k, k + step), cut[k:k + step])]
     return cut
 
 
-def _suffix_table(g: Graph, objective: str, cut: list) -> list:
-    """h[S] = best achievable cost of the cuts still to come after placing S."""
-    full = g.full_mask
-    h = [0] * (full + 1)
-    if objective == "beta":
-        for s in range(full - 1, -1, -1):
-            rem = full ^ s
-            best = _INF
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                t = s | low
-                val = cut[t] + h[t]
-                if val < best:
-                    best = val
-            h[s] = best
-    else:
-        for s in range(full - 1, -1, -1):
-            rem = full ^ s
-            best = _INF
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                t = s | low
-                val = cut[t] if cut[t] > h[t] else h[t]
-                if val < best:
-                    best = val
-            h[s] = best
-    return h
+def _prefix_table(objective: str, cut: list) -> list:
+    """X[T] = cut[T] (+) min over v in T of X[T - v], with X[0] = 0: the
+    best cost of the cuts of an order of T, T itself included.
+
+    Masks are filled in increasing order, in leaf blocks of _LEAF.  Inside
+    a block a loop takes the minimum over the low bits of T.  The high bits
+    are folded in ahead: once the aligned block [e - s, e) with s = e & -e
+    is final, its entries are min-ed into [e, e + s), which is the same
+    range with bit s added.  Every mask receives one fold per high bit.
+    """
+    size = len(cut)
+    beta = objective == "beta"
+    x = [_INF] * size
+    x[0] = 0
+    leaf = min(_LEAF, size)
+    lows = [tuple(lo ^ (1 << (v - 1)) for v in iter_bits(lo)) for lo in range(leaf)]
+    for base in range(0, size, leaf):
+        blk = x[base:base + leaf]
+        for lo, offs, c in zip(range(leaf), lows, cut[base:base + leaf]):
+            best = blk[lo]
+            for j in offs:
+                v = blk[j]
+                if v < best:
+                    best = v
+            blk[lo] = c + best if beta else (c if c > best else best)
+        x[base:base + leaf] = blk
+        e = base + leaf
+        if e < size:
+            s = e & -e
+            step = min(s, _CHUNK)
+            for k in range(e, e + s, step):
+                x[k:k + step] = [a if a < y else y
+                                 for a, y in zip(x[k:k + step], x[k - s:k - s + step])]
+    return x
 
 
 def _combine(objective: str, step: int, rest) -> int:
@@ -155,7 +177,7 @@ def _anchor_feasible(g: Graph, w: int) -> bool:
 
 
 def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
-    """Checks shared by the subset-DP solvers, then the cut and suffix
+    """Checks shared by the subset-DP solvers, then the cut and prefix
     tables."""
     _check_objective(objective)
     _check_solvable(g, dp_limit())
@@ -164,10 +186,10 @@ def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
         if not _anchor_feasible(g, anchor):
             raise _infeasible_anchor(anchor)
     cut = _cut_table(g)
-    return cut, _suffix_table(g, objective, cut)
+    return cut, _prefix_table(objective, cut)
 
 
-def _greedy_completion(g: Graph, objective: str, cut: list, h: list, prefix: list,
+def _greedy_completion(g: Graph, objective: str, cut: list, x: list, prefix: list,
                        budget: int) -> list:
     """Lexicographically least completion of `prefix` whose cost stays
     within `budget`; after a one-vertex prefix w the second vertex has
@@ -184,55 +206,56 @@ def _greedy_completion(g: Graph, objective: str, cut: list, h: list, prefix: lis
             if min_deg and g.degree(v) < min_deg:
                 continue
             t = s | (1 << (v - 1))
-            step = _combine(objective, spent, cut[t])
-            if _combine(objective, step, h[t]) <= budget:
+            # x[full ^ t] = cut[t] (+) the best cost of the cuts after t
+            if _combine(objective, spent, x[full ^ t]) <= budget:
                 order.append(v)
-                s, spent, min_deg = t, step, 0
+                s, spent, min_deg = t, _combine(objective, spent, cut[t]), 0
                 break
         else:
-            raise AssertionError("suffix table is inconsistent")
+            raise AssertionError("prefix table is inconsistent")
     return order
 
 
-def _anchored_start(g: Graph, objective: str, cut: list, h: list, w: int) -> int:
+def _anchored_start(g: Graph, objective: str, cut: list, x: list, w: int) -> int:
     """Best value of an arrangement anchored at w, a feasible anchor."""
     dw = g.degree(w)
     wbit = 1 << (w - 1)
+    rest = g.full_mask ^ wbit
     best = _INF
     for v in g.vertices:
         if v == w or g.degree(v) < dw:
             continue
-        t = wbit | (1 << (v - 1))
-        best = min(best, _combine(objective, cut[wbit], _combine(objective, cut[t], h[t])))
+        # x[rest - v] = cut[w + v] (+) the best cost of the cuts after {w, v}
+        best = min(best, _combine(objective, cut[wbit], x[rest ^ (1 << (v - 1))]))
     return best
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:
     """Optimal arrangement by subset DP (free, or anchored at a vertex)."""
     t0 = time.perf_counter()
-    cut, h = _dp_tables(g, objective, anchor)
+    cut, x = _dp_tables(g, objective, anchor)
     if anchor is None:
-        prefix, value = [], h[0]
+        prefix, value = [], x[g.full_mask]
     else:
-        prefix, value = [anchor], _anchored_start(g, objective, cut, h, anchor)
-    order = _greedy_completion(g, objective, cut, h, prefix, value)
+        prefix, value = [anchor], _anchored_start(g, objective, cut, x, anchor)
+    order = _greedy_completion(g, objective, cut, x, prefix, value)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
-                       anchor=anchor, stats={"states": len(h), "millis": millis})
+                       anchor=anchor, stats={"states": len(x), "millis": millis})
 
 
 def exact_linear_reassembling(g: Graph, objective: str,
                               anchor: Optional[int] = None) -> SolveResult:
     """Optimal linear reassembling via anchored arrangements."""
     t0 = time.perf_counter()
-    cut, h = _dp_tables(g, objective, anchor)
+    cut, x = _dp_tables(g, objective, anchor)
     total_deg = 2 * g.m
     maxdeg = g.max_degree()
     anchors = [anchor] if anchor is not None else [
         w for w in g.vertices if _anchor_feasible(g, w)]
     best = None  # (tree value, w, budget)
     for w in anchors:
-        arr_value = _anchored_start(g, objective, cut, h, w)
+        arr_value = _anchored_start(g, objective, cut, x, w)
         if objective == "beta":
             value, budget = arr_value + (total_deg - g.degree(w)), arr_value
         else:
@@ -241,11 +264,11 @@ def exact_linear_reassembling(g: Graph, objective: str,
             best = (value, w, budget)
     # a single vertex has no feasible anchor: its one-leaf tree costs 0
     value, w, budget = best if best is not None else (0, None, 0)
-    order = _greedy_completion(g, objective, cut, h, [w] if w is not None else [], budget)
+    order = _greedy_completion(g, objective, cut, x, [w] if w is not None else [], budget)
     tree = induce_reassembling(g, Arrangement(tuple(order)))
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "linear_reassembling", int(value), tree,
-                       anchor=w, stats={"states": len(h), "millis": millis})
+                       anchor=w, stats={"states": len(x), "millis": millis})
 
 
 def _splits(s: int):

@@ -258,22 +258,35 @@ def cross_sections(tree: ReassemblyTree) -> list:
     Each such collection is a partition of V into clusters; they are returned
     finest first.  A linear tree over n vertices has exactly n - 1 of them.
     """
-    def parts(m):
-        if m not in tree._children:
-            return [(m,)]
-        a, b = tree._children[m]
-        out = [(m,)]
-        for pa in parts(a):
-            for pb in parts(b):
-                out.append(pa + pb)
-        return out
+    # parts[m]: the partitions of cluster m into clusters, m itself first,
+    # each one a cluster or a pair (partition of one child, partition of the
+    # other), so a parent shares its children's partitions instead of
+    # copying them; children come before their parent in the ascending-size
+    # sweep
+    parts, ordered = {}, {}
+    for m in sorted(tree._masks, key=popcount):
+        pair = tree._children.get(m)
+        if pair is None:
+            vs, below = list(vertices_of(m)), []
+        else:
+            pas, pbs = parts.pop(pair[0]), parts.pop(pair[1])
+            vs = sorted(pas[0] | pbs[0])
+            below = [(pa, pb) for pa in pas for pb in pbs]
+        cluster = Cluster(vs)
+        parts[m] = [cluster] + below
+        ordered[cluster] = vs
 
     result = []
-    for p in parts(tree.ground_mask):
-        if len(p) >= 2:
-            blocks = tuple(sorted((Cluster(vertices_of(x)) for x in p), key=min))
-            result.append(blocks)
-    result.sort(key=lambda blocks: (-len(blocks), [sorted(b) for b in blocks]))
+    for p in parts[tree.ground_mask][1:]:  # [0] is V itself
+        blocks, stack = [], [p]
+        while stack:
+            q = stack.pop()
+            if type(q) is tuple:
+                stack += q
+            else:
+                blocks.append(q)
+        result.append(tuple(sorted(blocks, key=min)))
+    result.sort(key=lambda blocks: (-len(blocks), [ordered[b] for b in blocks]))
     return result
 
 

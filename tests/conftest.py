@@ -1,5 +1,6 @@
 """Shared fixtures: the exhaustive small-graph catalog, an independent
-binary-tree enumerator, deep caterpillar trees and a CLI runner."""
+binary-tree enumerator, a per-mask prefix-cost recurrence, deep caterpillar
+trees, a process-pool stand-in and a CLI runner."""
 
 from functools import lru_cache
 from pathlib import Path
@@ -74,9 +75,42 @@ def binary_tree_masks(n: int) -> tuple:
     return trees
 
 
+def prefix_costs(g: Graph, objective: str) -> list:
+    """X[T] = cut(T) (+) min over v in T of X[T - v], X[0] = 0, one mask at
+    a time from `Graph.cut_mask` ((+) is + for beta, max for alpha)."""
+    x = [0] * (1 << g.n)
+    for t in range(1, 1 << g.n):
+        best = min(x[t & ~(1 << i)] for i in range(g.n) if t >> i & 1)
+        cut = g.cut_mask(t)
+        x[t] = cut + best if objective == "beta" else max(cut, best)
+    return x
+
+
 def caterpillar_text(n: int) -> str:
     """The linear tree ((((1 2) 3) 4) ... n), nested n - 1 levels deep."""
     return "(" * (n - 1) + "1 " + " ".join(f"{v})" for v in range(2, n + 1))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Replace the reductions' process pool by an in-process stand-in that
+    records the `max_workers` of every pool asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr("reasm.reduction.ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 @pytest.fixture

@@ -145,6 +145,18 @@ def test_reduce_beta_cli(run_cli, workdir):
     assert data["checks"] == {"scatter0": True, "balanced": True}
 
 
+def test_reduce_jobs_are_bounded(run_cli, workdir, pool_sizes, monkeypatch):
+    monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 64)
+    g = write(workdir / "p3.g", format_graph(path_graph(3)))
+    for jobs in ("0", "-1"):
+        code, _, err = run_cli("reduce", g, "--problem", "beta", "--jobs", jobs)
+        assert code == 2 and "jobs" in err
+    assert pool_sizes == []
+    code, out, _ = run_cli("reduce", g, "--problem", "beta", "--jobs", "100000")
+    assert code == 0 and json.loads(out)["best"]["beta"] == 5
+    assert pool_sizes == [3]  # one worker per anchor
+
+
 def test_reduce_alpha_cli(run_cli):
     code, out, _ = run_cli("reduce", str(FIXTURES / "q3.g"), "--problem", "alpha")
     assert code == 0

@@ -119,11 +119,28 @@ def test_reduce_beta_parallel_matches_serial():
     assert reduce_beta(g, R2A, jobs=2).to_json() == reduce_beta(g, R2A).to_json()
 
 
+@pytest.mark.parametrize("jobs, cpus, sizes", [
+    (100000, 64, [4]),  # one worker per anchor at most
+    (3, 64, [3]),
+    (100000, 2, [2]),  # one worker per CPU at most
+    (4, None, []),  # unknown CPU count: serial
+    (1, 64, []),
+])
+def test_reduce_beta_bounds_workers(monkeypatch, pool_sizes, jobs, cpus, sizes):
+    monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: cpus)
+    g = cycle_graph(4)
+    assert reduce_beta(g, R2A, jobs=jobs).to_json() == reduce_beta(g, R2A).to_json()
+    assert pool_sizes == sizes
+
+
 def test_reduce_beta_rejects():
     with pytest.raises(ValidationError):
         reduce_beta(path_graph(3), "sideways")
     with pytest.raises(ValidationError):
         reduce_beta(Graph(3, ((1, 2),)), R2A)
+    for jobs in (0, -3):
+        with pytest.raises(ValidationError, match="jobs"):
+            reduce_beta(path_graph(3), R2A, jobs=jobs)
 
 
 def test_reduce_beta_report_json():

@@ -1,18 +1,65 @@
 import itertools
+import random
 
 import pytest
 
 from reasm.errors import LimitError, ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
-                         path_graph, qcube3_graph, star_graph)
+                         path_graph, qcube3_graph, star_graph, vertices_of)
 from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
                           is_anchored_arrangement)
-from reasm.solvers import (brute_force_arrangement, dp_limit,
-                           exact_arrangement, exact_binary_reassembling,
+from reasm.solvers import (_cut_table, _prefix_table, brute_force_arrangement,
+                           dp_limit, exact_arrangement, exact_binary_reassembling,
                            exact_linear_reassembling)
 from reasm.tree import measures, print_tree
 
-from conftest import FIXTURES, binary_tree_masks, connected_atlas
+from conftest import FIXTURES, binary_tree_masks, connected_atlas, prefix_costs
+
+
+def random_connected(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree plus each other pair with probability 1/3."""
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    edges |= {(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+              if rng.random() < 1 / 3}
+    return Graph(n, tuple(edges))
+
+
+def test_cut_table_matches_cut_mask():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        g = random_connected(rng, n)
+        assert _cut_table(g) == [g.cut_mask(s) for s in range(1 << n)]
+
+
+def test_prefix_table_matches_per_mask_recurrence():
+    # n runs below, at and above the 64-mask leaf block, where folding
+    # starts, and up to n = 15, whose top fold spans two 2^13 chunks
+    rng = random.Random(14)
+    for n in range(1, 16):
+        g = random_connected(rng, n)
+        cut = _cut_table(g)
+        for objective in ("alpha", "beta"):
+            assert _prefix_table(objective, cut) == prefix_costs(g, objective), (n, objective)
+
+
+def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
+    # X[V - t] = cut[t] (+) the best cost of the cuts after placing t, the
+    # best taken over every order of the remaining vertices
+    for g in connected_atlas(6):
+        full = g.full_mask
+        cut = _cut_table(g)
+        tables = {objective: _prefix_table(objective, cut) for objective in ("alpha", "beta")}
+        for t in range(full + 1):
+            after = []
+            for order in itertools.permutations(vertices_of(full ^ t)):
+                s, cuts = t, []
+                for v in order:
+                    s |= 1 << (v - 1)
+                    cuts.append(cut[s])
+                after.append(cuts)
+            assert tables["beta"][full ^ t] == cut[t] + min(sum(c) for c in after)
+            assert tables["alpha"][full ^ t] == max(cut[t], min(max(c, default=0)
+                                                                for c in after))
 
 
 def test_hand_checked_optima():

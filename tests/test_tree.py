@@ -142,6 +142,18 @@ def test_cross_sections_are_partitions():
     assert tuple(Cluster([v]) for v in ground) in [tuple(s) for s in sections]
 
 
+def test_cross_sections_of_a_deep_caterpillar():
+    # deeper than Python's default recursion limit
+    n = 1100
+    sections = cross_sections(parse_tree(caterpillar_text(n)))
+    assert len(sections) == n - 1
+    ground = set(range(1, n + 1))
+    for parts in sections:
+        assert sum(map(len, parts)) == n and set().union(*parts) == ground
+    assert sections[0] == tuple(Cluster([v]) for v in ground)
+    assert sections[-1] == (Cluster(range(1, n)), Cluster([n]))
+
+
 def test_every_enumerated_tree_validates():
     from reasm.graph import vertices_of
     for masks in binary_tree_masks(4):
