@@ -44,6 +44,16 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
 
 
+def _load_connected_graph(path: str) -> Graph:
+    """A graph for the verbs that need it connected: a connected graph has
+    m >= n - 1, so fewer edges are refused before any solver runs."""
+    g = _load_graph(path)
+    if g.n > g.m + 1:
+        raise ValidationError(f"graph has {g.n} vertices but only {g.m} edges, "
+                              f"so it is not connected")
+    return g
+
+
 def _emit(obj: dict, pretty: bool) -> None:
     if pretty:
         print(json.dumps(obj, indent=2))
@@ -99,7 +109,7 @@ def _pick_engine(mode: str, engine: str) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_connected_graph(args.graph)
     engine = _pick_engine(args.mode, args.engine)
     if args.anchor is not None and args.mode == "binary":
         raise ValidationError("binary mode does not take an anchor")
@@ -125,7 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # reduce
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_connected_graph(args.graph)
     if args.problem == "beta":
         report = reduce_beta(g, DIRECTIONS[args.direction], jobs=args.jobs)
     else:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import ValidationError
+from .errors import LimitError, ValidationError
 
 
 def popcount(x: int) -> int:
@@ -201,7 +201,13 @@ def classify_deg3(g: Graph) -> Deg3Report:
 
 # ---------------------------------------------------------------------------
 # file format: first data line "n m", then m lines "u v"; '#' starts a
-# comment, blank lines are ignored, duplicate edge lines collapse.
+# comment, blank lines are ignored, duplicate edge lines collapse.  A header
+# with n above MAX_VERTICES is refused (LimitError) before anything of size
+# n is allocated: the adjacency bitsets take up to n^2 / 8 bytes, 12.5 MB at
+# the cap.
+
+MAX_VERTICES = 10_000
+
 
 def parse_graph(text: str) -> Graph:
     rows = []
@@ -219,6 +225,9 @@ def parse_graph(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValidationError(f"line {lineno}: expected 'n m' header, got {head!r}") from None
+    if n > MAX_VERTICES:
+        raise LimitError(f"line {lineno}: header declares {n} vertices, "
+                         f"limit is {MAX_VERTICES}")
     body = rows[1:]
     if len(body) != m:
         raise ValidationError(f"header declares {m} edges but file has {len(body)} edge lines")

@@ -15,7 +15,20 @@ come after a placed set t into the cuts of an order of V - t, so
 One table serves both objectives: the free optimum is X[V], and every
 test below reads X at a complement.
 
-Binary reassemblings use a second subset DP, over splits: the best tree on
+The tables are indexed by twin-class count vectors, not by vertex sets.
+Twins (false twins share N(v), true twins share N[v]) can be swapped by an
+automorphism, so cut and X depend only on how many vertices of each class a
+set holds (the number of classes is the neighbourhood diversity).  Vertices
+without a twin take the low strides 1, 2, 4, ..., so a twin-free graph
+keeps the plain bitmask layout; each larger class is one mixed-radix digit
+of radix |class| + 1 above them.  A set is the sum of its vertices'
+strides, V is the largest index, and V - t is the complement of t.  The
+witness rule below still scans vertex ids in increasing order, and among
+twins it reaches the smallest unplaced one first, so the witnesses are
+those of the plain layout.
+
+Binary reassemblings use a second subset DP, over splits of plain bitmask
+vertex sets (the quotient does not apply to it): the best tree on
 S costs best[S] = cut[S] (+) min over splits {S - A, A} of best[S - A] (+)
 best[A].  Linear trees are the ones whose splits peel off one vertex.
 
@@ -48,10 +61,11 @@ independent reference for small instances.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import LimitError, ValidationError
 from .graph import Graph, iter_bits, popcount
@@ -103,46 +117,134 @@ def _check_objective(objective: str) -> None:
         raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
 
 
-def _check_solvable(g: Graph, limit: int) -> None:
+def _check_solvable(g: Graph, states: int, limit: int) -> None:
+    """A connected graph whose solver needs at most 2^limit states; checked
+    before any table is allocated."""
     if not g.is_connected():
         raise ValidationError("optimizers need a connected graph")
-    if g.n > limit:
-        raise LimitError(f"instance has {g.n} vertices, limit is {limit}")
+    if (states - 1).bit_length() > limit:  # states > 2^limit, for any int limit
+        raise LimitError(f"instance has {g.n} vertices and 2^{math.log2(states):.1f} "
+                         f"states, limit is 2^{limit}")
 
 
-def _cut_table(g: Graph) -> list:
-    """Boundary degree of every vertex subset, indexed by bitmask.
+def _twin_classes(g: Graph) -> list:
+    """Twin classes of size > 1, each ascending, ordered by smallest member.
 
-    Filled by doubling: the subsets holding vertex v as their highest
-    vertex are the ones below v's bit with v added, so
-    cut[half + k] = cut[k] + deg(v) - 2 |N(v) & k| with half = v's bit.
+    False twins share N(v) and true twins share N[v].  No vertex has both a
+    false and a true twin: with N(u) = N(v) and N[u] = N[w], w is a
+    neighbour of u and so of v, so v is in N[w] = N[u] and adjacent to
+    itself.
     """
-    cut = [0] * (g.full_mask + 1)
-    for i, a in enumerate(g.adj):
-        half, d = 1 << i, a.bit_count()
+    groups = {}
+    for v, a in enumerate(g.adj, start=1):
+        groups.setdefault((a, False), []).append(v)
+        groups.setdefault((a | 1 << (v - 1), True), []).append(v)
+    return sorted(tuple(c) for c in groups.values() if len(c) > 1)
+
+
+class _States(NamedTuple):
+    """Mixed-radix index of the DP states.
+
+    A state says how many vertices of each twin class are placed; swapping
+    twins is an automorphism, so every table entry depends on these counts
+    only.  The `bits` vertices in no larger class take strides 1, 2, 4, ...
+    in id order, so a twin-free graph keeps the plain bitmask layout, and
+    each class of `classes` is one digit of radix |class| + 1 above them.
+    Placing vertex v adds stride[v - 1]; the state holding every vertex is
+    size - 1, and the complement of state t is size - 1 - t.  deg[v - 1] is
+    the degree of v, read by the anchor and witness loops.
+    """
+
+    stride: tuple
+    deg: tuple
+    bits: int
+    classes: tuple
+    size: int
+
+
+def _states(g: Graph, classes) -> _States:
+    grouped = {v for c in classes for v in c}
+    stride = [0] * g.n
+    step = 1
+    for v in g.vertices:
+        if v not in grouped:
+            stride[v - 1] = step
+            step <<= 1
+    bits = step.bit_length() - 1
+    for c in classes:
+        for v in c:
+            stride[v - 1] = step
+        step *= len(c) + 1
+    return _States(tuple(stride), tuple(a.bit_count() for a in g.adj), bits,
+                   tuple(classes), step)
+
+
+def _cut_table(g: Graph, st: _States) -> list:
+    """Boundary degree of every state.
+
+    Filled by doubling, one position at a time from the lowest stride h:
+    the states holding c vertices of a position (and any states of the
+    positions below it, k < h) are those holding c - 1 plus one vertex v,
+    so cut[c h + k] = cut[(c - 1) h + k] + deg(v) - 2 |N(v) among them|.
+    For a singleton bit c = 1 and the count is the popcount |N(v) & k|; a
+    class counts v's neighbours in k by a list built the same way over the
+    lower positions, plus c - 1 for true twins.
+    """
+    cut = [0] * st.size
+    span = 1 << st.bits
+    # neighbours on the singleton bits, as a mask of their strides
+    low = [sum(st.stride[u - 1] for u in iter_bits(a) if st.stride[u - 1] < span)
+           for a in g.adj]
+    for v in g.vertices:
+        half = st.stride[v - 1]
+        if half >= span:
+            continue
+        a, d = low[v - 1], st.deg[v - 1]
         step = min(half, _CHUNK)
         for k in range(0, half, step):
             cut[half + k:half + k + step] = [
                 c + d - 2 * (a & j).bit_count()
                 for j, c in zip(range(k, k + step), cut[k:k + step])]
+    for i, members in enumerate(st.classes):
+        v = members[0]
+        half, a = st.stride[v - 1], g.adj[v - 1]
+        inner = a >> (members[1] - 1) & 1  # true twins are adjacent
+        nbrs = [(low[v - 1] & k).bit_count() for k in range(span)]
+        for other in st.classes[:i]:
+            if a >> (other[0] - 1) & 1:
+                nbrs = [n + c for c in range(len(other) + 1) for n in nbrs]
+            else:
+                nbrs *= len(other) + 1
+        step = min(half, _CHUNK)
+        for c in range(1, len(members) + 1):
+            base, d = c * half, st.deg[v - 1] - 2 * inner * (c - 1)
+            for k in range(0, half, step):
+                cut[base + k:base + k + step] = [
+                    y + d - 2 * n
+                    for y, n in zip(cut[base - half + k:base - half + k + step],
+                                    nbrs[k:k + step])]
     return cut
 
 
-def _prefix_table(objective: str, cut: list) -> list:
+def _prefix_table(objective: str, cut: list, st: _States) -> list:
     """X[T] = cut[T] (+) min over v in T of X[T - v], with X[0] = 0: the
     best cost of the cuts of an order of T, T itself included.
 
-    Masks are filled in increasing order, in leaf blocks of _LEAF.  Inside
-    a block a loop takes the minimum over the low bits of T.  The high bits
-    are folded in ahead: once the aligned block [e - s, e) with s = e & -e
-    is final, its entries are min-ed into [e, e + s), which is the same
-    range with bit s added.  Every mask receives one fold per high bit.
+    States are filled in increasing order, in leaf blocks of up to _LEAF
+    over the low singleton bits.  Inside a block a loop takes the minimum
+    over the low bits of T.  The other positions are folded in ahead: once
+    the block ending at e is final, e's lowest nonzero position, of stride
+    s, has its range [e - s, e) final too, and its entries are min-ed into
+    [e, e + s), which is the same range with one more vertex of that
+    position.  Every state receives one fold per higher position it holds.
     """
     size = len(cut)
+    span = 1 << st.bits
+    digits = [(st.stride[c[0] - 1], len(c) + 1) for c in st.classes]
     beta = objective == "beta"
     x = [_INF] * size
     x[0] = 0
-    leaf = min(_LEAF, size)
+    leaf = min(_LEAF, span)
     lows = [tuple(lo ^ (1 << (v - 1)) for v in iter_bits(lo)) for lo in range(leaf)]
     for base in range(0, size, leaf):
         blk = x[base:base + leaf]
@@ -156,7 +258,7 @@ def _prefix_table(objective: str, cut: list) -> list:
         x[base:base + leaf] = blk
         e = base + leaf
         if e < size:
-            s = e & -e
+            s = e & -e if e % span else next(h for h, r in digits if e // h % r)
             step = min(s, _CHUNK)
             for k in range(e, e + s, step):
                 x[k:k + step] = [a if a < y else y
@@ -172,73 +274,75 @@ def _infeasible_anchor(w: int) -> ValidationError:
     return ValidationError(f"anchor {w} infeasible: no second vertex of degree >= deg({w})")
 
 
-def _anchor_feasible(g: Graph, w: int) -> bool:
-    return any(v != w and g.degree(v) >= g.degree(w) for v in g.vertices)
+def _anchor_feasible(deg: tuple, w: int) -> bool:
+    return any(v != w and d >= deg[w - 1] for v, d in enumerate(deg, start=1))
 
 
 def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
-    """Checks shared by the subset-DP solvers, then the cut and prefix
-    tables."""
+    """Checks shared by the subset-DP solvers, then the state layout and
+    the cut and prefix tables."""
     _check_objective(objective)
-    _check_solvable(g, dp_limit())
+    st = _states(g, _twin_classes(g))
+    _check_solvable(g, st.size, dp_limit())
     if anchor is not None:
         g._check_vertex(anchor)
-        if not _anchor_feasible(g, anchor):
+        if not _anchor_feasible(st.deg, anchor):
             raise _infeasible_anchor(anchor)
-    cut = _cut_table(g)
-    return cut, _prefix_table(objective, cut)
+    cut = _cut_table(g, st)
+    return st, cut, _prefix_table(objective, cut, st)
 
 
-def _greedy_completion(g: Graph, objective: str, cut: list, x: list, prefix: list,
-                       budget: int) -> list:
+def _greedy_completion(g: Graph, st: _States, objective: str, cut: list, x: list,
+                       prefix: list, budget: int) -> list:
     """Lexicographically least completion of `prefix` whose cost stays
     within `budget`; after a one-vertex prefix w the second vertex has
     degree >= deg(w)."""
     order = list(prefix)
-    s = spent = 0
+    placed = t = spent = 0
     for v in order:
-        s |= 1 << (v - 1)
-        spent = _combine(objective, spent, cut[s])
-    min_deg = g.degree(order[0]) if len(order) == 1 else 0
-    full = g.full_mask
-    while s != full:
-        for v in iter_bits(full ^ s):
-            if min_deg and g.degree(v) < min_deg:
+        placed |= 1 << (v - 1)
+        t += st.stride[v - 1]
+        spent = _combine(objective, spent, cut[t])
+    min_deg = st.deg[order[0] - 1] if len(order) == 1 else 0
+    full = st.size - 1
+    while placed != g.full_mask:
+        for v in iter_bits(g.full_mask ^ placed):
+            if st.deg[v - 1] < min_deg:
                 continue
-            t = s | (1 << (v - 1))
-            # x[full ^ t] = cut[t] (+) the best cost of the cuts after t
-            if _combine(objective, spent, x[full ^ t]) <= budget:
+            u = t + st.stride[v - 1]
+            # x[full - u] = cut[u] (+) the best cost of the cuts after u
+            if _combine(objective, spent, x[full - u]) <= budget:
                 order.append(v)
-                s, spent, min_deg = t, _combine(objective, spent, cut[t]), 0
+                placed |= 1 << (v - 1)
+                t, spent, min_deg = u, _combine(objective, spent, cut[u]), 0
                 break
         else:
             raise AssertionError("prefix table is inconsistent")
     return order
 
 
-def _anchored_start(g: Graph, objective: str, cut: list, x: list, w: int) -> int:
+def _anchored_start(st: _States, objective: str, cut: list, x: list, w: int) -> int:
     """Best value of an arrangement anchored at w, a feasible anchor."""
-    dw = g.degree(w)
-    wbit = 1 << (w - 1)
-    rest = g.full_mask ^ wbit
+    dw, sw = st.deg[w - 1], st.stride[w - 1]
+    rest = st.size - 1 - sw
     best = _INF
-    for v in g.vertices:
-        if v == w or g.degree(v) < dw:
+    for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1):
+        if v == w or d < dw:
             continue
-        # x[rest - v] = cut[w + v] (+) the best cost of the cuts after {w, v}
-        best = min(best, _combine(objective, cut[wbit], x[rest ^ (1 << (v - 1))]))
+        # x[rest - sv] = cut[w + v] (+) the best cost of the cuts after {w, v}
+        best = min(best, _combine(objective, cut[sw], x[rest - sv]))
     return best
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:
     """Optimal arrangement by subset DP (free, or anchored at a vertex)."""
     t0 = time.perf_counter()
-    cut, x = _dp_tables(g, objective, anchor)
+    st, cut, x = _dp_tables(g, objective, anchor)
     if anchor is None:
-        prefix, value = [], x[g.full_mask]
+        prefix, value = [], x[-1]
     else:
-        prefix, value = [anchor], _anchored_start(g, objective, cut, x, anchor)
-    order = _greedy_completion(g, objective, cut, x, prefix, value)
+        prefix, value = [anchor], _anchored_start(st, objective, cut, x, anchor)
+    order = _greedy_completion(g, st, objective, cut, x, prefix, value)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
                        anchor=anchor, stats={"states": len(x), "millis": millis})
@@ -248,23 +352,24 @@ def exact_linear_reassembling(g: Graph, objective: str,
                               anchor: Optional[int] = None) -> SolveResult:
     """Optimal linear reassembling via anchored arrangements."""
     t0 = time.perf_counter()
-    cut, x = _dp_tables(g, objective, anchor)
+    st, cut, x = _dp_tables(g, objective, anchor)
     total_deg = 2 * g.m
-    maxdeg = g.max_degree()
+    maxdeg = max(st.deg)
     anchors = [anchor] if anchor is not None else [
-        w for w in g.vertices if _anchor_feasible(g, w)]
+        w for w in g.vertices if _anchor_feasible(st.deg, w)]
     best = None  # (tree value, w, budget)
     for w in anchors:
-        arr_value = _anchored_start(g, objective, cut, x, w)
+        arr_value = _anchored_start(st, objective, cut, x, w)
         if objective == "beta":
-            value, budget = arr_value + (total_deg - g.degree(w)), arr_value
+            value, budget = arr_value + (total_deg - st.deg[w - 1]), arr_value
         else:
             value = budget = max(maxdeg, arr_value)
         if best is None or (value, w) < best[:2]:
             best = (value, w, budget)
     # a single vertex has no feasible anchor: its one-leaf tree costs 0
     value, w, budget = best if best is not None else (0, None, 0)
-    order = _greedy_completion(g, objective, cut, x, [w] if w is not None else [], budget)
+    order = _greedy_completion(g, st, objective, cut, x, [w] if w is not None else [],
+                               budget)
     tree = induce_reassembling(g, Arrangement(tuple(order)))
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "linear_reassembling", int(value), tree,
@@ -283,9 +388,10 @@ def _splits(s: int):
 def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
     """Optimal binary reassembling by subset DP over splits."""
     _check_objective(objective)
-    _check_solvable(g, BINARY_TREE_LIMIT)
+    st = _states(g, ())
+    _check_solvable(g, st.size, BINARY_TREE_LIMIT)
     t0 = time.perf_counter()
-    cut = _cut_table(g)
+    cut = _cut_table(g, st)
     best = list(cut)
     for s in range(3, len(best)):
         if s & (s - 1):
@@ -317,7 +423,7 @@ def brute_force_arrangement(g: Graph, objective: str,
                             anchor: Optional[int] = None) -> SolveResult:
     """Factorial scan over all arrangements (reference implementation)."""
     _check_objective(objective)
-    _check_solvable(g, BRUTE_ARRANGEMENT_LIMIT)
+    _check_solvable(g, 1 << g.n, BRUTE_ARRANGEMENT_LIMIT)
     t0 = time.perf_counter()
     adj = g.adj
     deg = [popcount(a) for a in adj]

@@ -184,20 +184,26 @@ def test_criterion_07_balance_lemmas_exhaustive():
 
 def test_criterion_08_beta_reduction_end_to_end():
     t0 = time.perf_counter()
-    instances = [path_graph(3), path_graph(4), cycle_graph(4), cycle_graph(5),
-                 star_graph(3), complete_graph(4)]
-    for g in instances:
+    small = [path_graph(3), path_graph(4), cycle_graph(4), cycle_graph(5),
+             star_graph(3), complete_graph(4)]
+    for g in small:
         assert build_auxiliary(g, 1).combined.n <= 17
+    # auxiliary graphs of 32, 23 and 26 vertices, solved over twin classes
+    q3 = qcube3_graph()
+    large = [q3, ring_tree_graph((3, 4)), ring_tree_graph((3, 3), path_len=3)]
+    for g in small + large:
         r2a = reduce_beta(g, R2A)
         assert r2a.best_value == exact_linear_reassembling(g, "beta").value
         assert r2a.checks == {"scatter0": True, "balanced": True}
         a2r = reduce_beta(g, A2R)
         assert a2r.best_value == exact_arrangement(g, "beta").value
         assert a2r.checks == {"scatter0": True, "balanced": True}
+        if g is q3:
+            assert (r2a.best_value, a2r.best_value) == (49, 28)
     dt = time.perf_counter() - t0
     assert dt <= 120.0
     verdict(8, f"beta reduction matches direct optima in both directions "
-               f"on p3, p4, c4, c5, s3, k4 ({dt:.1f}s)")
+               f"on p3, p4, c4, c5, s3, k4, q3 and two ring trees ({dt:.1f}s)")
 
 
 def test_criterion_09_alpha_reduction_end_to_end():

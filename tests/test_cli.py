@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import reasm
 from reasm import verify
-from reasm.graph import format_graph, parse_graph, path_graph, star_graph
+from reasm.graph import MAX_VERTICES, format_graph, parse_graph, path_graph, star_graph
 
 from conftest import FIXTURES, caterpillar_text
 
@@ -136,6 +137,36 @@ def test_solve_hits_resource_limit(run_cli, workdir, monkeypatch):
     assert code == 3 and "limit" in err
 
 
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 8])
+def test_huge_graph_header_is_refused(workdir, n):
+    # refused from the header, before anything of size n is allocated; the
+    # child's address space is capped, so an allocation shows as a crash
+    g = write(workdir / "huge.g", f"{n} 1\n1 2\n")
+    arr = write(workdir / "a.a", "1 2\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    for argv in (("solve", g, "--objective", "beta"),
+                 ("reduce", g, "--problem", "beta"),
+                 ("eval", "--graph", g, "--arrangement", arr)):
+        proc = subprocess.run([sys.executable, "-m", "reasm", *argv], capture_output=True,
+                              text=True, env=_module_env(), preexec_fn=cap_memory)
+        assert proc.returncode == 3, (argv, proc.stderr)
+        assert proc.stderr.startswith("error:") and f"limit is {MAX_VERTICES}" in proc.stderr
+
+
+def test_too_few_edges_for_a_connected_graph(run_cli, workdir):
+    g = write(workdir / "sparse.g", "5 1\n1 2\n")
+    for argv in (("solve", g, "--objective", "beta"), ("reduce", g, "--problem", "alpha")):
+        code, _, err = run_cli(*argv)
+        assert code == 2 and "not connected" in err
+    # eval measures disconnected graphs too
+    arr = write(workdir / "a.a", "1 2 3 4 5\n")
+    code, out, _ = run_cli("eval", "--graph", g, "--arrangement", arr)
+    assert code == 0 and json.loads(out)["beta"] == 1
+
+
 def test_reduce_beta_cli(run_cli, workdir):
     g = write(workdir / "p3.g", format_graph(path_graph(3)))
     code, out, _ = run_cli("reduce", g, "--problem", "beta", "--direction", "a2r")
@@ -225,15 +256,18 @@ def test_unknown_flag_exits_2(run_cli):
     assert code == 2
 
 
-def test_module_entry_point(workdir):
+def _module_env() -> dict:
     # A relative PYTHONPATH would resolve inside workdir, so put the
     # directory holding the imported reasm package first, as an absolute path.
     pkg_root = str(Path(reasm.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_root] + ([inherited] if inherited else [])))
+
+
+def test_module_entry_point(workdir):
     proc = subprocess.run([sys.executable, "-m", "reasm", "gen",
                            "--family", "cycle", "--size", "4"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_module_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 4

@@ -3,10 +3,10 @@ import itertools
 import networkx as nx
 import pytest
 
-from reasm.errors import ValidationError
-from reasm.graph import (Graph, QCUBE3_EDGES, classify_deg3, complete_graph,
-                         cycle_graph, format_graph, generate, mask_of,
-                         parse_graph, path_graph, qcube3_graph,
+from reasm.errors import LimitError, ValidationError
+from reasm.graph import (MAX_VERTICES, Graph, QCUBE3_EDGES, classify_deg3,
+                         complete_graph, cycle_graph, format_graph, generate,
+                         mask_of, parse_graph, path_graph, qcube3_graph,
                          ring_tree_graph, star_graph, vertices_of)
 from reasm.tree import measures, parse_tree
 
@@ -54,6 +54,13 @@ def test_parse_comments_and_blanks():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValidationError):
         parse_graph(text)
+
+
+def test_parse_caps_the_header():
+    assert parse_graph(f"{MAX_VERTICES} 1\n1 2\n").n == MAX_VERTICES
+    # refused on the header alone, even with the edge lines missing
+    with pytest.raises(LimitError, match=f"limit is {MAX_VERTICES}"):
+        parse_graph(f"{MAX_VERTICES + 1} 1\n")
 
 
 def test_boundary_degree_and_cut_mask():

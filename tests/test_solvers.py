@@ -8,9 +8,10 @@ from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
                          path_graph, qcube3_graph, star_graph, vertices_of)
 from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
                           is_anchored_arrangement)
-from reasm.solvers import (_cut_table, _prefix_table, brute_force_arrangement,
-                           dp_limit, exact_arrangement, exact_binary_reassembling,
-                           exact_linear_reassembling)
+from reasm.reduction import build_auxiliary
+from reasm.solvers import (_cut_table, _prefix_table, _states, _twin_classes,
+                           brute_force_arrangement, dp_limit, exact_arrangement,
+                           exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import measures, print_tree
 
 from conftest import FIXTURES, binary_tree_masks, connected_atlas, prefix_costs
@@ -28,7 +29,7 @@ def test_cut_table_matches_cut_mask():
     rng = random.Random(12)
     for n in range(1, 13):
         g = random_connected(rng, n)
-        assert _cut_table(g) == [g.cut_mask(s) for s in range(1 << n)]
+        assert _cut_table(g, _states(g, ())) == [g.cut_mask(s) for s in range(1 << n)]
 
 
 def test_prefix_table_matches_per_mask_recurrence():
@@ -37,9 +38,11 @@ def test_prefix_table_matches_per_mask_recurrence():
     rng = random.Random(14)
     for n in range(1, 16):
         g = random_connected(rng, n)
-        cut = _cut_table(g)
+        st = _states(g, ())
+        cut = _cut_table(g, st)
         for objective in ("alpha", "beta"):
-            assert _prefix_table(objective, cut) == prefix_costs(g, objective), (n, objective)
+            x = _prefix_table(objective, cut, st)
+            assert x == prefix_costs(g, objective), (n, objective)
 
 
 def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
@@ -47,8 +50,10 @@ def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
     # best taken over every order of the remaining vertices
     for g in connected_atlas(6):
         full = g.full_mask
-        cut = _cut_table(g)
-        tables = {objective: _prefix_table(objective, cut) for objective in ("alpha", "beta")}
+        st = _states(g, ())
+        cut = _cut_table(g, st)
+        tables = {objective: _prefix_table(objective, cut, st)
+                  for objective in ("alpha", "beta")}
         for t in range(full + 1):
             after = []
             for order in itertools.permutations(vertices_of(full ^ t)):
@@ -60,6 +65,77 @@ def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
             assert tables["beta"][full ^ t] == cut[t] + min(sum(c) for c in after)
             assert tables["alpha"][full ^ t] == max(cut[t], min(max(c, default=0)
                                                                 for c in after))
+
+
+def test_twin_classes():
+    assert _twin_classes(qcube3_graph()) == []
+    assert _twin_classes(star_graph(3)) == [(2, 3, 4)]  # false twins
+    assert _twin_classes(complete_graph(3)) == [(1, 2, 3)]  # true twins
+    # the clique glued onto anchor 1 of the path 1-2-3: the false twins 1
+    # and 3 are split, and the new vertices are true twins of each other
+    assert _twin_classes(build_auxiliary(path_graph(3), 1).combined) == [(4, 5, 6, 7)]
+
+
+def _quotient_graphs():
+    for g in connected_atlas(7):
+        if _twin_classes(g):
+            yield g
+    # every anchor of p3, s3 and c4; the anchors of k4 are all alike
+    for base, anchors in ((path_graph(3), (1, 2, 3)), (star_graph(3), (1, 2, 3, 4)),
+                          (cycle_graph(4), (1, 2, 3, 4)), (complete_graph(4), (1,))):
+        for w in anchors:
+            yield build_auxiliary(base, w).combined
+    # a pair of true twins above 14 singleton bits: the pair's digit has
+    # stride 2^14, so its folds and cut fill span two 2^13 chunks
+    g = random_connected(random.Random(0), 14)
+    yield Graph(16, g.edges + ((1, 15), (1, 16), (15, 16)))
+
+
+def test_quotient_tables_match_per_mask_tables():
+    # a vertex set and its count vector share the cut and the prefix cost
+    graphs = 0
+    for g in _quotient_graphs():
+        st = _states(g, _twin_classes(g))
+        assert st.size < 1 << g.n
+        index = [sum(st.stride[v - 1] for v in vertices_of(t)) for t in range(1 << g.n)]
+        assert set(index) == set(range(st.size))
+        cut = _cut_table(g, st)
+        assert [cut[i] for i in index] == [g.cut_mask(t) for t in range(1 << g.n)]
+        for objective in ("alpha", "beta"):
+            x = _prefix_table(objective, cut, st)
+            assert [x[i] for i in index] == prefix_costs(g, objective), (g, objective)
+        graphs += 1
+    assert graphs == 665 + 12 + 1
+
+
+def test_state_counts():
+    q3, k8, s7 = (parse_graph((FIXTURES / f"{name}.g").read_text())
+                  for name in ("q3", "k8", "s7"))
+    aux = build_auxiliary(q3, 1).combined
+    for g, states in ((k8, 9), (s7, 16), (aux, 2 ** 8 * 25), (q3, 2 ** 8),
+                      (path_graph(5), 2 ** 5)):
+        for solve in (exact_arrangement, exact_linear_reassembling):
+            assert solve(g, "beta").stats["states"] == states
+
+
+def test_dp_limit_counts_states(monkeypatch):
+    # 32 vertices in 6400 states solve under the default limit of 2^24
+    aux = build_auxiliary(qcube3_graph(), 1).combined
+    res = exact_arrangement(aux, "beta")
+    assert evaluate_arrangement(aux, res.witness).beta == res.value
+    # 25 twin-free vertices need 2^25 states: refused before any table
+    with pytest.raises(LimitError, match="limit is 2\\^24"):
+        exact_arrangement(path_graph(25), "beta")
+    monkeypatch.setenv("REASM_DP_LIMIT", "4")
+    assert exact_linear_reassembling(star_graph(7), "beta").stats["states"] == 16
+    with pytest.raises(LimitError):
+        exact_linear_reassembling(star_graph(8), "beta")
+    # limits far outside the useful range are compared, never expanded
+    monkeypatch.setenv("REASM_DP_LIMIT", "-1")
+    with pytest.raises(LimitError):
+        exact_arrangement(path_graph(1), "beta")
+    monkeypatch.setenv("REASM_DP_LIMIT", str(10 ** 18))
+    assert exact_arrangement(path_graph(5), "beta").value == 4
 
 
 def test_hand_checked_optima():
