@@ -16,8 +16,7 @@ from .graph import (Deg3Report, Graph, classify_deg3, complete_graph,
 from .layout import (Arrangement, ArrangementReport, edge_length,
                      evaluate_arrangement, format_arrangement,
                      induce_arrangement, induce_reassembling,
-                     is_anchored_arrangement, is_anchored_reassembling,
-                     parse_arrangement, restrict_arrangement, restrict_tree)
+                     parse_arrangement)
 from .reduction import (A2R, R2A, AlphaReductionReport, AuxiliaryGraph,
                         ReductionReport, VCSequence, build_auxiliary,
                         descatter_move, normalize_sequence, rebalance_move,
@@ -28,9 +27,8 @@ from .sequential import (MergeStep, SeqTrace, block_tree, canonical_ordering,
                          seq_reassemble)
 from .solvers import (SolveResult, brute_force_arrangement, exact_arrangement,
                       exact_binary_reassembling, exact_linear_reassembling)
-from .tree import (MeasureReport, ReassemblyTree, cross_sections, is_strict,
-                   first_nonstrict_pair, measures, parse_tree, print_tree,
-                   validate_tree)
+from .tree import (MeasureReport, ReassemblyTree, first_nonstrict_pair,
+                   is_strict, measures, parse_tree, print_tree)
 
 __version__ = "0.1.0"
 
@@ -39,20 +37,16 @@ __all__ = [
     "AuxiliaryGraph", "Deg3Report", "Graph", "LimitError", "MeasureReport",
     "MergeStep", "ReassemblyTree", "ReductionReport", "SeqTrace",
     "SolveResult", "VCSequence", "ValidationError",
-    "block_tree", "build_auxiliary",
+    "block_tree", "brute_force_arrangement", "build_auxiliary",
     "canonical_ordering", "chain_to_ordering", "classify_deg3",
-    "complete_graph", "cross_sections", "cycle_graph",
-    "descatter_move", "edge_length", "evaluate_arrangement",
-    "exact_arrangement", "exact_binary_reassembling",
+    "complete_graph", "cycle_graph", "descatter_move", "edge_length",
+    "evaluate_arrangement", "exact_arrangement", "exact_binary_reassembling",
     "exact_linear_reassembling", "first_nonstrict_pair",
     "format_arrangement", "format_graph", "format_ordering", "generate",
-    "induce_arrangement", "induce_reassembling", "is_anchored_arrangement",
-    "is_anchored_reassembling", "is_strict", "measures",
-    "brute_force_arrangement",
+    "induce_arrangement", "induce_reassembling", "is_strict", "measures",
     "normalize_sequence", "parse_arrangement", "parse_graph",
     "parse_ordering", "parse_tree", "path_graph", "print_tree",
     "qcube3_graph", "rebalance_move", "reduce_alpha", "reduce_beta",
-    "restrict_arrangement", "restrict_tree", "ring_tree_graph", "scatter",
-    "seq_reassemble", "star_graph", "unbalance", "validate_tree",
-    "vc_sequence",
+    "ring_tree_graph", "scatter", "seq_reassemble", "star_graph",
+    "unbalance", "vc_sequence",
 ]

@@ -98,11 +98,6 @@ class Graph:
         """Boundary degree of the vertex set given as a bitmask."""
         return sum(popcount(self.adj[v - 1] & ~mask) for v in iter_bits(mask))
 
-    def boundary_degree(self, block: Iterable[int]) -> int:
-        """Number of edges with exactly one endpoint in `block`."""
-        mask = self._check_block(block)
-        return self.cut_mask(mask)
-
     def bridges(self, a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, int], ...]:
         """Edges with one endpoint in `a` and the other in `b` (disjoint sets)."""
         ma = self._check_block(a)

@@ -15,11 +15,11 @@ are mutually inverse on linear trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ValidationError
-from .graph import Graph, mask_of, popcount
-from .tree import ReassemblyTree, print_tree
+from .graph import Graph, popcount
+from .tree import ReassemblyTree, _check_ground, print_tree
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def induce_arrangement(g: Graph, tree: ReassemblyTree) -> Arrangement:
     """Arrangement read off a linear reassembling: within the first cluster
     the lower-degree vertex goes first (ties toward the smaller id), then
     vertices follow the chain."""
-    if tree.ground_mask != g.full_mask:
-        raise ValidationError("tree ground set does not match the graph's vertex set")
+    _check_ground(g, tree)
     if not tree.is_linear():
         raise ValidationError("tree is not linear")
     if g.n == 1:
@@ -126,57 +125,6 @@ def induce_reassembling(g: Graph, arr: Arrangement) -> ReassemblyTree:
         prefix |= bit
         masks.append(prefix)
     return ReassemblyTree._trusted(g.full_mask, masks)
-
-
-# ---------------------------------------------------------------------------
-# anchoring
-
-def is_anchored_arrangement(g: Graph, arr: Arrangement, w: int) -> bool:
-    """True iff w is placed first and its degree is at most the second's."""
-    _check_permutation(g, arr)
-    if g.n < 2 or arr.order[0] != w:
-        return False
-    return g.degree(w) <= g.degree(arr.order[1])
-
-
-def is_anchored_reassembling(g: Graph, tree: ReassemblyTree, w: int) -> bool:
-    """True iff {w} is one half of the first chain cluster and deg(w) is at
-    most the degree of the other half."""
-    if tree.ground_mask != g.full_mask:
-        raise ValidationError("tree ground set does not match the graph's vertex set")
-    if not tree.is_linear() or g.n < 2:
-        return False
-    first = tree.linear_chain()[0]
-    if w not in first:
-        return False
-    (other,) = set(first) - {w}
-    return g.degree(w) <= g.degree(other)
-
-
-# ---------------------------------------------------------------------------
-# restrictions
-
-def restrict_arrangement(arr: Arrangement, keep: Iterable[int]) -> Arrangement:
-    keep = set(keep)
-    missing = keep - set(arr.order)
-    if missing:
-        raise ValidationError(f"vertices {sorted(missing)} not in arrangement")
-    return Arrangement(tuple(v for v in arr.order if v in keep))
-
-
-def restrict_tree(tree: ReassemblyTree, keep: Iterable[int]) -> ReassemblyTree:
-    """Restriction of a linear tree: intersect every cluster with `keep` and
-    drop empties/duplicates.  The result is again linear, over `keep`."""
-    if not tree.is_linear():
-        raise ValidationError("tree is not linear")
-    kmask = mask_of(keep)
-    if kmask & ~tree.ground_mask:
-        raise ValidationError("keep set is not a subset of the tree's vertices")
-    if kmask == 0:
-        raise ValidationError("keep set is empty")
-    masks = {m & kmask for m in tree.cluster_masks()}
-    masks.discard(0)
-    return ReassemblyTree._trusted(kmask, masks)
 
 
 def parse_arrangement(text: str) -> Arrangement:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .graph import Graph, iter_bits, mask_of, popcount, vertices_of
-from .tree import ReassemblyTree
+from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair
 
 Edge = tuple  # (u, v) with u < v
 Partition = tuple  # of frozensets, sorted by min vertex
@@ -72,8 +72,10 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         for x in iter_bits(merged):
             block[x] = merged
         lo, hi = sorted((frozenset(vertices_of(a)), frozenset(vertices_of(b))), key=min)
+        # every edge inside a or b went with an earlier merge, so the edges
+        # consumed now are exactly those between the two blocks
         steps.append(MergeStep(merged=(lo, hi),
-                               bridges=g.bridges(lo, hi),
+                               bridges=tuple(sorted(consumed)),
                                consumed=tuple(consumed)))
         # the merged block keeps lo's place in the min-vertex order
         parts[parts.index(lo)] = lo | hi
@@ -125,10 +127,7 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
     Feeding the result back through the block-merging process reproduces the
     tree.
     """
-    from .tree import first_nonstrict_pair
-
-    if tree.ground_mask != g.full_mask:
-        raise ValidationError("tree ground set does not match the graph's vertex set")
+    _check_ground(g, tree)
     bad = first_nonstrict_pair(g, tree)
     if bad is not None:
         raise ValidationError(

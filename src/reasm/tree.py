@@ -7,8 +7,10 @@ exactly 2n - 1 members and forms an unordered binary tree whose leaves are
 the singletons.
 
 Clusters are bitmasks internally (bit v-1 = vertex v), so the ground set may
-be any set of positive ints -- restrictions of trees keep their original
-vertex ids.
+be any set of positive ints -- a parsed tree keeps the vertex ids it was
+written with.  Each non-singleton cluster records its child pair; the
+module evaluates the alpha/beta measures, finds sibling pairs with no edge
+between them (strictness), and reads and writes the bracket text format.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ Cluster = frozenset  # of vertex ids
 class ReassemblyTree:
     """Immutable reassembling tree; equality compares cluster sets."""
 
-    __slots__ = ("ground_mask", "_masks", "_parent", "_children", "_heights")
+    __slots__ = ("ground_mask", "_masks", "_children")
 
     def __init__(self, clusters: Iterable[Iterable[int]]):
         masks = {mask_of(c) for c in clusters}
@@ -47,6 +49,7 @@ class ReassemblyTree:
         n = popcount(ground)
         self.ground_mask = ground
         self._masks = frozenset(masks)
+        children = {}
         if validate:
             for v in iter_bits(ground):
                 if (1 << (v - 1)) not in masks:
@@ -56,9 +59,6 @@ class ReassemblyTree:
             if len(masks) != 2 * n - 1:
                 raise ValidationError(
                     f"expected {2 * n - 1} clusters for {n} vertices, got {len(masks)}")
-        parent = {}
-        children = {}
-        if validate:
             for x in masks:
                 if x == ground:
                     continue
@@ -69,7 +69,6 @@ class ReassemblyTree:
                         "sibling candidates, expected exactly one")
                 y = partners[0]
                 p = x | y
-                parent[x] = p
                 prior = children.get(p)
                 if prior is not None and prior != (min(x, y), max(x, y)):
                     raise ValidationError(
@@ -91,19 +90,9 @@ class ReassemblyTree:
                 a = head[lowv]
                 b = head[(x ^ a) & -(x ^ a)]
                 assert (a | b) == x and not (a & b), "clusters do not nest"
-                parent[a] = parent[b] = x
                 children[x] = (min(a, b), max(a, b))
                 head[lowv] = x
-        self._parent = parent
         self._children = children
-        heights = {}
-        for x in sorted(self._masks, key=popcount):
-            if x in children:
-                a, b = children[x]
-                heights[x] = 1 + max(heights[a], heights[b])
-            else:
-                heights[x] = 0
-        self._heights = heights
 
     # -- basic queries ------------------------------------------------------
 
@@ -136,62 +125,6 @@ class ReassemblyTree:
 
     def __repr__(self) -> str:
         return f"ReassemblyTree({print_tree(self)!r})"
-
-    def _lookup(self, cluster: Iterable[int]) -> int:
-        m = mask_of(cluster)
-        if m not in self._masks:
-            raise ValidationError(f"{set(cluster)} is not a cluster of this tree")
-        return m
-
-    def sibling(self, cluster: Iterable[int]) -> Cluster:
-        m = self._lookup(cluster)
-        if m == self.ground_mask:
-            raise ValidationError("the root cluster V has no sibling")
-        return Cluster(vertices_of(self._parent[m] ^ m))
-
-    def parent(self, cluster: Iterable[int]) -> Cluster:
-        m = self._lookup(cluster)
-        if m == self.ground_mask:
-            raise ValidationError("the root cluster V has no parent")
-        return Cluster(vertices_of(self._parent[m]))
-
-    def children(self, cluster: Iterable[int]) -> Optional[tuple[Cluster, Cluster]]:
-        """Child pair of a non-singleton cluster (None for singletons),
-        the child holding the smaller minimum vertex first."""
-        m = self._lookup(cluster)
-        if m not in self._children:
-            return None
-        a, b = self._children[m]
-        if a & -a > b & -b:
-            a, b = b, a
-        return Cluster(vertices_of(a)), Cluster(vertices_of(b))
-
-    def path_to_root(self, v: int) -> tuple[Cluster, ...]:
-        """Clusters on the unique path from {v} up to V."""
-        m = 1 << (v - 1)
-        if m not in self._masks:
-            raise ValidationError(f"vertex {v} is not in the tree")
-        path = [m]
-        while path[-1] != self.ground_mask:
-            path.append(self._parent[path[-1]])
-        return tuple(Cluster(vertices_of(x)) for x in path)
-
-    def height(self) -> int:
-        return self._heights[self.ground_mask]
-
-    def height_of(self, cluster: Iterable[int]) -> int:
-        return self._heights[self._lookup(cluster)]
-
-    def subtree(self, cluster: Iterable[int]) -> "ReassemblyTree":
-        root = self._lookup(cluster)
-        masks = []
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            masks.append(x)
-            if x in self._children:
-                stack.extend(self._children[x])
-        return ReassemblyTree._trusted(root, masks)
 
     def is_linear(self) -> bool:
         """True iff the non-singleton clusters form a single nested chain."""
@@ -250,52 +183,6 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[Clust
 def is_strict(g: Graph, tree: ReassemblyTree) -> bool:
     """True iff every sibling pair has a non-empty bridge set."""
     return first_nonstrict_pair(g, tree) is None
-
-
-def cross_sections(tree: ReassemblyTree) -> list:
-    """All maximal collections of >= 2 pairwise disjoint clusters.
-
-    Each such collection is a partition of V into clusters; they are returned
-    finest first.  A linear tree over n vertices has exactly n - 1 of them.
-    """
-    # parts[m]: the partitions of cluster m into clusters, m itself first,
-    # each one a cluster or a pair (partition of one child, partition of the
-    # other), so a parent shares its children's partitions instead of
-    # copying them; children come before their parent in the ascending-size
-    # sweep
-    parts, ordered = {}, {}
-    for m in sorted(tree._masks, key=popcount):
-        pair = tree._children.get(m)
-        if pair is None:
-            vs, below = list(vertices_of(m)), []
-        else:
-            pas, pbs = parts.pop(pair[0]), parts.pop(pair[1])
-            vs = sorted(pas[0] | pbs[0])
-            below = [(pa, pb) for pa in pas for pb in pbs]
-        cluster = Cluster(vs)
-        parts[m] = [cluster] + below
-        ordered[cluster] = vs
-
-    result = []
-    for p in parts[tree.ground_mask][1:]:  # [0] is V itself
-        blocks, stack = [], [p]
-        while stack:
-            q = stack.pop()
-            if type(q) is tuple:
-                stack += q
-            else:
-                blocks.append(q)
-        result.append(tuple(sorted(blocks, key=min)))
-    result.sort(key=lambda blocks: (-len(blocks), [ordered[b] for b in blocks]))
-    return result
-
-
-def validate_tree(vertices: Iterable[int], clusters: Iterable[Iterable[int]]) -> ReassemblyTree:
-    """Check the reassembling conditions and build the tree."""
-    t = ReassemblyTree(clusters)
-    if t.ground_mask != mask_of(vertices):
-        raise ValidationError("clusters do not cover exactly the given vertex set")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import reasm
-from reasm import verify
+from reasm import graph, layout, tree, verify
 from reasm.graph import MAX_VERTICES, format_graph, parse_graph, path_graph, star_graph
 
 from conftest import FIXTURES, caterpillar_text
@@ -271,3 +271,21 @@ def test_module_entry_point(workdir):
                           capture_output=True, text=True, env=_module_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 4
+
+
+def test_public_names():
+    for name in reasm.__all__:
+        assert getattr(reasm, name) is not None
+    removed = {
+        tree: ("cross_sections", "validate_tree"),
+        layout: ("is_anchored_arrangement", "is_anchored_reassembling",
+                 "restrict_arrangement", "restrict_tree"),
+        tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",
+                              "height", "height_of", "subtree", "_lookup",
+                              "_parent", "_heights"),
+        graph.Graph: ("boundary_degree",),
+    }
+    for home, names in removed.items():
+        for name in names:
+            assert not hasattr(home, name), f"{home.__name__}.{name}"
+            assert not hasattr(reasm, name), name

@@ -7,12 +7,10 @@ from reasm.errors import ValidationError
 from reasm.graph import complete_graph, path_graph, star_graph
 from reasm.layout import (Arrangement, edge_length, evaluate_arrangement,
                           format_arrangement, induce_arrangement,
-                          induce_reassembling, is_anchored_arrangement,
-                          is_anchored_reassembling, parse_arrangement,
-                          restrict_arrangement, restrict_tree)
+                          induce_reassembling, parse_arrangement)
 from reasm.tree import measures, parse_tree
 
-from conftest import connected_atlas
+from conftest import connected_atlas, is_anchored_arrangement
 
 
 def test_arrangement_basics():
@@ -134,14 +132,4 @@ def test_anchoring_predicates():
     assert not is_anchored_arrangement(g, Arrangement((2, 3, 4, 1, 5, 6, 7, 8)), 3)
     # center first would need a second vertex of degree >= 7
     assert not is_anchored_arrangement(g, Arrangement((1, 2, 3, 4, 5, 6, 7, 8)), 1)
-    tree = induce_reassembling(g, Arrangement((2, 3, 4, 1, 5, 6, 7, 8)))
-    assert is_anchored_reassembling(g, tree, 2)
-    assert not is_anchored_reassembling(g, tree, 1)
 
-
-def test_restrictions():
-    arr = Arrangement((5, 2, 4, 1, 3))
-    assert restrict_arrangement(arr, {1, 2, 3}) == Arrangement((2, 1, 3))
-    tree = parse_tree("(((((1 2) 3) 4) 5) 6)")
-    small = restrict_tree(tree, {1, 2, 3})
-    assert small == parse_tree("((1 2) 3)")

@@ -9,7 +9,7 @@ from reasm.sequential import (block_tree, canonical_ordering,
                               parse_ordering, seq_reassemble)
 from reasm.tree import is_strict, parse_tree
 
-from conftest import caterpillar_text
+from conftest import caterpillar_text, connected_atlas
 
 
 def frozensets(*groups):
@@ -43,6 +43,16 @@ def test_consumed_keeps_input_order():
     trace = seq_reassemble(complete_graph(3), [(2, 3), (1, 3), (1, 2)])
     assert trace.steps[1].bridges == ((1, 2), (1, 3))
     assert trace.steps[1].consumed == ((1, 3), (1, 2))
+
+
+def test_bridges_are_the_consumed_edges_sorted():
+    rng = random.Random(7)
+    for g in connected_atlas(6):
+        for _ in range(3):
+            pi = list(g.edges)
+            rng.shuffle(pi)
+            for step in seq_reassemble(g, pi).steps:
+                assert step.bridges == g.bridges(*step.merged)
 
 
 def test_trace_rejects_bad_input():

@@ -6,15 +6,15 @@ import pytest
 from reasm.errors import LimitError, ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
                          path_graph, qcube3_graph, star_graph, vertices_of)
-from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
-                          is_anchored_arrangement)
+from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
 from reasm.reduction import build_auxiliary
 from reasm.solvers import (_cut_table, _prefix_table, _states, _twin_classes,
                            brute_force_arrangement, dp_limit, exact_arrangement,
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import measures, print_tree
 
-from conftest import FIXTURES, binary_tree_masks, connected_atlas, prefix_costs
+from conftest import (FIXTURES, binary_tree_masks, connected_atlas,
+                      is_anchored_arrangement, prefix_costs)
 
 
 def random_connected(rng: random.Random, n: int) -> Graph:

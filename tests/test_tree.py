@@ -2,9 +2,8 @@ import pytest
 
 from reasm.errors import ValidationError
 from reasm.graph import complete_graph, path_graph, star_graph
-from reasm.tree import (Cluster, ReassemblyTree, cross_sections,
-                        first_nonstrict_pair, is_strict, measures, parse_tree,
-                        print_tree, validate_tree)
+from reasm.tree import (Cluster, ReassemblyTree, first_nonstrict_pair,
+                        is_strict, measures, parse_tree, print_tree)
 
 from conftest import binary_tree_masks, caterpillar_text
 
@@ -22,7 +21,7 @@ def test_deep_caterpillar_roundtrip():
     # deeper than Python's default recursion limit
     text = caterpillar_text(1100)
     tree = parse_tree(text)
-    assert tree.height() == 1099 and tree.is_linear()
+    assert len(tree.linear_chain()) == 1099
     assert print_tree(tree) == text
 
 
@@ -57,22 +56,6 @@ def test_cluster_census():
     assert tree.ground_mask == (1 << 8) - 1
 
 
-def test_structure_queries():
-    tree = parse_tree(B1)
-    assert tree.sibling({1, 2}) == Cluster({3, 4})
-    assert tree.parent({5, 6}) == Cluster({1, 2, 3, 4, 5, 6})
-    assert tree.children({1, 2}) == (Cluster({1}), Cluster({2}))
-    assert tree.children({7}) is None
-    assert tree.path_to_root(7) == (
-        Cluster({7}), Cluster({7, 8}), Cluster(range(1, 9)))
-    assert tree.height() == 4
-    assert tree.height_of({1, 2}) == 1
-    sub = tree.subtree({1, 2, 3, 4})
-    assert sub.ground_mask == 0b1111 and len(sub.clusters) == 7
-    with pytest.raises(ValidationError):
-        tree.sibling({1, 3})  # not a cluster
-
-
 def test_validation_rejects_broken_cluster_sets():
     with pytest.raises(ValidationError, match="missing singleton"):
         ReassemblyTree([[1], [1, 2]])
@@ -82,10 +65,6 @@ def test_validation_rejects_broken_cluster_sets():
         ReassemblyTree([[1], [2], [3], [4], [1, 2], [1, 3], [1, 2, 3, 4]])
     with pytest.raises(ValidationError, match="empty"):
         ReassemblyTree([[1], [], [1, 2], [2]])
-    ok = validate_tree([1, 2, 3], [[1], [2], [3], [2, 3], [1, 2, 3]])
-    assert ok.is_linear()
-    with pytest.raises(ValidationError):
-        validate_tree([1, 2], [[1], [2], [1, 2], [3], [1, 2, 3]])
 
 
 def test_equality_is_by_cluster_set():
@@ -130,28 +109,6 @@ def test_strictness():
     bad = parse_tree("(((2 3) 1) 4)")
     assert first_nonstrict_pair(s3, bad) == (Cluster({2}), Cluster({3}))
     assert not is_strict(s3, bad)
-
-
-def test_cross_sections_are_partitions():
-    tree = parse_tree(B1)
-    sections = cross_sections(tree)
-    ground = set(range(1, 9))
-    for parts in sections:
-        flat = [v for part in parts for v in part]
-        assert sorted(flat) == sorted(ground)
-    assert tuple(Cluster([v]) for v in ground) in [tuple(s) for s in sections]
-
-
-def test_cross_sections_of_a_deep_caterpillar():
-    # deeper than Python's default recursion limit
-    n = 1100
-    sections = cross_sections(parse_tree(caterpillar_text(n)))
-    assert len(sections) == n - 1
-    ground = set(range(1, n + 1))
-    for parts in sections:
-        assert sum(map(len, parts)) == n and set().union(*parts) == ground
-    assert sections[0] == tuple(Cluster([v]) for v in ground)
-    assert sections[-1] == (Cluster(range(1, n)), Cluster([n]))
 
 
 def test_every_enumerated_tree_validates():
