@@ -13,6 +13,7 @@ it.  Exit codes: 0 success, 2 validation error, 3 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -85,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         ordering = parse_ordering(_read(args.ordering))
         trace = seq_reassemble(g, ordering)
-        tree = block_tree(g, ordering)
+        tree = trace.tree()
         out = {
             "steps": [{"merged": [sorted(a), sorted(b)],
                        "bridges": [list(e) for e in step.bridges]}
@@ -308,8 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use: parsing keeps no state
+    in it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

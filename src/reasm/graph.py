@@ -98,15 +98,18 @@ class Graph:
         """Boundary degree of the vertex set given as a bitmask."""
         return sum(popcount(self.adj[v - 1] & ~mask) for v in iter_bits(mask))
 
-    def bridges(self, a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, int], ...]:
-        """Edges with one endpoint in `a` and the other in `b` (disjoint sets)."""
-        ma = self._check_block(a)
-        mb = self._check_block(b)
-        if ma & mb:
+    def bridges(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
+        """Edges with one endpoint in vertex mask `a` and the other in `b`
+        (disjoint masks), in lexicographic order; scans the smaller side."""
+        if (a | b) & ~self.full_mask:
+            raise ValidationError(f"bridge sets must be vertex masks within 1..{self.n}")
+        if a & b:
             raise ValidationError("bridge sets must be disjoint")
-        out = [e for e in self.edges
-               if ((1 << (e[0] - 1)) & ma and (1 << (e[1] - 1)) & mb)
-               or ((1 << (e[0] - 1)) & mb and (1 << (e[1] - 1)) & ma)]
+        if popcount(a) > popcount(b):
+            a, b = b, a
+        out = [(v, w) if v < w else (w, v)
+               for v in iter_bits(a) for w in iter_bits(self.adj[v - 1] & b)]
+        out.sort()
         return tuple(out)
 
     def is_connected(self) -> bool:
@@ -159,13 +162,6 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.n):
             raise ValidationError(f"vertex {v} outside 1..{self.n}")
-
-    def _check_block(self, block: Iterable[int]) -> int:
-        mask = 0
-        for v in block:
-            self._check_vertex(v)
-            mask |= 1 << (v - 1)
-        return mask
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def induce_reassembling(g: Graph, arr: Arrangement) -> ReassemblyTree:
     for bit in masks[1:]:
         prefix |= bit
         masks.append(prefix)
-    return ReassemblyTree._trusted(g.full_mask, masks)
+    return ReassemblyTree._from_masks(g.full_mask, masks)
 
 
 def parse_arrangement(text: str) -> Arrangement:

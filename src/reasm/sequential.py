@@ -5,6 +5,9 @@ Processing an edge ordering merges vertex blocks: at each step the first
 remaining edge joins the blocks of its endpoints and every remaining edge
 inside the merged block is consumed along with it.  A connected graph on n
 vertices always produces a chain of exactly n partitions (n - 1 merges).
+The process walks the ordering once: an edge whose ends already share a
+block went with the merge that joined them, and a merge consumes exactly the
+edges between its two blocks.
 The blocks appearing in the chain form a strict binary reassembling; in the
 other direction every strict reassembling has a canonical edge ordering that
 reproduces it.
@@ -43,6 +46,13 @@ class SeqTrace:
     chain: tuple  # n partitions, singletons first, {V} last
     steps: tuple  # n - 1 MergeSteps
 
+    def tree(self) -> ReassemblyTree:
+        """The binary reassembling whose clusters are all blocks of the chain:
+        the singletons and the union made by each merge step."""
+        singletons = [mask_of(b) for b in self.chain[0]]
+        unions = [mask_of(a) | mask_of(b) for a, b in (s.merged for s in self.steps)]
+        return ReassemblyTree._from_masks(mask_of(self.chain[-1][0]), singletons + unions)
+
 
 def seq_reassemble(g: Graph, ordering) -> SeqTrace:
     """Run the block-merging process for an ordering of all edges of g."""
@@ -51,32 +61,26 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         raise ValidationError("ordering is not a permutation of the graph's edges")
     if not g.is_connected():
         raise ValidationError("sequential reassembling needs a connected graph")
+    position = {e: i for i, e in enumerate(pi)}
     block = {v: 1 << (v - 1) for v in g.vertices}
-    alive = [True] * len(pi)
     parts = list(_singletons(g))  # the current partition
     chain = [tuple(parts)]
     steps = []
-    i = 0
-    while len(chain) < g.n:
-        while not alive[i]:
-            i += 1
-        u, v = pi[i]
+    for u, v in pi:
         a, b = block[u], block[v]
+        if a == b:
+            continue  # consumed by the merge that joined u and v
         merged = a | b
-        consumed = []
-        for j in range(i, len(pi)):
-            x, y = pi[j]
-            if alive[j] and (1 << (x - 1)) & merged and (1 << (y - 1)) & merged:
-                alive[j] = False
-                consumed.append(pi[j])
         for x in iter_bits(merged):
             block[x] = merged
-        lo, hi = sorted((frozenset(vertices_of(a)), frozenset(vertices_of(b))), key=min)
         # every edge inside a or b went with an earlier merge, so the edges
         # consumed now are exactly those between the two blocks
-        steps.append(MergeStep(merged=(lo, hi),
-                               bridges=tuple(sorted(consumed)),
-                               consumed=tuple(consumed)))
+        bridges = g.bridges(a, b)
+        if a & -a > b & -b:
+            a, b = b, a  # a holds the lower min vertex
+        lo, hi = frozenset(vertices_of(a)), frozenset(vertices_of(b))
+        steps.append(MergeStep(merged=(lo, hi), bridges=bridges,
+                               consumed=tuple(sorted(bridges, key=position.__getitem__))))
         # the merged block keeps lo's place in the min-vertex order
         parts[parts.index(lo)] = lo | hi
         parts.remove(hi)
@@ -86,11 +90,7 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
 
 def block_tree(g: Graph, ordering) -> ReassemblyTree:
     """The binary reassembling whose clusters are all blocks of the chain."""
-    trace = seq_reassemble(g, ordering)
-    # every block is a singleton or the union made by one merge step
-    masks = [1 << (v - 1) for v in g.vertices]
-    masks += [mask_of(step.merged[0] | step.merged[1]) for step in trace.steps]
-    return ReassemblyTree._trusted(g.full_mask, masks)
+    return seq_reassemble(g, ordering).tree()
 
 
 def chain_to_ordering(g: Graph, chain) -> tuple:
@@ -110,7 +110,7 @@ def chain_to_ordering(g: Graph, chain) -> tuple:
         new = [b for b in nxt if b not in cur]
         if len(gone) != 2 or len(new) != 1 or new[0] != gone[0] | gone[1]:
             raise ValidationError(f"step {idx + 1} is not a single merge of two blocks")
-        bridges = g.bridges(gone[0], gone[1])
+        bridges = g.bridges(mask_of(gone[0]), mask_of(gone[1]))
         if not bridges:
             raise ValidationError(
                 f"non-strict chain: no edge between {sorted(gone[0])} and {sorted(gone[1])}")
@@ -142,7 +142,7 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
         ca, cb = can.pop(a), can.pop(b)
         if ca and cb and cb[0] < ca[0]:
             ca, cb = cb, ca
-        can[m] = ca + cb + g.bridges(vertices_of(a), vertices_of(b))
+        can[m] = ca + cb + g.bridges(a, b)
     out = can[tree.ground_mask]
     assert len(out) == g.m
     return out

@@ -410,7 +410,7 @@ def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
                 for child in (s ^ a, a):
                     stack.append((child, best[child] if objective == "beta" else budget))
                 break
-    tree = ReassemblyTree._trusted(g.full_mask, masks)
+    tree = ReassemblyTree._from_masks(g.full_mask, masks)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "binary_reassembling", best[g.full_mask], tree,
                        stats={"states": len(best), "millis": millis})

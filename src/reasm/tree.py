@@ -8,9 +8,11 @@ the singletons.
 
 Clusters are bitmasks internally (bit v-1 = vertex v), so the ground set may
 be any set of positive ints -- a parsed tree keeps the vertex ids it was
-written with.  Each non-singleton cluster records its child pair; the
-module evaluates the alpha/beta measures, finds sibling pairs with no edge
-between them (strictness), and reads and writes the bracket text format.
+written with.  Every tree, whether given as clusters, parsed or built by a
+solver, is checked by one merge sweep in ascending cluster size, which also
+records each non-singleton cluster's child pair.  The module evaluates the
+alpha/beta measures, finds sibling pairs with no edge between them
+(strictness), and reads and writes the bracket text format.
 """
 
 from __future__ import annotations
@@ -31,67 +33,53 @@ class ReassemblyTree:
 
     def __init__(self, clusters: Iterable[Iterable[int]]):
         masks = {mask_of(c) for c in clusters}
-        if 0 in masks:
-            raise ValidationError("empty cluster")
         ground = 0
         for m in masks:
             ground |= m
-        self._init_from(ground, masks, validate=True)
+        self._init_from(ground, masks)
 
     @classmethod
-    def _trusted(cls, ground_mask: int, masks: Iterable[int]) -> "ReassemblyTree":
-        """Fast path for clusters produced by construction (no partner search)."""
+    def _from_masks(cls, ground_mask: int, masks: Iterable[int]) -> "ReassemblyTree":
+        """The tree with these cluster bitmasks over `ground_mask`, validated
+        like the public constructor."""
         t = object.__new__(cls)
-        t._init_from(ground_mask, set(masks), validate=False)
+        t._init_from(ground_mask, set(masks))
         return t
 
-    def _init_from(self, ground: int, masks: set, validate: bool) -> None:
+    def _init_from(self, ground: int, masks: set) -> None:
+        if 0 in masks:
+            raise ValidationError("empty cluster")
         n = popcount(ground)
+        # the clusters not yet inside a larger one partition V; each is kept
+        # under the bit of its lowest vertex
+        head = {}
+        for v in iter_bits(ground):
+            bit = 1 << (v - 1)
+            if bit not in masks:
+                raise ValidationError(f"missing singleton {{{v}}}")
+            head[bit] = bit
+        if ground not in masks:
+            raise ValidationError("missing root cluster V")
+        if len(masks) != 2 * n - 1:
+            raise ValidationError(
+                f"expected {2 * n - 1} clusters for {n} vertices, got {len(masks)}")
+        # Ascending-size sweep: a cluster's children must be the head at its
+        # lowest vertex and the head it pops for the remaining part.
+        children = {}
+        for x in sorted(masks, key=popcount):
+            if not x & (x - 1):
+                continue
+            low = x & -x
+            a = head.get(low, 0)
+            b = x ^ a
+            if head.get(b & -b) != b:
+                raise ValidationError(
+                    f"cluster {set(vertices_of(x))} is not the union of a sibling pair")
+            del head[b & -b]
+            children[x] = (min(a, b), max(a, b))
+            head[low] = x
         self.ground_mask = ground
         self._masks = frozenset(masks)
-        children = {}
-        if validate:
-            for v in iter_bits(ground):
-                if (1 << (v - 1)) not in masks:
-                    raise ValidationError(f"missing singleton {{{v}}}")
-            if ground not in masks:
-                raise ValidationError("missing root cluster V")
-            if len(masks) != 2 * n - 1:
-                raise ValidationError(
-                    f"expected {2 * n - 1} clusters for {n} vertices, got {len(masks)}")
-            for x in masks:
-                if x == ground:
-                    continue
-                partners = [y for y in masks if not (x & y) and (x | y) in masks]
-                if len(partners) != 1:
-                    raise ValidationError(
-                        f"cluster {set(vertices_of(x))} has {len(partners)} "
-                        "sibling candidates, expected exactly one")
-                y = partners[0]
-                p = x | y
-                prior = children.get(p)
-                if prior is not None and prior != (min(x, y), max(x, y)):
-                    raise ValidationError(
-                        f"cluster {set(vertices_of(p))} has two distinct child pairs")
-                children[p] = (min(x, y), max(x, y))
-            for x in masks:
-                if popcount(x) > 1 and x not in children:
-                    raise ValidationError(
-                        f"cluster {set(vertices_of(x))} is not the union of a sibling pair")
-        else:
-            # Ascending-size sweep: each cluster's children are the current
-            # heads of its lowest vertex and of the remaining part.
-            head = {}
-            for x in sorted(masks, key=popcount):
-                if popcount(x) == 1:
-                    head[x] = x
-                    continue
-                lowv = x & -x
-                a = head[lowv]
-                b = head[(x ^ a) & -(x ^ a)]
-                assert (a | b) == x and not (a & b), "clusters do not nest"
-                children[x] = (min(a, b), max(a, b))
-                head[lowv] = x
         self._children = children
 
     # -- basic queries ------------------------------------------------------
@@ -174,6 +162,8 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[Clust
         if pair is None:
             continue
         a, b = pair
+        if popcount(a) > popcount(b):
+            a, b = b, a  # scan the smaller side
         if not any(g.adj[v - 1] & b for v in iter_bits(a)):
             x, y = Cluster(vertices_of(a)), Cluster(vertices_of(b))
             return (x, y) if min(x) < min(y) else (y, x)
@@ -229,7 +219,7 @@ def parse_tree(text: str) -> ReassemblyTree:
         if open_pairs and len(open_pairs[-1]) == 2:
             raise ValidationError("unbalanced brackets: expected ')'")
         raise ValidationError("unbalanced brackets: unexpected end of input")
-    return ReassemblyTree._trusted(root, masks)
+    return ReassemblyTree._from_masks(root, masks)
 
 
 def print_tree(tree: ReassemblyTree) -> str:

@@ -131,7 +131,7 @@ def test_criterion_04_roundtrips_exhaustive(atlas6):
             assert induce_reassembling(g, induce_arrangement(g, tree)) == tree
             linear_checked += 1
         for masks in binary_tree_masks(g.n):
-            tree = ReassemblyTree._trusted(g.full_mask, masks)
+            tree = ReassemblyTree._from_masks(g.full_mask, masks)
             if not is_strict(g, tree):
                 continue
             assert block_tree(g, canonical_ordering(g, tree)) == tree

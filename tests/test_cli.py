@@ -251,6 +251,15 @@ def test_pretty_before_the_verb(run_cli):
     assert code == 0 and out.startswith("{\n")
 
 
+def test_repeated_calls_share_no_state(run_cli):
+    # main() reuses one parser per process; --pretty must not stick
+    code, out, _ = run_cli("--pretty", "gen", "--family", "cycle", "--size", "4")
+    assert code == 0 and out.startswith("{\n")
+    code, out, _ = run_cli("gen", "--family", "cycle", "--size", "4")
+    assert code == 0 and "\n" not in out.strip()
+    assert json.loads(out)["m"] == 4
+
+
 def test_unknown_flag_exits_2(run_cli):
     code, _, _ = run_cli("solve", "--bogus")
     assert code == 2
@@ -282,8 +291,8 @@ def test_public_names():
                  "restrict_arrangement", "restrict_tree"),
         tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",
                               "height", "height_of", "subtree", "_lookup",
-                              "_parent", "_heights"),
-        graph.Graph: ("boundary_degree",),
+                              "_parent", "_heights", "_trusted"),
+        graph.Graph: ("boundary_degree", "_check_block"),
     }
     for home, names in removed.items():
         for name in names:

@@ -76,11 +76,17 @@ def test_boundary_degree_and_cut_mask():
 
 def test_bridges():
     g = path_graph(4)
-    assert g.bridges([1, 2], [3, 4]) == ((2, 3),)
-    assert g.bridges([1], [3, 4]) == ()
-    assert complete_graph(4).bridges([1, 2], [3, 4]) == ((1, 3), (1, 4), (2, 3), (2, 4))
+    assert g.bridges(mask_of([1, 2]), mask_of([3, 4])) == ((2, 3),)
+    assert g.bridges(mask_of([1]), mask_of([3, 4])) == ()
+    assert g.bridges(mask_of([3, 4]), mask_of([1, 2])) == ((2, 3),)
+    k4 = complete_graph(4)
+    assert k4.bridges(mask_of([1, 2]), mask_of([3, 4])) == ((1, 3), (1, 4), (2, 3), (2, 4))
+    # the larger side first: still lexicographic
+    assert k4.bridges(mask_of([2, 3, 4]), mask_of([1])) == ((1, 2), (1, 3), (1, 4))
     with pytest.raises(ValidationError):
-        g.bridges([1, 2], [2, 3])  # blocks must be disjoint
+        g.bridges(mask_of([1, 2]), mask_of([2, 3]))  # blocks must be disjoint
+    with pytest.raises(ValidationError):
+        g.bridges(mask_of([1]), mask_of([5]))  # vertex 5 is not in the graph
 
 
 def test_connectivity_and_cut_vertices_against_networkx():

@@ -52,7 +52,11 @@ def test_bridges_are_the_consumed_edges_sorted():
             pi = list(g.edges)
             rng.shuffle(pi)
             for step in seq_reassemble(g, pi).steps:
-                assert step.bridges == g.bridges(*step.merged)
+                a, b = step.merged
+                between = [(u, v) for u, v in pi
+                           if (u in a and v in b) or (u in b and v in a)]
+                assert step.consumed == tuple(between)
+                assert step.bridges == tuple(sorted(between))
 
 
 def test_trace_rejects_bad_input():

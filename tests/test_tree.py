@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from reasm.errors import ValidationError
-from reasm.graph import complete_graph, path_graph, star_graph
+from reasm.graph import complete_graph, path_graph, star_graph, vertices_of
 from reasm.tree import (Cluster, ReassemblyTree, first_nonstrict_pair,
                         is_strict, measures, parse_tree, print_tree)
 
@@ -23,6 +25,7 @@ def test_deep_caterpillar_roundtrip():
     tree = parse_tree(text)
     assert len(tree.linear_chain()) == 1099
     assert print_tree(tree) == text
+    assert ReassemblyTree(tree.clusters) == tree
 
 
 def test_unordered_children_print_canonically():
@@ -67,6 +70,25 @@ def test_validation_rejects_broken_cluster_sets():
         ReassemblyTree([[1], [], [1, 2], [2]])
 
 
+def test_constructor_accepts_exactly_the_binary_trees():
+    # every family of seven distinct non-empty subsets of {1..4}
+    trees = {frozenset(masks) for masks in binary_tree_masks(4)}
+    accepted = set()
+    for family in itertools.combinations(range(1, 16), 7):
+        try:
+            ReassemblyTree([vertices_of(m) for m in family])
+        except ValidationError:
+            continue
+        accepted.add(frozenset(family))
+    assert len(trees) == 15 and accepted == trees
+
+
+def test_from_masks_validates():
+    with pytest.raises(ValidationError):
+        ReassemblyTree._from_masks(0b111, [0b001, 0b010, 0b100, 0b011, 0b110, 0b111])
+    assert ReassemblyTree._from_masks(0b111, [1, 2, 4, 3, 7]) == parse_tree("((1 2) 3)")
+
+
 def test_equality_is_by_cluster_set():
     a = parse_tree("((1 2) (3 4))")
     b = parse_tree("((4 3) (2 1))")
@@ -109,10 +131,12 @@ def test_strictness():
     bad = parse_tree("(((2 3) 1) 4)")
     assert first_nonstrict_pair(s3, bad) == (Cluster({2}), Cluster({3}))
     assert not is_strict(s3, bad)
+    # unequal sides: the pair keeps the min-vertex side first
+    assert first_nonstrict_pair(path_graph(4), parse_tree("(((1 2) 4) 3)")) == \
+        (Cluster({1, 2}), Cluster({4}))
 
 
 def test_every_enumerated_tree_validates():
-    from reasm.graph import vertices_of
     for masks in binary_tree_masks(4):
         tree = ReassemblyTree([vertices_of(m) for m in masks])
         assert len(tree.clusters) == 7
