@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Deg3Report, Graph, classify_deg3, popcount
+from .graph import Deg3Report, Graph, classify_deg3
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
 from .solvers import exact_arrangement, exact_linear_reassembling
@@ -51,15 +51,6 @@ class AuxiliaryGraph:
     def u_vertices(self) -> range:
         return range(self.base.n + 1, self.base.n + self.p + 1)
 
-    @property
-    def u_mask(self) -> int:
-        return ((1 << self.p) - 1) << self.base.n
-
-    @property
-    def k_mask(self) -> int:
-        """U + {w}: the clique side of the sequence bookkeeping."""
-        return self.u_mask | (1 << (self.w - 1))
-
 
 def build_auxiliary(g: Graph, w: int) -> AuxiliaryGraph:
     if not g.is_connected():
@@ -77,15 +68,14 @@ def build_auxiliary(g: Graph, w: int) -> AuxiliaryGraph:
 class VCSequence:
     """An order of V(G_w) with per-prefix pairs (r, s): r counts base-graph
     edges crossing the prefix, s counts clique edges.  Pairs cover the
-    n + p - 1 proper prefixes; beta(S) is the sum of all r + s."""
+    n + p - 1 proper prefixes; `beta` is the sum of all r + s, and `k_pos`
+    holds the 1-based positions of the clique side U + {w}, ascending."""
 
     aux: AuxiliaryGraph
     order: tuple
     pairs: tuple
-
-    @property
-    def beta(self) -> int:
-        return sum(r + s for r, s in self.pairs)
+    beta: int
+    k_pos: tuple
 
     def reversed(self) -> "VCSequence":
         return vc_sequence(self.aux, tuple(reversed(self.order)))
@@ -93,41 +83,40 @@ class VCSequence:
 
 def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
     order = tuple(order)
-    nv = aux.combined.n
+    n, p, w = aux.base.n, aux.p, aux.w
+    nv = n + p
     if len(order) != nv or set(order) != set(range(1, nv + 1)):
         raise ValidationError("order is not a permutation of the auxiliary vertices")
-    base_adj = aux.base.adj + (0,) * aux.p
-    k = aux.k_mask
+    adj = aux.base.adj
     pairs = []
+    k_pos = []
     prefix = 0
-    r = s = 0
-    for v in order[:-1]:
-        bit = 1 << (v - 1)
-        r += popcount(base_adj[v - 1]) - 2 * popcount(base_adj[v - 1] & prefix)
-        if bit & k:
-            inside = popcount(k & prefix)
-            s += (aux.p - inside) - inside  # clique degree p, minus edges closed
-        prefix |= bit
+    r = s = beta = 0
+    for i, v in enumerate(order, start=1):
+        if v <= n:  # only base vertices have base edges
+            nbrs = adj[v - 1]
+            r += nbrs.bit_count() - 2 * (nbrs & prefix).bit_count()
+            prefix |= 1 << (v - 1)
+        if v > n or v == w:
+            s += p - 2 * len(k_pos)  # clique degree p, minus edges closed
+            k_pos.append(i)
         pairs.append((r, s))
-    return VCSequence(aux=aux, order=order, pairs=tuple(pairs))
-
-
-def _k_positions(seq: VCSequence) -> list:
-    k = seq.aux.k_mask
-    return [i for i, v in enumerate(seq.order, start=1) if (1 << (v - 1)) & k]
+        beta += r + s
+    pairs.pop()  # the whole order is no proper prefix; its pair is (0, 0)
+    return VCSequence(aux=aux, order=order, pairs=tuple(pairs), beta=beta,
+                      k_pos=tuple(k_pos))
 
 
 def _scatter_positions(seq: VCSequence):
     """None if the clique vertices sit consecutively; otherwise (i, j, k, l)
     where i/l are the outermost clique positions and j/k the nearest base
     vertices inside them."""
-    pos = _k_positions(seq)
+    pos = seq.k_pos
     i, l = pos[0], pos[-1]
     if l - i + 1 == len(pos):
         return None
-    kset = set(pos)
-    j = next(t for t in range(i + 1, l) if t not in kset)
-    k = next(t for t in range(l - 1, i, -1) if t not in kset)
+    j = next(a + 1 for a, b in zip(pos, pos[1:]) if b > a + 1)
+    k = next(b - 1 for a, b in zip(pos[-2::-1], pos[::-1]) if b > a + 1)
     return i, j, k, l
 
 
@@ -142,20 +131,14 @@ def scatter(seq: VCSequence) -> int:
 
 
 def unbalance(seq: VCSequence) -> int:
+    """The vertices on the wrong side of w for the nearer of the balanced
+    shapes  U w V-{w}  and  V-{w} w U;  0 iff the order has one of them."""
     aux = seq.aux
     n, p = aux.base.n, aux.p
-    wpos = seq.order.index(aux.w) + 1
-    umask = aux.u_mask
-    a_left = b_left = 0
-    for v in seq.order[:wpos - 1]:
-        if (1 << (v - 1)) & umask:
-            b_left += 1
-        else:
-            a_left += 1
-    a_right = (n - 1) - a_left
-    b_right = p - b_left
-    return min((n - a_left - 1) + (p - b_right),
-               (n - a_right - 1) + (p - b_left))
+    w_pos = seq.order.index(aux.w) + 1
+    b_left = seq.k_pos.index(w_pos)  # U vertices left of w
+    a_left = w_pos - 1 - b_left  # base vertices left of w
+    return min((n - 1 - a_left) + b_left, a_left + (p - b_left))
 
 
 def descatter_move(seq: VCSequence) -> VCSequence:
@@ -180,12 +163,13 @@ def descatter_move(seq: VCSequence) -> VCSequence:
 def rebalance_move(seq: VCSequence) -> VCSequence:
     """One rebalancing step on an unscattered, unbalanced sequence.
 
-    With the clique block at positions i0..i0+p and w offset k inside it:
-    k = 0 moves every base vertex on the right to just before w; k = p
-    mirrors that; otherwise w is transposed with the clique end on the side
-    holding fewer of its base neighbors (a beta-preserving left transposition
-    followed by the k = 0 relocation when the two sides tie).  beta never
-    increases, and it strictly decreases except in the tie transposition.
+    Split the order into the base vertices left of the clique block, the
+    block (p + 1 vertices, w at offset k inside it) and the base vertices
+    right of it.  k = 0 moves the right side to just before the block; k = p
+    mirrors that; otherwise w is transposed with the block end on the side
+    holding more of its base neighbors.  On a tie w goes to the left end
+    and the right side then moves before the block, as for k = 0.  beta
+    never increases.
     """
     if scatter(seq) != 0:
         raise ValidationError("rebalance needs an unscattered sequence")
@@ -193,39 +177,25 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
         raise ValidationError("sequence is already balanced")
     aux = seq.aux
     p = aux.p
-    pos = _k_positions(seq)
-    i0 = pos[0]
+    i0 = seq.k_pos[0] - 1
     order = list(seq.order)
-    k = order.index(aux.w) + 1 - i0
-    before = seq.beta
-
-    def relocate_right_block_before_w(cur):
-        left, run, right = cur[:i0 - 1], cur[i0 - 1:i0 + p], cur[i0 + p:]
-        return left + right + run
-
-    def relocate_left_block_after_w(cur):
-        left, run, right = cur[:i0 - 1], cur[i0 - 1:i0 + p], cur[i0 + p:]
-        return run + left + right
-
+    left, run, right = order[:i0], order[i0:i0 + p + 1], order[i0 + p + 1:]
+    k = run.index(aux.w)
     if k == 0:
-        order = relocate_right_block_before_w(order)
+        order = left + right + run
     elif k == p:
-        order = relocate_left_block_after_w(order)
+        order = run + left + right
     else:
-        w_at = i0 + k - 1
-        wbit_neighbors = aux.base.adj[aux.w - 1]
-        d_left = sum(1 for v in order[:i0 - 1] if wbit_neighbors & (1 << (v - 1)))
-        d_right = sum(1 for v in order[i0 + p:] if wbit_neighbors & (1 << (v - 1)))
-        if d_left >= d_right:
-            order[i0 - 1], order[w_at] = order[w_at], order[i0 - 1]
-            if d_left == d_right:
-                tied = vc_sequence(aux, tuple(order))
-                if unbalance(tied) > 0:
-                    order = relocate_right_block_before_w(order)
-        else:
-            order[i0 + p - 1], order[w_at] = order[w_at], order[i0 + p - 1]
+        nbrs = aux.base.adj[aux.w - 1]
+        d_left = sum(nbrs >> (v - 1) & 1 for v in left)
+        d_right = sum(nbrs >> (v - 1) & 1 for v in right)
+        end = 0 if d_left >= d_right else p
+        run[k], run[end] = run[end], run[k]
+        # on a tie w now leads the block, so the k = 0 move follows (it
+        # leaves the order as it is when `right` is empty)
+        order = left + right + run if d_left == d_right else left + run + right
     out = vc_sequence(aux, tuple(order))
-    assert out.beta <= before, "rebalance increased beta"
+    assert out.beta <= seq.beta, "rebalance increased beta"
     return out
 
 
@@ -246,9 +216,7 @@ def normalize_sequence(seq: VCSequence) -> VCSequence:
 
 def _is_right_balanced(seq: VCSequence) -> bool:
     p = seq.aux.p
-    umask = seq.aux.u_mask
-    head_ok = all((1 << (v - 1)) & umask for v in seq.order[:p])
-    return head_ok and seq.order[p] == seq.aux.w
+    return seq.k_pos[p] == p + 1 and seq.order[p] == seq.aux.w
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, iter_bits, mask_of, popcount, vertices_of
+from .graph import Graph, mask_of, popcount
 from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair
 
 Edge = tuple  # (u, v) with u < v
@@ -49,9 +49,10 @@ class SeqTrace:
     def tree(self) -> ReassemblyTree:
         """The binary reassembling whose clusters are all blocks of the chain:
         the singletons and the union made by each merge step."""
-        singletons = [mask_of(b) for b in self.chain[0]]
-        unions = [mask_of(a) | mask_of(b) for a, b in (s.merged for s in self.steps)]
-        return ReassemblyTree._from_masks(mask_of(self.chain[-1][0]), singletons + unions)
+        mask = {b: mask_of(b) for b in self.chain[0]}
+        for a, b in (s.merged for s in self.steps):
+            mask[a | b] = mask[a] | mask[b]
+        return ReassemblyTree._from_masks(mask_of(self.chain[-1][0]), list(mask.values()))
 
 
 def seq_reassemble(g: Graph, ordering) -> SeqTrace:
@@ -62,29 +63,34 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
     if not g.is_connected():
         raise ValidationError("sequential reassembling needs a connected graph")
     position = {e: i for i, e in enumerate(pi)}
-    block = {v: 1 << (v - 1) for v in g.vertices}
-    parts = list(_singletons(g))  # the current partition
-    chain = [tuple(parts)]
+    singletons = _singletons(g)
+    block = {v: v for v in g.vertices}  # vertex -> id of its block
+    record = {v: (1 << (v - 1), b) for v, b in zip(g.vertices, singletons)}  # id -> (mask, set)
+    parts = dict(zip(g.vertices, singletons))  # min vertex -> block: the current partition
+    chain = [singletons]
     steps = []
     for u, v in pi:
-        a, b = block[u], block[v]
-        if a == b:
+        ia, ib = block[u], block[v]
+        if ia == ib:
             continue  # consumed by the merge that joined u and v
-        merged = a | b
-        for x in iter_bits(merged):
-            block[x] = merged
-        # every edge inside a or b went with an earlier merge, so the edges
-        # consumed now are exactly those between the two blocks
-        bridges = g.bridges(a, b)
-        if a & -a > b & -b:
-            a, b = b, a  # a holds the lower min vertex
-        lo, hi = frozenset(vertices_of(a)), frozenset(vertices_of(b))
-        steps.append(MergeStep(merged=(lo, hi), bridges=bridges,
+        (ma, sa), (mb, sb) = record[ia], record[ib]
+        merged = sa | sb
+        if len(sa) < len(sb):
+            ia, ib = ib, ia  # relabel only the smaller block
+        for x in record.pop(ib)[1]:
+            block[x] = ia
+        record[ia] = (ma | mb, merged)
+        # every edge inside either block went with an earlier merge, so the
+        # edges consumed now are exactly those between the two blocks
+        bridges = g.bridges(ma, mb)
+        if ma & -ma > mb & -mb:
+            ma, sa, mb, sb = mb, sb, ma, sa  # sa holds the lower min vertex
+        steps.append(MergeStep(merged=(sa, sb), bridges=bridges,
                                consumed=tuple(sorted(bridges, key=position.__getitem__))))
-        # the merged block keeps lo's place in the min-vertex order
-        parts[parts.index(lo)] = lo | hi
-        parts.remove(hi)
-        chain.append(tuple(parts))
+        # the merged block keeps sa's place in the min-vertex order
+        parts[(ma & -ma).bit_length()] = merged
+        del parts[(mb & -mb).bit_length()]
+        chain.append(tuple(parts.values()))
     return SeqTrace(chain=tuple(chain), steps=tuple(steps))
 
 

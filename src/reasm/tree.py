@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import ValidationError
-from .graph import Graph, iter_bits, mask_of, popcount, vertices_of
+from .errors import LimitError, ValidationError
+from .graph import MAX_VERTICES, Graph, iter_bits, mask_of, popcount, vertices_of
 
 Cluster = frozenset  # of vertex ids
 
@@ -206,6 +206,8 @@ def parse_tree(text: str) -> ReassemblyTree:
                 raise ValidationError(f"unexpected token {tok!r}") from None
             if v < 1:
                 raise ValidationError(f"vertex ids must be positive, got {v}")
+            if v > MAX_VERTICES:  # refused before its 2^v mask is built
+                raise LimitError(f"leaf {v} is above the vertex limit, limit is {MAX_VERTICES}")
             if v in seen:
                 raise ValidationError(f"repeated leaf {v}")
             seen.add(v)

@@ -139,21 +139,34 @@ def test_solve_hits_resource_limit(run_cli, workdir, monkeypatch):
 
 @pytest.mark.parametrize("n", [10 ** 9, 10 ** 8])
 def test_huge_graph_header_is_refused(workdir, n):
-    # refused from the header, before anything of size n is allocated; the
-    # child's address space is capped, so an allocation shows as a crash
+    # refused from the header, before anything of size n is allocated
     g = write(workdir / "huge.g", f"{n} 1\n1 2\n")
     arr = write(workdir / "a.a", "1 2\n")
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
     for argv in (("solve", g, "--objective", "beta"),
                  ("reduce", g, "--problem", "beta"),
                  ("eval", "--graph", g, "--arrangement", arr)):
-        proc = subprocess.run([sys.executable, "-m", "reasm", *argv], capture_output=True,
-                              text=True, env=_module_env(), preexec_fn=cap_memory)
-        assert proc.returncode == 3, (argv, proc.stderr)
-        assert proc.stderr.startswith("error:") and f"limit is {MAX_VERTICES}" in proc.stderr
+        _assert_refused_under_memory_cap(argv)
+
+
+def test_huge_tree_leaf_is_refused(workdir):
+    # a leaf id is a bit position: refused before its mask is allocated
+    g = write(workdir / "p2.g", format_graph(path_graph(2)))
+    t = write(workdir / "huge.t", f"(1 {10 ** 11})\n")
+    for argv in (("eval", "--graph", g, "--tree", t),
+                 ("convert", "--graph", g, "--tree", t, "--to", "arrangement")):
+        _assert_refused_under_memory_cap(argv)
+
+
+def _assert_refused_under_memory_cap(argv):
+    # the child's address space is capped at 2 GB, so an allocation of the
+    # refused size shows as a crash
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "reasm", *argv], capture_output=True,
+                          text=True, env=_module_env(), preexec_fn=cap_memory)
+    assert proc.returncode == 3, (argv, proc.stderr)
+    assert proc.stderr.startswith("error:") and f"limit is {MAX_VERTICES}" in proc.stderr
 
 
 def test_too_few_edges_for_a_connected_graph(run_cli, workdir):

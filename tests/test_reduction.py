@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -45,6 +46,28 @@ def test_vc_sequence_worked_example():
     assert seq.reversed().beta == 5
 
 
+def _oracle_cases():
+    for g, w in ((path_graph(2), 1), (path_graph(3), 1), (path_graph(3), 2)):
+        aux = build_auxiliary(g, w)
+        yield aux, itertools.permutations(range(1, aux.combined.n + 1))
+    aux = build_auxiliary(cycle_graph(4), 1)
+    rng = random.Random(4)
+    vs = list(range(1, aux.combined.n + 1))
+    yield aux, (tuple(rng.sample(vs, len(vs))) for _ in range(200))
+
+
+def test_vc_sequence_matches_the_arrangement_measure():
+    # the one scan against an independent evaluation: beta from the
+    # combined graph's arrangement measure, k_pos from the clique side
+    for aux, orders in _oracle_cases():
+        n = aux.base.n
+        for order in orders:
+            seq = vc_sequence(aux, order)
+            assert seq.beta == evaluate_arrangement(aux.combined, Arrangement(order)).beta
+            assert seq.k_pos == tuple(i for i, v in enumerate(order, start=1)
+                                      if v > n or v == aux.w)
+
+
 def test_vc_sequence_rejects_non_permutations():
     with pytest.raises(ValidationError):
         vc_sequence(p2_aux(), (1, 2, 3))
@@ -84,6 +107,20 @@ def test_rebalance_preconditions():
         rebalance_move(vc_sequence(aux, (3, 2, 4, 1)))
     with pytest.raises(ValidationError, match="already balanced"):
         rebalance_move(vc_sequence(aux, (3, 4, 1, 2)))
+
+
+@pytest.mark.parametrize("g, w, order, expected, betas", [
+    (path_graph(2), 1, (1, 3, 4, 2), (2, 1, 3, 4), (7, 5)),  # k = 0
+    (path_graph(2), 1, (2, 3, 4, 1), (3, 4, 1, 2), (7, 5)),  # k = p
+    (path_graph(2), 1, (2, 3, 1, 4), (2, 1, 3, 4), (6, 5)),  # w moves left
+    (path_graph(2), 1, (3, 1, 4, 2), (3, 4, 1, 2), (6, 5)),  # w moves right
+    (path_graph(3), 2, (1, 4, 2, 5, 6, 7, 3), (1, 3, 2, 4, 5, 6, 7), (26, 23)),  # tie
+])
+def test_rebalance_move_branches(g, w, order, expected, betas):
+    seq = vc_sequence(build_auxiliary(g, w), order)
+    out = rebalance_move(seq)
+    assert out.order == expected
+    assert (seq.beta, out.beta) == betas
 
 
 def test_normalize_sequence():
