@@ -9,7 +9,7 @@ brute-force references), and runs the auxiliary-graph reductions between
 the two linear beta problems and the degree-3 alpha pipeline.
 """
 
-from .errors import LimitError, ValidationError
+from .errors import LimitError, ReasmError, ValidationError, VerificationError
 from .graph import (Deg3Report, Graph, classify_deg3, complete_graph,
                     cycle_graph, format_graph, generate, parse_graph,
                     path_graph, qcube3_graph, ring_tree_graph, star_graph)
@@ -28,22 +28,22 @@ from .sequential import (MergeStep, SeqTrace, block_tree, canonical_ordering,
 from .solvers import (SolveResult, brute_force_arrangement, exact_arrangement,
                       exact_binary_reassembling, exact_linear_reassembling)
 from .tree import (MeasureReport, ReassemblyTree, first_nonstrict_pair,
-                   is_strict, measures, parse_tree, print_tree)
+                   measures, parse_tree, print_tree)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "A2R", "R2A", "AlphaReductionReport", "Arrangement", "ArrangementReport",
     "AuxiliaryGraph", "Deg3Report", "Graph", "LimitError", "MeasureReport",
-    "MergeStep", "ReassemblyTree", "ReductionReport", "SeqTrace",
-    "SolveResult", "VCSequence", "ValidationError",
+    "MergeStep", "ReasmError", "ReassemblyTree", "ReductionReport", "SeqTrace",
+    "SolveResult", "VCSequence", "ValidationError", "VerificationError",
     "block_tree", "brute_force_arrangement", "build_auxiliary",
     "canonical_ordering", "chain_to_ordering", "classify_deg3",
     "complete_graph", "cycle_graph", "descatter_move", "edge_length",
     "evaluate_arrangement", "exact_arrangement", "exact_binary_reassembling",
     "exact_linear_reassembling", "first_nonstrict_pair",
     "format_arrangement", "format_graph", "format_ordering", "generate",
-    "induce_arrangement", "induce_reassembling", "is_strict", "measures",
+    "induce_arrangement", "induce_reassembling", "measures",
     "normalize_sequence", "parse_arrangement", "parse_graph",
     "parse_ordering", "parse_tree", "path_graph", "print_tree",
     "qcube3_graph", "rebalance_move", "reduce_alpha", "reduce_beta",

@@ -6,8 +6,13 @@ the other via auxiliary graphs), verify (invariant suites), gen (graph
 families) and convert (between the object representations).
 
 All machine output is a single JSON document on stdout; --pretty indents
-it.  Exit codes: 0 success, 2 validation error, 3 resource limit exceeded,
-4 verification failure.
+it.  Every failure is a ReasmError: main() prints one `error:` line on
+stderr and exits with the code of its class.  Exit codes: 0 success;
+2 validation error, including a file that cannot be read or written;
+3 resource limit exceeded, including a graph above MAX_VERTICES vertices
+or MAX_EDGES edges, which `gen` and the graph-file header refuse before
+anything is built; 4 verification failure: a failed verify suite, or an
+identity of the paper that failed in any verb.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import LimitError, ValidationError
+from .errors import ReasmError, ValidationError, VerificationError
 from .graph import Graph, format_graph, generate, parse_graph
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling,
@@ -37,8 +42,15 @@ DIRECTIONS = {"r2a": R2A, "a2r": A2R}
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -125,7 +137,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     witness_path = args.witness_out
     if witness_path is None:
         witness_path = f"{Path(args.graph).stem}.{args.mode}.{args.objective}.witness"
-    Path(witness_path).write_text(res.witness_text() + "\n")
+    _write(witness_path, res.witness_text() + "\n")
     out["witness_file"] = str(witness_path)
     out["engine"] = engine
     _emit(out, args.pretty)
@@ -154,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for res in results:
         _emit(res.to_json(), args.pretty)
         ok = ok and res.ok
-    return 0 if ok else 4
+    return 0 if ok else VerificationError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +189,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     text = format_graph(g)
     out = {"family": args.family, "n": g.n, "m": g.m}
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         out["file"] = args.out
     else:
         out["text"] = text
@@ -220,7 +232,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         text = format_ordering(result)
     out = {"from": kind, "to": args.to, "text": text}
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         out["file"] = args.out
     _emit(out, args.pretty)
     return 0
@@ -320,12 +332,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
+    except ReasmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import LimitError, ValidationError
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -35,14 +31,6 @@ def vertices_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the vertex ids set in `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -89,14 +77,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return popcount(self.adj[v - 1])
+        return self.adj[v - 1].bit_count()
 
     def max_degree(self) -> int:
-        return max(popcount(a) for a in self.adj)
+        return max(a.bit_count() for a in self.adj)
 
     def cut_mask(self, mask: int) -> int:
         """Boundary degree of the vertex set given as a bitmask."""
-        return sum(popcount(self.adj[v - 1] & ~mask) for v in iter_bits(mask))
+        return sum((self.adj[v - 1] & ~mask).bit_count() for v in vertices_of(mask))
 
     def bridges(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
         """Edges with one endpoint in vertex mask `a` and the other in `b`
@@ -105,10 +93,10 @@ class Graph:
             raise ValidationError(f"bridge sets must be vertex masks within 1..{self.n}")
         if a & b:
             raise ValidationError("bridge sets must be disjoint")
-        if popcount(a) > popcount(b):
+        if a.bit_count() > b.bit_count():
             a, b = b, a
         out = [(v, w) if v < w else (w, v)
-               for v in iter_bits(a) for w in iter_bits(self.adj[v - 1] & b)]
+               for v in vertices_of(a) for w in vertices_of(self.adj[v - 1] & b)]
         out.sort()
         return tuple(out)
 
@@ -117,7 +105,7 @@ class Graph:
         frontier = 1
         while frontier:
             nxt = 0
-            for v in iter_bits(frontier):
+            for v in vertices_of(frontier):
                 nxt |= self.adj[v - 1]
             frontier = nxt & ~reached
             reached |= frontier
@@ -132,7 +120,7 @@ class Graph:
         parent = {1: 0}
         cuts = set()
         order = 0
-        stack = [(1, iter(iter_bits(self.adj[0])))]
+        stack = [(1, iter(vertices_of(self.adj[0])))]
         disc[1] = low[1] = order
         root_children = 0
         while stack:
@@ -152,7 +140,7 @@ class Graph:
                 order += 1
                 disc[child] = low[child] = order
                 parent[child] = v
-                stack.append((child, iter(iter_bits(self.adj[child - 1]))))
+                stack.append((child, iter(vertices_of(self.adj[child - 1]))))
             elif child != parent[v]:
                 low[v] = min(low[v], disc[child])
         if root_children > 1:
@@ -193,11 +181,20 @@ def classify_deg3(g: Graph) -> Deg3Report:
 # ---------------------------------------------------------------------------
 # file format: first data line "n m", then m lines "u v"; '#' starts a
 # comment, blank lines are ignored, duplicate edge lines collapse.  A header
-# with n above MAX_VERTICES is refused (LimitError) before anything of size
-# n is allocated: the adjacency bitsets take up to n^2 / 8 bytes, 12.5 MB at
-# the cap.
+# with n above MAX_VERTICES or m above MAX_EDGES is refused (LimitError)
+# before anything of that size is allocated: the adjacency bitsets take up
+# to n^2 / 8 bytes, 12.5 MB at the cap, and a million edges about 230 MB
+# (complete_graph(1414)).  `generate` refuses the same sizes.
 
 MAX_VERTICES = 10_000
+MAX_EDGES = 1_000_000
+
+
+def _check_size(what: str, n: int, m: int) -> None:
+    if n > MAX_VERTICES:
+        raise LimitError(f"{what} {n} vertices, limit is {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise LimitError(f"{what} {m} edges, limit is {MAX_EDGES}")
 
 
 def parse_graph(text: str) -> Graph:
@@ -216,9 +213,7 @@ def parse_graph(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValidationError(f"line {lineno}: expected 'n m' header, got {head!r}") from None
-    if n > MAX_VERTICES:
-        raise LimitError(f"line {lineno}: header declares {n} vertices, "
-                         f"limit is {MAX_VERTICES}")
+    _check_size(f"line {lineno}: header declares", n, m)
     body = rows[1:]
     if len(body) != m:
         raise ValidationError(f"header declares {m} edges but file has {len(body)} edge lines")
@@ -327,11 +322,19 @@ def generate(family: str, size: Optional[int] = None, *,
     if family == "ring_tree":
         if ring_sizes is None:
             raise ValidationError("ring_tree needs ring_sizes")
-        return ring_tree_graph(ring_sizes, path_len)
+        sizes = tuple(ring_sizes)
+        ring_n, joints = sum(sizes), max(len(sizes) - 1, 0)
+        _check_size("ring_tree would have", ring_n + joints * (path_len - 1),
+                    ring_n + joints * path_len)
+        return ring_tree_graph(sizes, path_len)
     if size is None:
         raise ValidationError(f"family {family!r} needs a size")
     builders = {"complete": complete_graph, "star": star_graph,
                 "path": path_graph, "cycle": cycle_graph}
     if family not in builders:
         raise ValidationError(f"unknown family {family!r}")
+    # (n, m) of the graph the builder would make
+    n, m = {"complete": (size, size * (size - 1) // 2), "star": (size + 1, size),
+            "path": (size, size - 1), "cycle": (size, size)}[family]
+    _check_size(f"{family} would have", n, m)
     return builders[family](size)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ValidationError
-from .graph import Graph, popcount
+from .errors import ValidationError, VerificationError
+from .graph import Graph
 from .tree import ReassemblyTree, _check_ground, print_tree
 
 
@@ -80,14 +80,15 @@ def evaluate_arrangement(g: Graph, arr: Arrangement) -> ArrangementReport:
     cut = 0
     for v in arr.order:
         # adding v: edges into the prefix become internal, the rest open up
-        inside = popcount(g.adj[v - 1] & prefix)
+        inside = (g.adj[v - 1] & prefix).bit_count()
         cut += g.degree(v) - 2 * inside
         prefix |= 1 << (v - 1)
         cuts.append(cut)
     beta = sum(cuts)
     pos = {v: i + 1 for i, v in enumerate(arr.order)}
     gamma = sum(abs(pos[u] - pos[v]) for u, v in g.edges)
-    assert beta == gamma, f"beta {beta} != gamma {gamma}"
+    if beta != gamma:
+        raise VerificationError(f"beta {beta} != gamma {gamma} on arrangement {arr.order}")
     return ArrangementReport(cuts=tuple(cuts), alpha=max(cuts), beta=beta, gamma=gamma)
 
 

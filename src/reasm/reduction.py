@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, VerificationError
 from .graph import Deg3Report, Graph, classify_deg3
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
@@ -156,7 +156,8 @@ def descatter_move(seq: VCSequence) -> VCSequence:
         v = order.pop(k - 1)
         order.insert(l - 1, v)  # lands right after the old position l
     out = vc_sequence(seq.aux, tuple(order))
-    assert out.beta < seq.beta, "descatter failed to decrease beta"
+    if out.beta >= seq.beta:
+        raise VerificationError(f"descattering {seq.order} left beta {seq.beta} at {out.beta}")
     return out
 
 
@@ -195,7 +196,8 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
         # leaves the order as it is when `right` is empty)
         order = left + right + run if d_left == d_right else left + run + right
     out = vc_sequence(aux, tuple(order))
-    assert out.beta <= seq.beta, "rebalance increased beta"
+    if out.beta > seq.beta:
+        raise VerificationError(f"rebalancing {seq.order} raised beta {seq.beta} to {out.beta}")
     return out
 
 
@@ -211,7 +213,8 @@ def normalize_sequence(seq: VCSequence) -> VCSequence:
         else:
             return seq
         guard += 1
-        assert guard <= 4 * len(seq.order) + seq.beta, "normalization failed to terminate"
+        if guard > 4 * len(seq.order) + seq.beta:
+            raise VerificationError(f"normalization did not terminate, at order {seq.order}")
 
 
 def _is_right_balanced(seq: VCSequence) -> bool:
@@ -253,9 +256,11 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     s = normalize_sequence(s)
     if not _is_right_balanced(s):
         s = s.reversed()
-    assert _is_right_balanced(s), "normalized sequence is not balanced"
+    if not _is_right_balanced(s):
+        raise VerificationError(f"anchor {w}: normalized order {s.order} does not "
+                                f"have the shape U ... U w V-{{w}}")
+    # positions 1..p+1 hold U + {w} with w last, so w leads the restriction
     restricted = tuple(v for v in s.order if v <= g.n)
-    assert restricted[0] == w
     anchored_tree = induce_reassembling(g, Arrangement(restricted))
     if direction == R2A:
         beta = measures(g, anchored_tree).beta

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .graph import Graph, mask_of, popcount
-from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair
+from .errors import ValidationError, VerificationError
+from .graph import Graph, mask_of
+from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
 
 Edge = tuple  # (u, v) with u < v
 Partition = tuple  # of frozensets, sorted by min vertex
@@ -140,7 +140,7 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
             f"tree is not strict: no edge between {sorted(bad[0])} and {sorted(bad[1])}")
 
     can = {}  # ordering of each cluster whose parent is not done yet
-    for m in sorted(tree.cluster_masks(), key=popcount):
+    for m in sorted(tree.cluster_masks(), key=int.bit_count):
         if m not in tree._children:
             can[m] = ()
             continue
@@ -150,7 +150,9 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
             ca, cb = cb, ca
         can[m] = ca + cb + g.bridges(a, b)
     out = can[tree.ground_mask]
-    assert len(out) == g.m
+    if len(out) != g.m:
+        raise VerificationError(f"canonical ordering of {print_tree(tree)} has "
+                                f"{len(out)} edges, not m = {g.m}")
     return out
 
 

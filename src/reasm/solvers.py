@@ -67,8 +67,8 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .errors import LimitError, ValidationError
-from .graph import Graph, iter_bits, popcount
+from .errors import LimitError, ValidationError, VerificationError
+from .graph import Graph, vertices_of
 from .layout import Arrangement, format_witness, induce_reassembling
 from .tree import ReassemblyTree
 
@@ -193,7 +193,7 @@ def _cut_table(g: Graph, st: _States) -> list:
     cut = [0] * st.size
     span = 1 << st.bits
     # neighbours on the singleton bits, as a mask of their strides
-    low = [sum(st.stride[u - 1] for u in iter_bits(a) if st.stride[u - 1] < span)
+    low = [sum(st.stride[u - 1] for u in vertices_of(a) if st.stride[u - 1] < span)
            for a in g.adj]
     for v in g.vertices:
         half = st.stride[v - 1]
@@ -245,7 +245,7 @@ def _prefix_table(objective: str, cut: list, st: _States) -> list:
     x = [_INF] * size
     x[0] = 0
     leaf = min(_LEAF, span)
-    lows = [tuple(lo ^ (1 << (v - 1)) for v in iter_bits(lo)) for lo in range(leaf)]
+    lows = [tuple(lo ^ (1 << (v - 1)) for v in vertices_of(lo)) for lo in range(leaf)]
     for base in range(0, size, leaf):
         blk = x[base:base + leaf]
         for lo, offs, c in zip(range(leaf), lows, cut[base:base + leaf]):
@@ -306,7 +306,7 @@ def _greedy_completion(g: Graph, st: _States, objective: str, cut: list, x: list
     min_deg = st.deg[order[0] - 1] if len(order) == 1 else 0
     full = st.size - 1
     while placed != g.full_mask:
-        for v in iter_bits(g.full_mask ^ placed):
+        for v in vertices_of(g.full_mask ^ placed):
             if st.deg[v - 1] < min_deg:
                 continue
             u = t + st.stride[v - 1]
@@ -317,7 +317,7 @@ def _greedy_completion(g: Graph, st: _States, objective: str, cut: list, x: list
                 t, spent, min_deg = u, _combine(objective, spent, cut[u]), 0
                 break
         else:
-            raise AssertionError("prefix table is inconsistent")
+            raise VerificationError(f"prefix table is inconsistent at {order}, budget {budget}")
     return order
 
 
@@ -426,36 +426,30 @@ def brute_force_arrangement(g: Graph, objective: str,
     _check_solvable(g, 1 << g.n, BRUTE_ARRANGEMENT_LIMIT)
     t0 = time.perf_counter()
     adj = g.adj
-    deg = [popcount(a) for a in adj]
+    deg = [a.bit_count() for a in adj]
     if anchor is not None:
         g._check_vertex(anchor)
-        rest = [v for v in g.vertices if v != anchor]
-        heads = [(anchor,)]
-    else:
-        rest = None
-        heads = [()]
+    head = () if anchor is None else (anchor,)
     best = None
     count = 0
-    for head in heads:
-        pool = rest if rest is not None else list(g.vertices)
-        for perm in itertools.permutations(pool):
-            order = head + perm
-            if anchor is not None:
-                if len(order) < 2 or deg[order[1] - 1] < deg[anchor - 1]:
-                    continue
-            count += 1
-            prefix = 0
-            cur = 0
-            value = 0
-            for v in order:
-                cur += deg[v - 1] - 2 * popcount(adj[v - 1] & prefix)
-                prefix |= 1 << (v - 1)
-                if objective == "beta":
-                    value += cur
-                elif cur > value:
-                    value = cur
-            if best is None or value < best[0]:
-                best = (value, order)
+    for perm in itertools.permutations([v for v in g.vertices if v != anchor]):
+        order = head + perm
+        if anchor is not None:
+            if len(order) < 2 or deg[order[1] - 1] < deg[anchor - 1]:
+                continue
+        count += 1
+        prefix = 0
+        cur = 0
+        value = 0
+        for v in order:
+            cur += deg[v - 1] - 2 * (adj[v - 1] & prefix).bit_count()
+            prefix |= 1 << (v - 1)
+            if objective == "beta":
+                value += cur
+            elif cur > value:
+                value = cur
+        if best is None or value < best[0]:
+            best = (value, order)
     if best is None:
         raise _infeasible_anchor(anchor)
     millis = int((time.perf_counter() - t0) * 1000)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import LimitError, ValidationError
-from .graph import MAX_VERTICES, Graph, iter_bits, mask_of, popcount, vertices_of
+from .graph import MAX_VERTICES, Graph, mask_of, vertices_of
 
 Cluster = frozenset  # of vertex ids
 
@@ -49,11 +49,11 @@ class ReassemblyTree:
     def _init_from(self, ground: int, masks: set) -> None:
         if 0 in masks:
             raise ValidationError("empty cluster")
-        n = popcount(ground)
+        n = ground.bit_count()
         # the clusters not yet inside a larger one partition V; each is kept
         # under the bit of its lowest vertex
         head = {}
-        for v in iter_bits(ground):
+        for v in vertices_of(ground):
             bit = 1 << (v - 1)
             if bit not in masks:
                 raise ValidationError(f"missing singleton {{{v}}}")
@@ -66,7 +66,7 @@ class ReassemblyTree:
         # Ascending-size sweep: a cluster's children must be the head at its
         # lowest vertex and the head it pops for the remaining part.
         children = {}
-        for x in sorted(masks, key=popcount):
+        for x in sorted(masks, key=int.bit_count):
             if not x & (x - 1):
                 continue
             low = x & -x
@@ -86,7 +86,7 @@ class ReassemblyTree:
 
     @property
     def n(self) -> int:
-        return popcount(self.ground_mask)
+        return self.ground_mask.bit_count()
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -98,7 +98,7 @@ class ReassemblyTree:
         return tuple(Cluster(vertices_of(m)) for m in self._sorted_masks())
 
     def _sorted_masks(self) -> list:
-        return sorted(self._masks, key=lambda m: (popcount(m), m))
+        return sorted(self._masks, key=lambda m: (m.bit_count(), m))
 
     def cluster_masks(self) -> frozenset:
         return self._masks
@@ -116,14 +116,14 @@ class ReassemblyTree:
 
     def is_linear(self) -> bool:
         """True iff the non-singleton clusters form a single nested chain."""
-        chain = sorted((m for m in self._masks if popcount(m) > 1), key=popcount)
+        chain = sorted((m for m in self._masks if m.bit_count() > 1), key=int.bit_count)
         return all(a & b == a for a, b in zip(chain, chain[1:]))
 
     def linear_chain(self) -> tuple[Cluster, ...]:
         """The nested non-singleton clusters X1 c X2 c ... c V of a linear tree."""
         if not self.is_linear():
             raise ValidationError("tree is not linear")
-        chain = sorted((m for m in self._masks if popcount(m) > 1), key=popcount)
+        chain = sorted((m for m in self._masks if m.bit_count() > 1), key=int.bit_count)
         return tuple(Cluster(vertices_of(m)) for m in chain)
 
 
@@ -162,17 +162,12 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[Clust
         if pair is None:
             continue
         a, b = pair
-        if popcount(a) > popcount(b):
+        if a.bit_count() > b.bit_count():
             a, b = b, a  # scan the smaller side
-        if not any(g.adj[v - 1] & b for v in iter_bits(a)):
+        if not any(g.adj[v - 1] & b for v in vertices_of(a)):
             x, y = Cluster(vertices_of(a)), Cluster(vertices_of(b))
             return (x, y) if min(x) < min(y) else (y, x)
     return None
-
-
-def is_strict(g: Graph, tree: ReassemblyTree) -> bool:
-    """True iff every sibling pair has a non-empty bridge set."""
-    return first_nonstrict_pair(g, tree) is None
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,6 @@ def suite_balance_lemmas(seed: int, trials: Optional[int] = None) -> SuiteResult
     for g in bases:
         for w in g.vertices:
             aux = build_auxiliary(g, w)
-            assert aux.combined.n <= 10
             best = None
             argmin = []
             for order in _distinct_aux_orders(aux):

@@ -9,7 +9,8 @@ import pytest
 
 import reasm
 from reasm import graph, layout, tree, verify
-from reasm.graph import MAX_VERTICES, format_graph, parse_graph, path_graph, star_graph
+from reasm.graph import (MAX_EDGES, MAX_VERTICES, format_graph, parse_graph, path_graph,
+                         star_graph)
 
 from conftest import FIXTURES, caterpillar_text
 
@@ -90,6 +91,26 @@ def test_missing_file(run_cli):
     assert code == 2 and "cannot read" in err
 
 
+def test_undecodable_file(run_cli, workdir):
+    g = workdir / "bad.g"
+    g.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli("eval", "--graph", g, "--tree", FIXTURES / "b1.t")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_unwritable_outputs(run_cli, workdir):
+    code, _, err = run_cli("solve", FIXTURES / "s7.g", "--objective", "beta",
+                           "--witness-out", workdir)
+    assert code == 2 and "cannot write" in err
+    missing = workdir / "no-such-dir" / "x"
+    code, _, err = run_cli("gen", "--family", "cycle", "--size", "4", "--out", missing)
+    assert code == 2 and "cannot write" in err
+    code, _, err = run_cli("convert", "--graph", FIXTURES / "s7.g",
+                           "--arrangement", FIXTURES / "phi5.a", "--to", "tree",
+                           "--out", missing)
+    assert code == 2 and "cannot write" in err
+
+
 def test_solve_writes_witness(run_cli, workdir):
     g = write(workdir / "s7.g", format_graph(star_graph(7)))
     code, out, _ = run_cli("solve", g, "--objective", "beta", "--mode", "linear")
@@ -145,7 +166,25 @@ def test_huge_graph_header_is_refused(workdir, n):
     for argv in (("solve", g, "--objective", "beta"),
                  ("reduce", g, "--problem", "beta"),
                  ("eval", "--graph", g, "--arrangement", arr)):
-        _assert_refused_under_memory_cap(argv)
+        _assert_refused_under_memory_cap(argv, MAX_VERTICES)
+
+
+def test_huge_edge_count_is_refused(workdir):
+    g = write(workdir / "dense.g", f"10 {10 ** 12}\n1 2\n")
+    _assert_refused_under_memory_cap(("solve", g, "--objective", "beta"), MAX_EDGES)
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("--family", "complete", "--size", "30000"), MAX_VERTICES),
+    (("--family", "complete", "--size", "5000"), MAX_EDGES),
+    (("--family", "path", "--size", "100000000"), MAX_VERTICES),
+    (("--family", "ring_tree", "--ring-sizes", "3,100000000"), MAX_VERTICES),
+    (("--family", "ring_tree", "--ring-sizes", "3,3", "--path-len", "100000000"),
+     MAX_VERTICES),
+])
+def test_huge_generated_graph_is_refused(workdir, argv, limit):
+    # refused from the family's parameters, before the graph is built
+    _assert_refused_under_memory_cap(("gen", *argv), limit)
 
 
 def test_huge_tree_leaf_is_refused(workdir):
@@ -154,10 +193,10 @@ def test_huge_tree_leaf_is_refused(workdir):
     t = write(workdir / "huge.t", f"(1 {10 ** 11})\n")
     for argv in (("eval", "--graph", g, "--tree", t),
                  ("convert", "--graph", g, "--tree", t, "--to", "arrangement")):
-        _assert_refused_under_memory_cap(argv)
+        _assert_refused_under_memory_cap(argv, MAX_VERTICES)
 
 
-def _assert_refused_under_memory_cap(argv):
+def _assert_refused_under_memory_cap(argv, limit):
     # the child's address space is capped at 2 GB, so an allocation of the
     # refused size shows as a crash
     def cap_memory():
@@ -166,7 +205,7 @@ def _assert_refused_under_memory_cap(argv):
     proc = subprocess.run([sys.executable, "-m", "reasm", *argv], capture_output=True,
                           text=True, env=_module_env(), preexec_fn=cap_memory)
     assert proc.returncode == 3, (argv, proc.stderr)
-    assert proc.stderr.startswith("error:") and f"limit is {MAX_VERTICES}" in proc.stderr
+    assert proc.stderr.startswith("error:") and f"limit is {limit}" in proc.stderr
 
 
 def test_too_few_edges_for_a_connected_graph(run_cli, workdir):
@@ -299,7 +338,8 @@ def test_public_names():
     for name in reasm.__all__:
         assert getattr(reasm, name) is not None
     removed = {
-        tree: ("cross_sections", "validate_tree"),
+        graph: ("popcount", "iter_bits"),
+        tree: ("cross_sections", "validate_tree", "is_strict"),
         layout: ("is_anchored_arrangement", "is_anchored_reassembling",
                  "restrict_arrangement", "restrict_tree"),
         tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",

@@ -7,7 +7,7 @@ from reasm.graph import Graph, complete_graph, cycle_graph, path_graph, star_gra
 from reasm.sequential import (block_tree, canonical_ordering,
                               chain_to_ordering, format_ordering,
                               parse_ordering, seq_reassemble)
-from reasm.tree import is_strict, parse_tree
+from reasm.tree import first_nonstrict_pair, parse_tree
 
 from conftest import caterpillar_text, connected_atlas
 
@@ -87,7 +87,7 @@ def test_block_trees_are_strict():
             pi = list(g.edges)
             rng.shuffle(pi)
             tree = block_tree(g, pi)
-            assert is_strict(g, tree)
+            assert first_nonstrict_pair(g, tree) is None
             assert len(tree.clusters) == 2 * g.n - 1
 
 

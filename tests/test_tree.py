@@ -5,7 +5,7 @@ import pytest
 from reasm.errors import ValidationError
 from reasm.graph import complete_graph, path_graph, star_graph, vertices_of
 from reasm.tree import (Cluster, ReassemblyTree, first_nonstrict_pair,
-                        is_strict, measures, parse_tree, print_tree)
+                        measures, parse_tree, print_tree)
 
 from conftest import binary_tree_masks, caterpillar_text
 
@@ -127,10 +127,9 @@ def test_linearity():
 def test_strictness():
     s3 = star_graph(3)
     good = parse_tree("(((1 2) 3) 4)")
-    assert is_strict(s3, good)
+    assert first_nonstrict_pair(s3, good) is None
     bad = parse_tree("(((2 3) 1) 4)")
     assert first_nonstrict_pair(s3, bad) == (Cluster({2}), Cluster({3}))
-    assert not is_strict(s3, bad)
     # unequal sides: the pair keeps the min-vertex side first
     assert first_nonstrict_pair(path_graph(4), parse_tree("(((1 2) 4) 3)")) == \
         (Cluster({1, 2}), Cluster({4}))
