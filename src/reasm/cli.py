@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
 from .errors import ReasmError, ValidationError, VerificationError
-from .graph import Graph, format_graph, generate, parse_graph
+from .graph import Graph, format_graph, generate, parse_graph, vertices_of
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling,
                      parse_arrangement)
@@ -51,6 +52,16 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse, before any work is done, a path that `_write` could not
+    write; nothing there is created or changed."""
+    target = Path(path)
+    if target.is_dir() or not target.parent.is_dir() or not os.access(
+            target if target.exists() else target.parent, os.W_OK):
+        raise ValidationError(f"cannot write {path}: not a writable file "
+                              f"in an existing directory")
 
 
 def _load_graph(path: str) -> Graph:
@@ -100,7 +111,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         trace = seq_reassemble(g, ordering)
         tree = trace.tree()
         out = {
-            "steps": [{"merged": [sorted(a), sorted(b)],
+            "steps": [{"merged": [list(vertices_of(a)), list(vertices_of(b))],
                        "bridges": [list(e) for e in step.bridges]}
                       for step in trace.steps
                       for a, b in [step.merged]],
@@ -126,6 +137,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     engine = _pick_engine(args.mode, args.engine)
     if args.anchor is not None and args.mode == "binary":
         raise ValidationError("binary mode does not take an anchor")
+    witness_path = args.witness_out
+    if witness_path is None:
+        witness_path = f"{Path(args.graph).stem}.{args.mode}.{args.objective}.witness"
+    _check_writable(witness_path)
     if args.mode == "arrangement":
         solver = exact_arrangement if engine == "dp" else brute_force_arrangement
         res = solver(g, args.objective, anchor=args.anchor)
@@ -134,9 +149,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         res = exact_binary_reassembling(g, args.objective)
     out = res.to_json()
-    witness_path = args.witness_out
-    if witness_path is None:
-        witness_path = f"{Path(args.graph).stem}.{args.mode}.{args.objective}.witness"
     _write(witness_path, res.witness_text() + "\n")
     out["witness_file"] = str(witness_path)
     out["engine"] = engine

@@ -1,9 +1,10 @@
 """Simple undirected graphs with bitset adjacency.
 
-Vertices are the integers 1..n.  A set of vertices is represented internally
-as an int bitmask with bit (v - 1) standing for vertex v; all boundary-degree
-style computations reduce to popcounts of mask intersections, which keeps the
-subset DP in `solvers` and the measure evaluation in `tree` cheap.
+Vertices are the integers 1..n.  Every vertex set in the package, from the
+parsers to the printers, is an int bitmask with bit (v - 1) standing for
+vertex v; all boundary-degree style computations reduce to popcounts of
+mask intersections, which keeps the subset DP in `solvers` and the measure
+evaluation in `tree` cheap.
 """
 
 from __future__ import annotations
@@ -190,6 +191,13 @@ MAX_VERTICES = 10_000
 MAX_EDGES = 1_000_000
 
 
+def data_lines(text: str) -> list:
+    """(line number, text) of every line that holds data once its '#'
+    comment is cut off and it is stripped; every file format reads these."""
+    lines = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1))
+    return [(i, line) for i, line in lines if line]
+
+
 def _check_size(what: str, n: int, m: int) -> None:
     if n > MAX_VERTICES:
         raise LimitError(f"{what} {n} vertices, limit is {MAX_VERTICES}")
@@ -198,11 +206,7 @@ def _check_size(what: str, n: int, m: int) -> None:
 
 
 def parse_graph(text: str) -> Graph:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
+    rows = data_lines(text)
     if not rows:
         raise ValidationError("empty graph file")
     lineno, head = rows[0]

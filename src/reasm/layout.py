@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ValidationError, VerificationError
-from .graph import Graph
+from .graph import Graph, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, print_tree
 
 
@@ -105,15 +105,11 @@ def induce_arrangement(g: Graph, tree: ReassemblyTree) -> Arrangement:
     if g.n == 1:
         return Arrangement((1,))
     chain = tree.linear_chain()
-    a, b = sorted(chain[0])
+    a, b = vertices_of(chain[0])
     if (g.degree(b), b) < (g.degree(a), a):
         a, b = b, a
-    order = [a, b]
-    taken = set(order)
-    for cluster in chain[1:]:
-        (v,) = set(cluster) - taken
-        order.append(v)
-        taken.add(v)
+    # each cluster adds one vertex to the one before it
+    order = [a, b] + [(x ^ y).bit_length() for y, x in zip(chain, chain[1:])]
     return Arrangement(tuple(order))
 
 
@@ -125,12 +121,11 @@ def induce_reassembling(g: Graph, arr: Arrangement) -> ReassemblyTree:
     for bit in masks[1:]:
         prefix |= bit
         masks.append(prefix)
-    return ReassemblyTree._from_masks(g.full_mask, masks)
+    return ReassemblyTree(masks)
 
 
 def parse_arrangement(text: str) -> Arrangement:
-    data = [tok for line in text.splitlines()
-            for tok in line.split("#", 1)[0].split()]
+    data = [tok for _, line in data_lines(text) for tok in line.split()]
     if not data:
         raise ValidationError("empty arrangement file")
     try:

@@ -31,7 +31,8 @@ from .errors import ValidationError, VerificationError
 from .graph import Deg3Report, Graph, classify_deg3
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
-from .solvers import exact_arrangement, exact_linear_reassembling
+from .solvers import (_check_states, _states, _twin_classes, dp_limit,
+                      exact_arrangement, exact_linear_reassembling)
 from .tree import measures
 
 R2A = "reassembling_to_arrangement"  # solve reassembling with an arrangement solver
@@ -272,6 +273,17 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     return w, beta, obj, scatter0, balanced
 
 
+def _check_auxiliary_states(g: Graph) -> None:
+    """Refuse, before any G_w is built, the first anchor whose DP would
+    refuse G_w.  G_w's twin classes are G's without w (a class left with
+    one member dissolves) plus the clique U, one class of p members."""
+    classes = _twin_classes(g)
+    p, limit = 2 * g.m, dp_limit()
+    for w in g.vertices:
+        kept = [c for c in ([v for v in c if v != w] for c in classes) if len(c) > 1]
+        _check_states(g.n + p, _states(g, kept).size * (p + 1), limit)
+
+
 def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     """Solve one beta problem exactly through the other, one auxiliary graph
     per anchor; the winner is the (beta, anchor) lexicographic minimum.
@@ -284,6 +296,7 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     if not g.is_connected():
         raise ValidationError("beta reduction needs a connected graph")
+    _check_auxiliary_states(g)
     workers = min(jobs, g.n, os.cpu_count() or 1)
     parallel = workers > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .graph import Graph, mask_of
+from .graph import Graph, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
 
 Edge = tuple  # (u, v) with u < v
-Partition = tuple  # of frozensets, sorted by min vertex
 
 
 def _norm_edge(e) -> Edge:
@@ -30,29 +29,25 @@ def _norm_edge(e) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _singletons(g: Graph) -> Partition:
-    return tuple(frozenset((v,)) for v in g.vertices)
-
-
 @dataclass(frozen=True)
 class MergeStep:
-    merged: tuple  # (A, B) as frozensets, min-vertex side first
+    merged: tuple  # (A, B) as vertex masks, lower-vertex side first
     bridges: tuple  # edges between A and B, lexicographic
     consumed: tuple  # same edges in the order they sat in the input
 
 
 @dataclass(frozen=True)
 class SeqTrace:
-    chain: tuple  # n partitions, singletons first, {V} last
+    # n partitions, singletons first, (V,) last; a partition is a tuple of
+    # block masks ordered by lowest vertex
+    chain: tuple
     steps: tuple  # n - 1 MergeSteps
 
     def tree(self) -> ReassemblyTree:
         """The binary reassembling whose clusters are all blocks of the chain:
         the singletons and the union made by each merge step."""
-        mask = {b: mask_of(b) for b in self.chain[0]}
-        for a, b in (s.merged for s in self.steps):
-            mask[a | b] = mask[a] | mask[b]
-        return ReassemblyTree._from_masks(mask_of(self.chain[-1][0]), list(mask.values()))
+        merged = (a | b for a, b in (s.merged for s in self.steps))
+        return ReassemblyTree([*self.chain[0], *merged])
 
 
 def seq_reassemble(g: Graph, ordering) -> SeqTrace:
@@ -63,32 +58,30 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
     if not g.is_connected():
         raise ValidationError("sequential reassembling needs a connected graph")
     position = {e: i for i, e in enumerate(pi)}
-    singletons = _singletons(g)
     block = {v: v for v in g.vertices}  # vertex -> id of its block
-    record = {v: (1 << (v - 1), b) for v, b in zip(g.vertices, singletons)}  # id -> (mask, set)
-    parts = dict(zip(g.vertices, singletons))  # min vertex -> block: the current partition
-    chain = [singletons]
+    mask = {v: 1 << (v - 1) for v in g.vertices}  # block id -> its vertex mask
+    parts = dict(mask)  # lowest vertex -> block mask: the current partition
+    chain = [tuple(parts.values())]
     steps = []
     for u, v in pi:
         ia, ib = block[u], block[v]
         if ia == ib:
             continue  # consumed by the merge that joined u and v
-        (ma, sa), (mb, sb) = record[ia], record[ib]
-        merged = sa | sb
-        if len(sa) < len(sb):
+        ma, mb = mask[ia], mask[ib]
+        if ma.bit_count() < mb.bit_count():
             ia, ib = ib, ia  # relabel only the smaller block
-        for x in record.pop(ib)[1]:
+        for x in vertices_of(mask.pop(ib)):
             block[x] = ia
-        record[ia] = (ma | mb, merged)
+        mask[ia] = ma | mb
         # every edge inside either block went with an earlier merge, so the
         # edges consumed now are exactly those between the two blocks
         bridges = g.bridges(ma, mb)
         if ma & -ma > mb & -mb:
-            ma, sa, mb, sb = mb, sb, ma, sa  # sa holds the lower min vertex
-        steps.append(MergeStep(merged=(sa, sb), bridges=bridges,
+            ma, mb = mb, ma  # ma holds the lower vertex
+        steps.append(MergeStep(merged=(ma, mb), bridges=bridges,
                                consumed=tuple(sorted(bridges, key=position.__getitem__))))
-        # the merged block keeps sa's place in the min-vertex order
-        parts[(ma & -ma).bit_length()] = merged
+        # the merged block keeps ma's place in the lowest-vertex order
+        parts[(ma & -ma).bit_length()] = ma | mb
         del parts[(mb & -mb).bit_length()]
         chain.append(tuple(parts.values()))
     return SeqTrace(chain=tuple(chain), steps=tuple(steps))
@@ -100,26 +93,26 @@ def block_tree(g: Graph, ordering) -> ReassemblyTree:
 
 
 def chain_to_ordering(g: Graph, chain) -> tuple:
-    """Emit an edge ordering that reproduces a strict maximal chain: per
-    merge, the lexicographically least bridge first, then the other consumed
-    edges in lexicographic order."""
-    parts = [tuple(sorted((frozenset(b) for b in p), key=min)) for p in chain]
-    if len(parts) != g.n:
+    """Emit an edge ordering that reproduces a strict maximal chain of
+    partitions, each a collection of block masks: per merge, the
+    lexicographically least bridge first, then the other consumed edges in
+    lexicographic order."""
+    if len(chain) != g.n:
         raise ValidationError(f"chain must have exactly {g.n} partitions")
-    if parts[0] != _singletons(g):
+    if sorted(chain[0]) != [1 << (v - 1) for v in g.vertices]:
         raise ValidationError("chain must start with the singleton partition")
-    if parts[-1] != (frozenset(g.vertices),):
+    if list(chain[-1]) != [g.full_mask]:
         raise ValidationError("chain must end with the one-block partition")
     out = []
-    for idx, (cur, nxt) in enumerate(zip(parts, parts[1:])):
-        gone = [b for b in cur if b not in nxt]
-        new = [b for b in nxt if b not in cur]
-        if len(gone) != 2 or len(new) != 1 or new[0] != gone[0] | gone[1]:
+    for idx, (cur, nxt) in enumerate(zip(chain, chain[1:])):
+        cur, nxt = set(cur), set(nxt)
+        gone = sorted(cur - nxt, key=lambda m: m & -m)  # lower-vertex side first
+        if len(gone) != 2 or nxt - cur != {gone[0] | gone[1]}:
             raise ValidationError(f"step {idx + 1} is not a single merge of two blocks")
-        bridges = g.bridges(mask_of(gone[0]), mask_of(gone[1]))
+        bridges = g.bridges(*gone)
         if not bridges:
-            raise ValidationError(
-                f"non-strict chain: no edge between {sorted(gone[0])} and {sorted(gone[1])}")
+            raise ValidationError(f"non-strict chain: no edge between "
+                                  f"{list(vertices_of(gone[0]))} and {list(vertices_of(gone[1]))}")
         out.extend(bridges)  # already lexicographic; the least one leads
     return tuple(out)
 
@@ -136,11 +129,11 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
     _check_ground(g, tree)
     bad = first_nonstrict_pair(g, tree)
     if bad is not None:
-        raise ValidationError(
-            f"tree is not strict: no edge between {sorted(bad[0])} and {sorted(bad[1])}")
+        raise ValidationError(f"tree is not strict: no edge between "
+                              f"{list(vertices_of(bad[0]))} and {list(vertices_of(bad[1]))}")
 
     can = {}  # ordering of each cluster whose parent is not done yet
-    for m in sorted(tree.cluster_masks(), key=int.bit_count):
+    for m in tree.clusters:
         if m not in tree._children:
             can[m] = ()
             continue
@@ -158,10 +151,7 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
 
 def parse_ordering(text: str) -> tuple:
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -117,14 +117,19 @@ def _check_objective(objective: str) -> None:
         raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
 
 
+def _check_states(n: int, states: int, limit: int) -> None:
+    """At most 2^limit states for an instance on n vertices; checked before
+    any table is allocated."""
+    if (states - 1).bit_length() > limit:  # states > 2^limit, for any int limit
+        raise LimitError(f"instance has {n} vertices and 2^{math.log2(states):.1f} "
+                         f"states, limit is 2^{limit}")
+
+
 def _check_solvable(g: Graph, states: int, limit: int) -> None:
-    """A connected graph whose solver needs at most 2^limit states; checked
-    before any table is allocated."""
+    """A connected graph whose solver needs at most 2^limit states."""
     if not g.is_connected():
         raise ValidationError("optimizers need a connected graph")
-    if (states - 1).bit_length() > limit:  # states > 2^limit, for any int limit
-        raise LimitError(f"instance has {g.n} vertices and 2^{math.log2(states):.1f} "
-                         f"states, limit is 2^{limit}")
+    _check_states(g.n, states, limit)
 
 
 def _twin_classes(g: Graph) -> list:
@@ -410,7 +415,7 @@ def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
                 for child in (s ^ a, a):
                     stack.append((child, best[child] if objective == "beta" else budget))
                 break
-    tree = ReassemblyTree._from_masks(g.full_mask, masks)
+    tree = ReassemblyTree(masks)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "binary_reassembling", best[g.full_mask], tree,
                        stats={"states": len(best), "millis": millis})

@@ -6,13 +6,14 @@ disjoint sibling Y with X | Y again a cluster.  Such a collection always has
 exactly 2n - 1 members and forms an unordered binary tree whose leaves are
 the singletons.
 
-Clusters are bitmasks internally (bit v-1 = vertex v), so the ground set may
-be any set of positive ints -- a parsed tree keeps the vertex ids it was
-written with.  Every tree, whether given as clusters, parsed or built by a
-solver, is checked by one merge sweep in ascending cluster size, which also
-records each non-singleton cluster's child pair.  The module evaluates the
-alpha/beta measures, finds sibling pairs with no edge between them
-(strictness), and reads and writes the bracket text format.
+Every cluster is a vertex bitmask (bit v-1 = vertex v), so the ground set,
+the union of the clusters, may be any set of positive ints -- a parsed tree
+keeps the vertex ids it was written with.  Every tree, whether given as
+clusters, parsed or built by a solver, is checked by one merge sweep in
+ascending cluster size, which also records each non-singleton cluster's
+child pair.  The module evaluates the alpha/beta measures, finds sibling
+pairs with no edge between them (strictness), and reads and writes the
+bracket text format.
 """
 
 from __future__ import annotations
@@ -21,34 +22,26 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import LimitError, ValidationError
-from .graph import MAX_VERTICES, Graph, mask_of, vertices_of
-
-Cluster = frozenset  # of vertex ids
+from .graph import MAX_VERTICES, Graph, data_lines, vertices_of
 
 
 class ReassemblyTree:
-    """Immutable reassembling tree; equality compares cluster sets."""
+    """Immutable reassembling tree over the union of its cluster masks.
 
-    __slots__ = ("ground_mask", "_masks", "_children")
+    `clusters` holds the masks sorted by (size, value); equality compares
+    them."""
 
-    def __init__(self, clusters: Iterable[Iterable[int]]):
-        masks = {mask_of(c) for c in clusters}
+    __slots__ = ("ground_mask", "clusters", "_children")
+
+    def __init__(self, masks: Iterable[int]):
+        masks = set(masks)
+        if not all(isinstance(m, int) and m >= 0 for m in masks):
+            raise ValidationError("clusters must be vertex masks, non-negative ints")
+        if 0 in masks:
+            raise ValidationError("empty cluster")
         ground = 0
         for m in masks:
             ground |= m
-        self._init_from(ground, masks)
-
-    @classmethod
-    def _from_masks(cls, ground_mask: int, masks: Iterable[int]) -> "ReassemblyTree":
-        """The tree with these cluster bitmasks over `ground_mask`, validated
-        like the public constructor."""
-        t = object.__new__(cls)
-        t._init_from(ground_mask, set(masks))
-        return t
-
-    def _init_from(self, ground: int, masks: set) -> None:
-        if 0 in masks:
-            raise ValidationError("empty cluster")
         n = ground.bit_count()
         # the clusters not yet inside a larger one partition V; each is kept
         # under the bit of its lowest vertex
@@ -63,12 +56,12 @@ class ReassemblyTree:
         if len(masks) != 2 * n - 1:
             raise ValidationError(
                 f"expected {2 * n - 1} clusters for {n} vertices, got {len(masks)}")
-        # Ascending-size sweep: a cluster's children must be the head at its
-        # lowest vertex and the head it pops for the remaining part.
+        clusters = sorted(masks, key=lambda m: (m.bit_count(), m))
+        # Ascending-size sweep over the non-singletons: a cluster's children
+        # must be the head at its lowest vertex and the head it pops for the
+        # remaining part.
         children = {}
-        for x in sorted(masks, key=int.bit_count):
-            if not x & (x - 1):
-                continue
+        for x in clusters[n:]:
             low = x & -x
             a = head.get(low, 0)
             b = x ^ a
@@ -79,64 +72,45 @@ class ReassemblyTree:
             children[x] = (min(a, b), max(a, b))
             head[low] = x
         self.ground_mask = ground
-        self._masks = frozenset(masks)
+        self.clusters = tuple(clusters)
         self._children = children
-
-    # -- basic queries ------------------------------------------------------
 
     @property
     def n(self) -> int:
         return self.ground_mask.bit_count()
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.ground_mask)
-
-    @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        """All clusters, smallest first, deterministic order."""
-        return tuple(Cluster(vertices_of(m)) for m in self._sorted_masks())
-
-    def _sorted_masks(self) -> list:
-        return sorted(self._masks, key=lambda m: (m.bit_count(), m))
-
-    def cluster_masks(self) -> frozenset:
-        return self._masks
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ReassemblyTree)
-                and self.ground_mask == other.ground_mask
-                and self._masks == other._masks)
+        return isinstance(other, ReassemblyTree) and self.clusters == other.clusters
 
     def __hash__(self) -> int:
-        return hash((self.ground_mask, self._masks))
+        return hash(self.clusters)
 
     def __repr__(self) -> str:
         return f"ReassemblyTree({print_tree(self)!r})"
 
     def is_linear(self) -> bool:
         """True iff the non-singleton clusters form a single nested chain."""
-        chain = sorted((m for m in self._masks if m.bit_count() > 1), key=int.bit_count)
+        chain = self.clusters[self.n:]
         return all(a & b == a for a, b in zip(chain, chain[1:]))
 
-    def linear_chain(self) -> tuple[Cluster, ...]:
+    def linear_chain(self) -> tuple[int, ...]:
         """The nested non-singleton clusters X1 c X2 c ... c V of a linear tree."""
         if not self.is_linear():
             raise ValidationError("tree is not linear")
-        chain = sorted((m for m in self._masks if m.bit_count() > 1), key=int.bit_count)
-        return tuple(Cluster(vertices_of(m)) for m in chain)
+        return self.clusters[self.n:]
 
 
 @dataclass(frozen=True)
 class MeasureReport:
     alpha: int
     beta: int
-    per_cluster: dict
+    per_cluster: dict  # cluster mask -> boundary degree
 
     def to_json(self) -> dict:
-        rows = sorted(self.per_cluster.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        rows = sorted(((vertices_of(m), d) for m, d in self.per_cluster.items()),
+                      key=lambda row: (len(row[0]), row[0]))
         return {"alpha": self.alpha, "beta": self.beta,
-                "clusters": [{"set": sorted(c), "degree": d} for c, d in rows]}
+                "clusters": [{"set": list(c), "degree": d} for c, d in rows]}
 
 
 def _check_ground(g: Graph, tree: ReassemblyTree) -> None:
@@ -148,25 +122,22 @@ def measures(g: Graph, tree: ReassemblyTree) -> MeasureReport:
     """alpha = max boundary degree over all clusters (singletons included),
     beta = sum of boundary degrees over all 2n - 1 clusters."""
     _check_ground(g, tree)
-    per = {Cluster(vertices_of(m)): g.cut_mask(m) for m in tree.cluster_masks()}
+    per = {m: g.cut_mask(m) for m in tree.clusters}
     vals = per.values()
     return MeasureReport(alpha=max(vals), beta=sum(vals), per_cluster=per)
 
 
-def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[Cluster, Cluster]]:
-    """First sibling pair (canonical cluster order) with no edge between the
-    two sides, or None if the tree is strict."""
+def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[int, int]]:
+    """First sibling pair (in `clusters` order of their parent) with no edge
+    between the two sides, as masks with the lower-vertex side first, or
+    None if the tree is strict."""
     _check_ground(g, tree)
-    for m in tree._sorted_masks():
-        pair = tree._children.get(m)
-        if pair is None:
-            continue
-        a, b = pair
+    for m in tree.clusters[tree.n:]:
+        a, b = tree._children[m]
         if a.bit_count() > b.bit_count():
             a, b = b, a  # scan the smaller side
         if not any(g.adj[v - 1] & b for v in vertices_of(a)):
-            x, y = Cluster(vertices_of(a)), Cluster(vertices_of(b))
-            return (x, y) if min(x) < min(y) else (y, x)
+            return (a, b) if a & -a < b & -b else (b, a)
     return None
 
 
@@ -176,6 +147,7 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[Clust
 # normalized text.
 
 def parse_tree(text: str) -> ReassemblyTree:
+    text = " ".join(line for _, line in data_lines(text))
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     seen = set()
     masks = []
@@ -216,7 +188,7 @@ def parse_tree(text: str) -> ReassemblyTree:
         if open_pairs and len(open_pairs[-1]) == 2:
             raise ValidationError("unbalanced brackets: expected ')'")
         raise ValidationError("unbalanced brackets: unexpected end of input")
-    return ReassemblyTree._from_masks(root, masks)
+    return ReassemblyTree(masks)
 
 
 def print_tree(tree: ReassemblyTree) -> str:

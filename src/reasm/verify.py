@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .errors import ValidationError
 from .graph import Graph, complete_graph, path_graph, qcube3_graph, star_graph
 from .layout import (Arrangement, edge_length, evaluate_arrangement,
                      induce_arrangement, induce_reassembling)
@@ -271,8 +272,8 @@ SUITES: dict = {
 
 def run_suites(names: Optional[list] = None, seed: int = 0,
                trials: Optional[int] = None) -> list:
-    from .errors import ValidationError
-
+    if trials is not None and trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     picked = names or list(SUITES)
     results = []
     for name in picked:

@@ -131,7 +131,7 @@ def test_criterion_04_roundtrips_exhaustive(atlas6):
             assert induce_reassembling(g, induce_arrangement(g, tree)) == tree
             linear_checked += 1
         for masks in binary_tree_masks(g.n):
-            tree = ReassemblyTree._from_masks(g.full_mask, masks)
+            tree = ReassemblyTree(masks)
             if first_nonstrict_pair(g, tree) is not None:
                 continue
             assert block_tree(g, canonical_ordering(g, tree)) == tree
@@ -237,14 +237,12 @@ def test_criterion_10_structural_invariants():
         g = Graph(n, tuple(edges))
 
         # a random binary tree over V validates and has 2n - 1 clusters
-        blocks = [frozenset([v]) for v in g.vertices]
-        clusters = [set(b) for b in blocks]
+        blocks = [1 << (v - 1) for v in g.vertices]
+        clusters = list(blocks)
         while len(blocks) > 1:
             i, j = sorted(rng.sample(range(len(blocks)), 2))
-            merged = blocks[i] | blocks[j]
-            blocks[i] = merged
-            del blocks[j]
-            clusters.append(set(merged))
+            blocks[i] |= blocks.pop(j)
+            clusters.append(blocks[i])
         tree = ReassemblyTree(clusters)
         assert len(tree.clusters) == 2 * g.n - 1
 

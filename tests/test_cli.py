@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import reasm
-from reasm import graph, layout, tree, verify
+from reasm import graph, layout, sequential, tree, verify
 from reasm.graph import (MAX_EDGES, MAX_VERTICES, format_graph, parse_graph, path_graph,
                          star_graph)
 
@@ -32,6 +32,13 @@ def test_eval_tree(run_cli):
     assert code == 0
     data = json.loads(out)
     assert (data["alpha"], data["beta"], data["linear"]) == (4, 48, False)
+
+
+def test_tree_file_takes_comments(run_cli, workdir):
+    t = write(workdir / "c.t", "# a comment line\n((((1 2) # split here\n (3 4)) (5 6)) (7 8))\n")
+    code, out, err = run_cli("eval", "--graph", FIXTURES / "q3.g", "--tree", t)
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["alpha"], json.loads(out)["beta"]) == (4, 48)
 
 
 def test_deep_caterpillar_commands(run_cli, workdir):
@@ -122,6 +129,33 @@ def test_solve_writes_witness(run_cli, workdir):
     assert witness.read_text().strip() == data["witness"]
 
 
+def test_witness_out_is_checked_before_solving(run_cli, workdir, monkeypatch):
+    def solver_must_not_run(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr("reasm.cli.exact_arrangement", solver_must_not_run)
+    s7 = FIXTURES / "s7.g"
+    default = workdir / "s7.arrangement.beta.witness"
+    default.mkdir()  # the default path is taken by a directory
+    for extra in (("--witness-out", workdir), ("--witness-out", workdir / "missing" / "w"),
+                  ()):
+        code, _, err = run_cli("solve", s7, "--objective", "beta", *extra)
+        assert code == 2 and err.startswith("error: cannot write"), err
+    assert not (workdir / "missing").exists()
+
+
+def test_refused_solve_leaves_the_witness_file(run_cli, workdir, monkeypatch):
+    witness = write(workdir / "w", "old\n")
+    code, _, _ = run_cli("solve", FIXTURES / "s7.g", "--objective", "beta",
+                         "--anchor", "9", "--witness-out", witness)
+    assert code == 2
+    monkeypatch.setenv("REASM_DP_LIMIT", "3")  # S7 has 2 * 8 states
+    code, _, _ = run_cli("solve", FIXTURES / "s7.g", "--objective", "beta",
+                         "--witness-out", witness)
+    assert code == 3
+    assert Path(witness).read_text() == "old\n"
+
+
 def test_solve_engines_agree(run_cli, workdir):
     g = write(workdir / "p5.g", format_graph(path_graph(5)))
     _, out_dp, _ = run_cli("solve", g, "--objective", "alpha")
@@ -185,6 +219,13 @@ def test_huge_edge_count_is_refused(workdir):
 def test_huge_generated_graph_is_refused(workdir, argv, limit):
     # refused from the family's parameters, before the graph is built
     _assert_refused_under_memory_cap(("gen", *argv), limit)
+
+
+def test_huge_reduction_is_refused_before_building(workdir):
+    # the auxiliary graphs of a 3000-vertex path hold 5999-vertex cliques: their
+    # states are counted from the base graph, and nothing is built
+    g = write(workdir / "p3000.g", format_graph(path_graph(3000)))
+    _assert_refused_under_memory_cap(("reduce", g, "--problem", "beta"), "2^24")
 
 
 def test_huge_tree_leaf_is_refused(workdir):
@@ -256,6 +297,13 @@ def test_verify_cli(run_cli):
     lines = [json.loads(line) for line in out.splitlines()]
     assert [r["suite"] for r in lines] == ["fixtures", "bin_can"]
     assert all(r["ok"] for r in lines)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_too_few_trials(run_cli, trials):
+    code, out, err = run_cli("verify", "--suite", "roundtrips", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
 def test_verify_failure_exit_code(run_cli, monkeypatch):
@@ -339,12 +387,14 @@ def test_public_names():
         assert getattr(reasm, name) is not None
     removed = {
         graph: ("popcount", "iter_bits"),
-        tree: ("cross_sections", "validate_tree", "is_strict"),
+        tree: ("cross_sections", "validate_tree", "is_strict", "Cluster"),
+        sequential: ("Partition",),
         layout: ("is_anchored_arrangement", "is_anchored_reassembling",
                  "restrict_arrangement", "restrict_tree"),
         tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",
                               "height", "height_of", "subtree", "_lookup",
-                              "_parent", "_heights", "_trusted"),
+                              "_parent", "_heights", "_trusted", "_from_masks",
+                              "_init_from", "cluster_masks", "_sorted_masks", "vertices"),
         graph.Graph: ("boundary_degree", "_check_block"),
     }
     for home, names in removed.items():

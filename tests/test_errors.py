@@ -238,7 +238,7 @@ def test_reduce_exit_codes(files, graph, problem, direction, jobs):
                                         "bin_can", "dp_vs_brute", "nope")),
                        min_size=1, max_size=2),
        seed=st.one_of(st.integers().map(str), st.just("x")),
-       trials=st.sampled_from(("-1", "1", "2", "x")))  # 0 selects the full counts
+       trials=st.sampled_from(("-1", "0", "1", "2", "x")))  # below 1 exits 2
 def test_verify_exit_codes(suites, seed, trials):
     argv = ["verify", "--seed", seed, "--trials", trials]
     for name in suites:

@@ -3,14 +3,43 @@ import random
 
 import pytest
 
-from reasm.errors import ValidationError
+from reasm.errors import LimitError, ValidationError
 from reasm.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from reasm.layout import Arrangement, evaluate_arrangement
-from reasm.reduction import (A2R, R2A, build_auxiliary, descatter_move,
+from reasm.reduction import (A2R, R2A, _check_auxiliary_states, build_auxiliary, descatter_move,
                              normalize_sequence, rebalance_move, reduce_alpha,
                              reduce_beta, scatter, unbalance, vc_sequence)
-from reasm.solvers import exact_arrangement, exact_linear_reassembling
+from reasm.solvers import _states, _twin_classes, exact_arrangement, exact_linear_reassembling
 from reasm.tree import measures
+
+from conftest import connected_atlas
+
+
+def test_auxiliary_states_are_counted_from_the_base(monkeypatch):
+    checked = []
+    monkeypatch.setattr("reasm.reduction._check_states",
+                        lambda n, states, limit: checked.append((n, states)))
+    for g in connected_atlas(5):
+        checked.clear()
+        _check_auxiliary_states(g)
+        want = []
+        for w in g.vertices:
+            aux = build_auxiliary(g, w).combined
+            want.append((aux.n, _states(aux, _twin_classes(aux)).size))
+        assert checked == want
+
+
+def test_beta_reduction_is_refused_before_building(monkeypatch):
+    monkeypatch.setattr("reasm.reduction.build_auxiliary", None)  # must not be called
+    monkeypatch.setenv("REASM_DP_LIMIT", "4")
+    # K_{1,2}: anchor 1 has 2 * 3 * 5 = 30 states, anchor 2 has 2^3 * 5 = 40
+    star = star_graph(2)
+    for direction in (R2A, A2R):
+        with pytest.raises(LimitError, match=r"^instance has 7 vertices and 2\^4.9 states"):
+            reduce_beta(star, direction)
+    monkeypatch.setenv("REASM_DP_LIMIT", "5")
+    with pytest.raises(LimitError, match=r"and 2\^5.3 states, limit is 2\^5$"):
+        reduce_beta(star, R2A)
 
 
 def p2_aux():

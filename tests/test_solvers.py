@@ -275,7 +275,7 @@ def test_binary_dp_matches_tree_enumeration():
                     expected = value
             res = exact_binary_reassembling(g, objective)
             assert res.value == expected
-            assert len(res.witness.cluster_masks()) == 2 * g.n - 1
+            assert len(res.witness.clusters) == 2 * g.n - 1
             assert getattr(measures(g, res.witness), objective) == res.value
 
 
