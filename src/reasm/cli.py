@@ -9,10 +9,10 @@ All machine output is a single JSON document on stdout; --pretty indents
 it.  Every failure is a ReasmError: main() prints one `error:` line on
 stderr and exits with the code of its class.  Exit codes: 0 success;
 2 validation error, including a file that cannot be read or written;
-3 resource limit exceeded, including a graph above MAX_VERTICES vertices
-or MAX_EDGES edges, which `gen` and the graph-file header refuse before
-anything is built; 4 verification failure: a failed verify suite, or an
-identity of the paper that failed in any verb.
+3 resource limit exceeded: an exact solve above 2^REASM_DP_LIMIT states,
+splits or orders, or an input above MAX_VERTICES vertices or MAX_EDGES
+edges, refused before anything is built; 4 verification failure: a failed
+verify suite, or an identity of the paper that failed in any verb.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         res = exact_binary_reassembling(g, args.objective)
     out = res.to_json()
-    _write(witness_path, res.witness_text() + "\n")
+    _write(witness_path, format_witness(res.witness) + "\n")
     out["witness_file"] = str(witness_path)
     out["engine"] = engine
     _emit(out, args.pretty)

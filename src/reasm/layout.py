@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ValidationError, VerificationError
-from .graph import Graph, data_lines, vertices_of
+from .graph import Graph, _check_size, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, print_tree
 
 
@@ -128,6 +128,7 @@ def parse_arrangement(text: str) -> Arrangement:
     data = [tok for _, line in data_lines(text) for tok in line.split()]
     if not data:
         raise ValidationError("empty arrangement file")
+    _check_size("arrangement file has", len(data), 0)  # before any int() is built
     try:
         order = tuple(int(t) for t in data)
     except ValueError:

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
 from .graph import Deg3Report, Graph, classify_deg3
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
-from .solvers import (_check_states, _states, _twin_classes, dp_limit,
-                      exact_arrangement, exact_linear_reassembling)
+from .solvers import (_check_work, _states, _twin_classes, exact_arrangement,
+                      exact_linear_reassembling)
 from .tree import measures
 
 R2A = "reassembling_to_arrangement"  # solve reassembling with an arrangement solver
@@ -67,14 +65,13 @@ def build_auxiliary(g: Graph, w: int) -> AuxiliaryGraph:
 
 @dataclass(frozen=True)
 class VCSequence:
-    """An order of V(G_w) with per-prefix pairs (r, s): r counts base-graph
-    edges crossing the prefix, s counts clique edges.  Pairs cover the
-    n + p - 1 proper prefixes; `beta` is the sum of all r + s, and `k_pos`
-    holds the 1-based positions of the clique side U + {w}, ascending."""
+    """An order of V(G_w) scored by per-prefix pairs (r, s): r counts
+    base-graph edges crossing the prefix, s counts clique edges.  `beta` is
+    the sum of r + s over all prefixes, and `k_pos` holds the 1-based
+    positions of the clique side U + {w}, ascending."""
 
     aux: AuxiliaryGraph
     order: tuple
-    pairs: tuple
     beta: int
     k_pos: tuple
 
@@ -89,7 +86,6 @@ def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
     if len(order) != nv or set(order) != set(range(1, nv + 1)):
         raise ValidationError("order is not a permutation of the auxiliary vertices")
     adj = aux.base.adj
-    pairs = []
     k_pos = []
     prefix = 0
     r = s = beta = 0
@@ -101,11 +97,8 @@ def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
         if v > n or v == w:
             s += p - 2 * len(k_pos)  # clique degree p, minus edges closed
             k_pos.append(i)
-        pairs.append((r, s))
-        beta += r + s
-    pairs.pop()  # the whole order is no proper prefix; its pair is (0, 0)
-    return VCSequence(aux=aux, order=order, pairs=tuple(pairs), beta=beta,
-                      k_pos=tuple(k_pos))
+        beta += r + s  # the whole order adds its pair (0, 0)
+    return VCSequence(aux=aux, order=order, beta=beta, k_pos=tuple(k_pos))
 
 
 def _scatter_positions(seq: VCSequence):
@@ -278,10 +271,10 @@ def _check_auxiliary_states(g: Graph) -> None:
     refuse G_w.  G_w's twin classes are G's without w (a class left with
     one member dissolves) plus the clique U, one class of p members."""
     classes = _twin_classes(g)
-    p, limit = 2 * g.m, dp_limit()
+    p = 2 * g.m
     for w in g.vertices:
         kept = [c for c in ([v for v in c if v != w] for c in classes) if len(c) > 1]
-        _check_states(g.n + p, _states(g, kept).size * (p + 1), limit)
+        _check_work(g.n + p, _states(g, kept).size * (p + 1), "states")
 
 
 def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
@@ -298,12 +291,15 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
         raise ValidationError("beta reduction needs a connected graph")
     _check_auxiliary_states(g)
     workers = min(jobs, g.n, os.cpu_count() or 1)
-    parallel = workers > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        mapper = pool.map if parallel else map
-        # both maps keep the order of g.vertices, so rows are in anchor order
-        rows = list(mapper(_solve_anchor, itertools.repeat(g), g.vertices,
-                           itertools.repeat(direction)))
+    args = (_solve_anchor, itertools.repeat(g), g.vertices, itertools.repeat(direction))
+    # both maps keep the order of g.vertices, so rows are in anchor order
+    if workers > 1:
+        # imported here: a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(*args))
+    else:
+        rows = list(map(*args))
     best = min(rows, key=lambda row: (row[1], row[0]))
     return ReductionReport(
         problem="beta",

@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .graph import Graph, data_lines, vertices_of
+from .graph import Graph, _check_size, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
 
-Edge = tuple  # (u, v) with u < v
 
-
-def _norm_edge(e) -> Edge:
+def _norm_edge(e) -> tuple:
     u, v = e
     return (u, v) if u < v else (v, u)
 
@@ -33,7 +31,6 @@ def _norm_edge(e) -> Edge:
 class MergeStep:
     merged: tuple  # (A, B) as vertex masks, lower-vertex side first
     bridges: tuple  # edges between A and B, lexicographic
-    consumed: tuple  # same edges in the order they sat in the input
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         raise ValidationError("ordering is not a permutation of the graph's edges")
     if not g.is_connected():
         raise ValidationError("sequential reassembling needs a connected graph")
-    position = {e: i for i, e in enumerate(pi)}
     block = {v: v for v in g.vertices}  # vertex -> id of its block
     mask = {v: 1 << (v - 1) for v in g.vertices}  # block id -> its vertex mask
     parts = dict(mask)  # lowest vertex -> block mask: the current partition
@@ -78,8 +74,7 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         bridges = g.bridges(ma, mb)
         if ma & -ma > mb & -mb:
             ma, mb = mb, ma  # ma holds the lower vertex
-        steps.append(MergeStep(merged=(ma, mb), bridges=bridges,
-                               consumed=tuple(sorted(bridges, key=position.__getitem__))))
+        steps.append(MergeStep(merged=(ma, mb), bridges=bridges))
         # the merged block keeps ma's place in the lowest-vertex order
         parts[(ma & -ma).bit_length()] = ma | mb
         del parts[(mb & -mb).bit_length()]
@@ -150,8 +145,10 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
 
 
 def parse_ordering(text: str) -> tuple:
+    rows = data_lines(text)
+    _check_size("ordering file has", 0, len(rows))  # before any int() is built
     edges = []
-    for lineno, line in data_lines(text):
+    for lineno, line in rows:
         parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -56,6 +56,10 @@ anchored optimum for an anchored one, and for a linear tree the tree value
 
 Brute force is only the factorial scan of arrangements, kept as an
 independent reference for small instances.
+
+Every engine counts what it will enumerate -- states of the prefix table,
+splits (S, A) of the binary DP, or orders of the brute force scan -- and
+refuses more than 2^REASM_DP_LIMIT of them before any table or loop starts.
 """
 
 from __future__ import annotations
@@ -73,8 +77,6 @@ from .layout import Arrangement, format_witness, induce_reassembling
 from .tree import ReassemblyTree
 
 DEFAULT_DP_LIMIT = 24
-BRUTE_ARRANGEMENT_LIMIT = 10
-BINARY_TREE_LIMIT = 8
 
 _INF = float("inf")
 # leaf block of the prefix table; chunk of the list comprehensions that fill
@@ -102,12 +104,9 @@ class SolveResult:
     anchor: Optional[int] = None
     stats: dict = field(default_factory=dict, compare=False)
 
-    def witness_text(self) -> str:
-        return format_witness(self.witness)
-
     def to_json(self) -> dict:
         return {"objective": self.objective, "mode": self.mode, "value": self.value,
-                "witness": self.witness_text(), "anchor": self.anchor,
+                "witness": format_witness(self.witness), "anchor": self.anchor,
                 "stats": {"states": self.stats.get("states", 0),
                           "millis": self.stats.get("millis", 0)}}
 
@@ -117,19 +116,20 @@ def _check_objective(objective: str) -> None:
         raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
 
 
-def _check_states(n: int, states: int, limit: int) -> None:
-    """At most 2^limit states for an instance on n vertices; checked before
-    any table is allocated."""
-    if (states - 1).bit_length() > limit:  # states > 2^limit, for any int limit
-        raise LimitError(f"instance has {n} vertices and 2^{math.log2(states):.1f} "
-                         f"states, limit is 2^{limit}")
+def _check_work(n: int, count: int, unit: str) -> None:
+    """At most 2^dp_limit() units of work (states, splits or orders) for an
+    instance on n vertices; checked before any table or loop starts."""
+    limit = dp_limit()
+    if count and (count - 1).bit_length() > limit:  # count > 2^limit, for any int limit
+        raise LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
+                         f"{unit}, limit is 2^{limit}")
 
 
-def _check_solvable(g: Graph, states: int, limit: int) -> None:
-    """A connected graph whose solver needs at most 2^limit states."""
+def _check_solvable(g: Graph, count: int, unit: str) -> None:
+    """A connected graph whose solver enumerates at most 2^dp_limit() units."""
     if not g.is_connected():
         raise ValidationError("optimizers need a connected graph")
-    _check_states(g.n, states, limit)
+    _check_work(g.n, count, unit)
 
 
 def _twin_classes(g: Graph) -> list:
@@ -288,7 +288,7 @@ def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
     the cut and prefix tables."""
     _check_objective(objective)
     st = _states(g, _twin_classes(g))
-    _check_solvable(g, st.size, dp_limit())
+    _check_solvable(g, st.size, "states")
     if anchor is not None:
         g._check_vertex(anchor)
         if not _anchor_feasible(st.deg, anchor):
@@ -393,8 +393,10 @@ def _splits(s: int):
 def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
     """Optimal binary reassembling by subset DP over splits."""
     _check_objective(objective)
+    # _splits yields 2^(k-1) - 1 pairs for each of the C(n, k) sets S of
+    # size k >= 2: (3^n + 1) / 2 - 2^n in all
+    _check_solvable(g, (3 ** g.n + 1) // 2 - (1 << g.n), "splits")
     st = _states(g, ())
-    _check_solvable(g, st.size, BINARY_TREE_LIMIT)
     t0 = time.perf_counter()
     cut = _cut_table(g, st)
     best = list(cut)
@@ -428,7 +430,7 @@ def brute_force_arrangement(g: Graph, objective: str,
                             anchor: Optional[int] = None) -> SolveResult:
     """Factorial scan over all arrangements (reference implementation)."""
     _check_objective(objective)
-    _check_solvable(g, 1 << g.n, BRUTE_ARRANGEMENT_LIMIT)
+    _check_solvable(g, math.factorial(g.n if anchor is None else g.n - 1), "orders")
     t0 = time.perf_counter()
     adj = g.adj
     deg = [a.bit_count() for a in adj]

@@ -119,7 +119,7 @@ def pool_sizes(monkeypatch) -> list:
 
         map = staticmethod(map)
 
-    monkeypatch.setattr("reasm.reduction.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

