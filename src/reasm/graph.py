@@ -10,8 +10,9 @@ evaluation in `tree` cheap.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import LimitError, ValidationError
 
@@ -191,11 +192,18 @@ MAX_VERTICES = 10_000
 MAX_EDGES = 1_000_000
 
 
-def data_lines(text: str) -> list:
+# one match per line of str.splitlines(), plus an empty one at the end of the
+# text; group 1 is the line up to its first '#'
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029#]*)"
+                   r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*(?:\r\n|.)?", re.DOTALL)
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, text) of every line that holds data once its '#'
-    comment is cut off and it is stripped; every file format reads these."""
-    lines = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1))
-    return [(i, line) for i, line in lines if line]
+    comment is cut off and it is stripped; every file format reads these.
+    Lines are made one at a time, so a caller can stop at a size cap."""
+    lines = enumerate((m.group(1).strip() for m in _LINE.finditer(text)), 1)
+    return ((i, line) for i, line in lines if line)
 
 
 def _check_size(what: str, n: int, m: int) -> None:
@@ -207,9 +215,9 @@ def _check_size(what: str, n: int, m: int) -> None:
 
 def parse_graph(text: str) -> Graph:
     rows = data_lines(text)
-    if not rows:
+    lineno, head = next(rows, (0, ""))  # a data line is never empty
+    if not head:
         raise ValidationError("empty graph file")
-    lineno, head = rows[0]
     parts = head.split()
     if len(parts) != 2:
         raise ValidationError(f"line {lineno}: expected 'n m' header, got {head!r}")
@@ -218,9 +226,10 @@ def parse_graph(text: str) -> Graph:
     except ValueError:
         raise ValidationError(f"line {lineno}: expected 'n m' header, got {head!r}") from None
     _check_size(f"line {lineno}: header declares", n, m)
-    body = rows[1:]
-    if len(body) != m:
-        raise ValidationError(f"header declares {m} edges but file has {len(body)} edge lines")
+    body = list(itertools.islice(rows, m))
+    count = len(body) + sum(1 for _ in rows)  # lines past m are counted, not stored
+    if count != m:
+        raise ValidationError(f"header declares {m} edges but file has {count} edge lines")
     edges = []
     for lineno, line in body:
         parts = line.split()

@@ -14,11 +14,13 @@ are mutually inverse on linear trees.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import ValidationError, VerificationError
-from .graph import Graph, _check_size, data_lines, vertices_of
+from .graph import MAX_VERTICES, Graph, _check_size, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, print_tree
 
 
@@ -125,10 +127,11 @@ def induce_reassembling(g: Graph, arr: Arrangement) -> ReassemblyTree:
 
 
 def parse_arrangement(text: str) -> Arrangement:
-    data = [tok for _, line in data_lines(text) for tok in line.split()]
+    tokens = (tok.group() for _, line in data_lines(text) for tok in re.finditer(r"\S+", line))
+    data = list(itertools.islice(tokens, MAX_VERTICES + 1))  # before any int() is built
     if not data:
         raise ValidationError("empty arrangement file")
-    _check_size("arrangement file has", len(data), 0)  # before any int() is built
+    _check_size("arrangement file has at least", len(data), 0)
     try:
         order = tuple(int(t) for t in data)
     except ValueError:

@@ -15,10 +15,11 @@ reproduces it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .graph import Graph, _check_size, data_lines, vertices_of
+from .graph import MAX_EDGES, Graph, _check_size, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
 
 
@@ -145,10 +146,11 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
 
 
 def parse_ordering(text: str) -> tuple:
-    rows = data_lines(text)
-    _check_size("ordering file has", 0, len(rows))  # before any int() is built
+    # lines counted up to the first past the cap, before any becomes an edge
+    _check_size("ordering file has at least", 0,
+                sum(1 for _ in itertools.islice(data_lines(text), MAX_EDGES + 1)))
     edges = []
-    for lineno, line in rows:
+    for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}")

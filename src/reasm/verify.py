@@ -4,8 +4,10 @@ Each suite bundles a family of invariants that must hold identically on
 every instance: the beta = gamma identity, round trips between the object
 representations, agreement of the exact solvers with brute force, the
 normalization lemmas on auxiliary-graph sequences, and the catalog of
-pinned example values.  Suites are deterministic for a fixed seed and
-return per-suite counts so the CLI can emit one JSON line each.
+pinned example values.  A sampled suite draws instances from its seed and
+hands each to a per-instance checker; the acceptance tests run the same
+checkers over exhaustive ranges.  Each suite returns its counts, so the CLI
+can emit one JSON line per suite.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .reduction import (build_auxiliary, descatter_move, normalize_sequence,
 from .sequential import block_tree, canonical_ordering, chain_to_ordering, seq_reassemble
 from .solvers import (brute_force_arrangement, exact_arrangement,
                       exact_linear_reassembling)
-from .tree import measures, parse_tree
+from .tree import ReassemblyTree, measures, parse_tree
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,6 @@ class _Recorder:
         return SuiteResult(self.suite, self.checks, self.failures, detail)
 
 
-def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
-    edges = [e for e in itertools.combinations(range(1, n + 1), 2)
-             if rng.random() < density]
-    return Graph(n, tuple(edges))
-
-
 def _random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
     edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
     for _ in range(extra):
@@ -85,44 +81,59 @@ def _random_arrangement(rng: random.Random, g: Graph) -> Arrangement:
     return Arrangement(tuple(order))
 
 
+def _beta_equals_gamma(rec: _Recorder, g: Graph, arr: Arrangement) -> None:
+    """beta (sum of cuts) equals gamma (total edge length)."""
+    rep = evaluate_arrangement(g, arr)
+    gamma = sum(edge_length(arr, e) for e in g.edges)
+    rec.expect(rep.beta == rep.gamma == gamma,
+               f"beta {rep.beta} != gamma {gamma} on {g.edges} / {arr.order}")
+
+
 def suite_beta_equals_gamma(seed: int, trials: Optional[int] = None) -> SuiteResult:
-    """beta (sum of cuts) equals gamma (total edge length) on random graphs,
-    connected or not, for random arrangements."""
+    """beta = gamma on random graphs, connected or not, in random orders."""
     rng = random.Random(seed)
     rec = _Recorder("beta_equals_gamma")
     for _ in range(trials or 1000):
-        n = rng.randint(1, 10)
-        g = _random_graph(rng, n, rng.random())
-        arr = _random_arrangement(rng, g)
-        rep = evaluate_arrangement(g, arr)
-        gamma = sum(edge_length(arr, e) for e in g.edges)
-        rec.expect(rep.beta == rep.gamma == gamma,
-                   f"beta {rep.beta} != gamma {gamma} on {g.edges} / {arr.order}")
+        n, density = rng.randint(1, 10), rng.random()
+        g = Graph(n, tuple(e for e in itertools.combinations(range(1, n + 1), 2)
+                           if rng.random() < density))
+        _beta_equals_gamma(rec, g, _random_arrangement(rng, g))
     return rec.result()
 
 
+def _roundtrip(rec: _Recorder, g: Graph, arr: Arrangement) -> None:
+    """The induced tree of an arrangement is linear; the arrangement it
+    induces induces it again and puts the smaller (degree, id) first."""
+    tree = induce_reassembling(g, arr)
+    rec.expect(tree.is_linear(), f"induced tree not linear for {arr.order}")
+    back = induce_arrangement(g, tree)
+    rec.expect(induce_reassembling(g, back) == tree, f"tree roundtrip broke on {arr.order}")
+    head = list(back.order[:2])
+    rec.expect(head == sorted(head, key=lambda v: (g.degree(v), v)),
+               f"induced arrangement {back.order} breaks the first-pair rule")
+
+
 def suite_roundtrips(seed: int, trials: Optional[int] = None) -> SuiteResult:
-    """Linear tree -> arrangement -> linear tree is the identity; the induced
-    arrangement of the induced tree of any arrangement is stable."""
+    """Arrangement -> linear tree -> arrangement on random connected graphs."""
     rng = random.Random(seed)
     rec = _Recorder("roundtrips")
     for _ in range(trials or 300):
         n = rng.randint(1, 8)
         g = _random_connected_graph(rng, n, rng.randint(0, n))
-        arr = _random_arrangement(rng, g)
-        tree = induce_reassembling(g, arr)
-        rec.expect(tree.is_linear(), f"induced tree not linear for {arr.order}")
-        arr2 = induce_arrangement(g, tree)
-        tree2 = induce_reassembling(g, arr2)
-        rec.expect(tree2 == tree, f"tree roundtrip broke on {arr.order}")
-        rec.expect(induce_arrangement(g, tree2) == arr2,
-                   f"arrangement not stable on {arr.order}")
+        _roundtrip(rec, g, _random_arrangement(rng, g))
     return rec.result()
 
 
-def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
+def _bin_can(rec: _Recorder, g: Graph, tree: ReassemblyTree) -> None:
     """Rebuilding the block tree from the canonical ordering of a strict
-    tree gives the tree back; chains regenerate their own orderings."""
+    tree gives the tree back: bin(can(T)) = T."""
+    rec.expect(block_tree(g, canonical_ordering(g, tree)) == tree,
+               f"bin(can(T)) != T for the tree of clusters {tree.clusters}")
+
+
+def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
+    """bin(can(T)) = T on the block trees of random edge orderings (every
+    block tree is strict); chains regenerate their own orderings."""
     rng = random.Random(seed)
     rec = _Recorder("bin_can")
     for _ in range(trials or 300):
@@ -130,11 +141,8 @@ def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
         g = _random_connected_graph(rng, n, rng.randint(0, n))
         ordering = list(g.edges)
         rng.shuffle(ordering)
-        tree = block_tree(g, ordering)
-        canon = canonical_ordering(g, tree)
-        rec.expect(block_tree(g, canon) == tree,
-                   f"bin(can) != tree for ordering {ordering}")
         trace = seq_reassemble(g, ordering)
+        _bin_can(rec, g, trace.tree())
         again = chain_to_ordering(g, trace.chain)
         rec.expect(seq_reassemble(g, again).chain == trace.chain,
                    f"chain not reproduced for {ordering}")
@@ -197,26 +205,62 @@ def suite_balance_lemmas(seed: int, trials: Optional[int] = None) -> SuiteResult
     return rec.result()
 
 
+def _anchored(solve: Callable, g: Graph, objective: str, w: int) -> Optional[tuple]:
+    """(value, witness order) anchored at w, or None where w is infeasible."""
+    try:
+        res = solve(g, objective, anchor=w)
+    except ValidationError:
+        return None
+    return res.value, res.witness.order
+
+
+def _dp_vs_brute(rec: _Recorder, g: Graph) -> None:
+    """Subset DP and the factorial scan agree on value and witness, free and
+    at every anchor w; at each w both refuse, or the witness is anchored (w
+    first, deg(w) <= deg(second))."""
+    for objective in ("alpha", "beta"):
+        dp = exact_arrangement(g, objective)
+        bf = brute_force_arrangement(g, objective)
+        rec.expect((dp.value, dp.witness) == (bf.value, bf.witness),
+                   f"free {objective}: dp {dp.value} {dp.witness.order} != "
+                   f"brute {bf.value} {bf.witness.order} on {g.edges}")
+        for w in g.vertices:
+            got = _anchored(exact_arrangement, g, objective, w)
+            want = _anchored(brute_force_arrangement, g, objective, w)
+            rec.expect(got == want and (got is None or (
+                g.n > 1 and got[1][0] == w and g.degree(w) <= g.degree(got[1][1]))),
+                f"{objective} at anchor {w}: dp {got}, brute {want} on {g.edges} "
+                "(both refuse, or agree and w is first)")
+
+
 def suite_dp_vs_brute(seed: int, trials: Optional[int] = None) -> SuiteResult:
-    """Subset DP agrees with the factorial scan, free and anchored."""
+    """Subset DP against the factorial scan on random connected graphs."""
     rng = random.Random(seed)
     rec = _Recorder("dp_vs_brute")
-    for _ in range(trials or 40):
+    for _ in range(trials or 15):
         n = rng.randint(2, 6)
-        g = _random_connected_graph(rng, n, rng.randint(0, n))
-        for objective in ("alpha", "beta"):
-            dp = exact_arrangement(g, objective)
-            bf = brute_force_arrangement(g, objective)
-            rec.expect(dp.value == bf.value,
-                       f"free {objective} dp {dp.value} != brute {bf.value} on {g.edges}")
-            rec.expect(dp.witness == bf.witness,
-                       f"free {objective} witnesses differ on {g.edges}")
-            w = min(g.vertices, key=g.degree)
-            dpa = exact_arrangement(g, objective, anchor=w)
-            bfa = brute_force_arrangement(g, objective, anchor=w)
-            rec.expect(dpa.value == bfa.value,
-                       f"anchored {objective} dp {dpa.value} != brute {bfa.value} on {g.edges}")
+        _dp_vs_brute(rec, _random_connected_graph(rng, n, rng.randint(0, n)))
     return rec.result()
+
+
+# The pinned catalog: fixtures/ holds the same trees, the arrangements of the
+# star S7 and the graphs q3, k8 and s7.
+FIXTURE_TREES = {
+    "b1": "((((1 2) (3 4)) (5 6)) (7 8))", "b2": "(((1 2) (3 4)) ((5 6) (7 8)))",
+    "b3": "(((((((1 2) 3) 4) 5) 6) 7) 8)", "b4": "(((((1 2) (3 4)) (5 6)) 7) 8)",
+    "b5": "(((((1 ((2 3) 4)) 5) 6) 7) 8)"}
+FIXTURE_ARRANGEMENTS = {"phi3": (2, 1, 3, 4, 5, 6, 7, 8), "phi5": (2, 3, 4, 1, 5, 6, 7, 8),
+                        "phi3p": (1, 2, 3, 4, 5, 6, 7, 8)}
+FIXTURE_GRAPHS = {"q3": qcube3_graph(), "k8": complete_graph(8), "s7": star_graph(7),
+                  "k3": complete_graph(3), "p3": path_graph(3)}
+TREE_PINS = (("q3", "b1", 4, 48), ("q3", "b2", 4, 48), ("q3", "b3", 5, 49),
+             ("k8", "b1", 16, 132), ("k8", "b2", 16, 136), ("k8", "b3", 16, 133),
+             ("k8", "b4", 16, 127), ("s7", "b1", 7, 32), ("s7", "b2", 7, 34),
+             ("s7", "b3", 7, 35), ("s7", "b4", 7, 31), ("s7", "b5", 7, 29))
+ARRANGEMENT_PINS = (("phi3", 6, 22), ("phi5", 4, 16), ("phi3p", 7, 28))
+OPTIMUM_PINS = (("arr", "beta", "s7", 16), ("arr", "alpha", "s7", 4), ("lin", "beta", "s7", 29),
+                ("lin", "alpha", "q3", 5), ("lin", "beta", "q3", 49), ("arr", "beta", "k3", 4),
+                ("arr", "beta", "p3", 2))
 
 
 def suite_fixtures(seed: int = 0, trials: Optional[int] = None) -> SuiteResult:
@@ -224,39 +268,19 @@ def suite_fixtures(seed: int = 0, trials: Optional[int] = None) -> SuiteResult:
     the complete graph K8 and the star S7, plus known exact optima."""
     del seed, trials
     rec = _Recorder("fixtures")
-    q3 = qcube3_graph()
-    k8 = complete_graph(8)
-    s7 = star_graph(7)
-    b1 = parse_tree("((((1 2) (3 4)) (5 6)) (7 8))")
-    b2 = parse_tree("(((1 2) (3 4)) ((5 6) (7 8)))")
-    b3 = parse_tree("(((((((1 2) 3) 4) 5) 6) 7) 8)")
-    b4 = parse_tree("(((((1 2) (3 4)) (5 6)) 7) 8)")
-    b5 = parse_tree("(((((((2 3) 4) 1) 5) 6) 7) 8)")
-    for label, g, t, alpha, beta in [
-            ("q3/b1", q3, b1, 4, 48), ("q3/b2", q3, b2, 4, 48), ("q3/b3", q3, b3, 5, 49),
-            ("k8/b1", k8, b1, 16, 132), ("k8/b2", k8, b2, 16, 136),
-            ("k8/b3", k8, b3, 16, 133), ("k8/b4", k8, b4, 16, 127),
-            ("s7/b1", s7, b1, 7, 32), ("s7/b2", s7, b2, 7, 34), ("s7/b3", s7, b3, 7, 35),
-            ("s7/b4", s7, b4, 7, 31), ("s7/b5", s7, b5, 7, 29)]:
-        mr = measures(g, t)
+    for gname, tname, alpha, beta in TREE_PINS:
+        mr = measures(FIXTURE_GRAPHS[gname], parse_tree(FIXTURE_TREES[tname]))
         rec.expect((mr.alpha, mr.beta) == (alpha, beta),
-                   f"{label}: got ({mr.alpha}, {mr.beta}), want ({alpha}, {beta})")
-    for label, arr, alpha, beta in [
-            ("s7/phi3", Arrangement((2, 1, 3, 4, 5, 6, 7, 8)), 6, 22),
-            ("s7/phi5", Arrangement((2, 3, 4, 1, 5, 6, 7, 8)), 4, 16),
-            ("s7/phi3p", Arrangement((1, 2, 3, 4, 5, 6, 7, 8)), 7, 28)]:
-        rep = evaluate_arrangement(s7, arr)
+                   f"{gname}/{tname}: got ({mr.alpha}, {mr.beta}), want ({alpha}, {beta})")
+    for name, alpha, beta in ARRANGEMENT_PINS:
+        arr = Arrangement(FIXTURE_ARRANGEMENTS[name])
+        rep = evaluate_arrangement(FIXTURE_GRAPHS["s7"], arr)
         rec.expect((rep.alpha, rep.beta) == (alpha, beta),
-                   f"{label}: got ({rep.alpha}, {rep.beta}), want ({alpha}, {beta})")
-    for label, got, want in [
-            ("opt arr beta s7", exact_arrangement(s7, "beta").value, 16),
-            ("opt arr alpha s7", exact_arrangement(s7, "alpha").value, 4),
-            ("opt lin beta s7", exact_linear_reassembling(s7, "beta").value, 29),
-            ("opt lin alpha q3", exact_linear_reassembling(q3, "alpha").value, 5),
-            ("opt lin beta q3", exact_linear_reassembling(q3, "beta").value, 49),
-            ("opt arr beta k3", exact_arrangement(complete_graph(3), "beta").value, 4),
-            ("opt arr beta p3", exact_arrangement(path_graph(3), "beta").value, 2)]:
-        rec.expect(got == want, f"{label}: got {got}, want {want}")
+                   f"s7/{name}: got ({rep.alpha}, {rep.beta}), want ({alpha}, {beta})")
+    solvers = {"arr": exact_arrangement, "lin": exact_linear_reassembling}
+    for mode, objective, gname, want in OPTIMUM_PINS:
+        got = solvers[mode](FIXTURE_GRAPHS[gname], objective).value
+        rec.expect(got == want, f"opt {mode} {objective} {gname}: got {got}, want {want}")
     return rec.result()
 
 
@@ -275,11 +299,7 @@ def run_suites(names: Optional[list] = None, seed: int = 0,
     if trials is not None and trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     picked = names or list(SUITES)
-    results = []
     for name in picked:
-        fn: Callable = SUITES.get(name)
-        if fn is None:
-            raise ValidationError(
-                f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-        results.append(fn(seed, trials))
-    return results
+        if name not in SUITES:
+            raise ValidationError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    return [SUITES[name](seed, trials) for name in picked]

@@ -1,7 +1,6 @@
 """Shared fixtures: the exhaustive small-graph catalog, an independent
-binary-tree enumerator, a per-mask prefix-cost recurrence, the anchoring
-predicate for arrangements, deep caterpillar trees, a process-pool stand-in
-and a CLI runner."""
+binary-tree enumerator, a per-mask prefix-cost recurrence, deep caterpillar
+trees, a process-pool stand-in and a CLI runner."""
 
 from functools import lru_cache
 from pathlib import Path
@@ -10,7 +9,6 @@ import networkx as nx
 import pytest
 
 from reasm.graph import Graph
-from reasm.layout import Arrangement, _check_permutation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -86,14 +84,6 @@ def prefix_costs(g: Graph, objective: str) -> list:
         cut = g.cut_mask(t)
         x[t] = cut + best if objective == "beta" else max(cut, best)
     return x
-
-
-def is_anchored_arrangement(g: Graph, arr: Arrangement, w: int) -> bool:
-    """True iff w is placed first and its degree is at most the second's."""
-    _check_permutation(g, arr)
-    if g.n < 2 or arr.order[0] != w:
-        return False
-    return g.degree(w) <= g.degree(arr.order[1])
 
 
 def caterpillar_text(n: int) -> str:

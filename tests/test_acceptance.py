@@ -1,28 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Everything here is exact; there are no tolerances.  The whole file is
-expected to stay well under five minutes.
+expected to stay well under five minutes.  Where a `verify` suite checks an
+identity, the criterion runs that suite, or its per-instance checker over an
+exhaustive range.
 """
 
 import itertools
 import random
 import time
 
-import pytest
-
-from reasm.errors import ValidationError
+from reasm import verify
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
-                         path_graph, qcube3_graph, ring_tree_graph,
-                         star_graph, vertices_of)
-from reasm.layout import (Arrangement, edge_length, evaluate_arrangement,
-                          induce_arrangement, induce_reassembling,
+                         path_graph, qcube3_graph, ring_tree_graph, star_graph)
+from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
                           parse_arrangement)
 from reasm.reduction import A2R, R2A, build_auxiliary, reduce_alpha, reduce_beta
-from reasm.sequential import block_tree, canonical_ordering
 from reasm.solvers import (brute_force_arrangement, exact_arrangement,
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import ReassemblyTree, first_nonstrict_pair, measures, parse_tree
-from reasm.verify import run_suites
+from reasm.verify import FIXTURE_ARRANGEMENTS, FIXTURE_GRAPHS, FIXTURE_TREES, run_suites
 
 from conftest import FIXTURES, binary_tree_masks
 
@@ -32,38 +29,23 @@ def verdict(number: int, text: str) -> None:
     print(f"criterion {number:2d}: PASS - {text}")
 
 
-def load_fixture_graph(name: str) -> Graph:
-    return parse_graph((FIXTURES / name).read_text())
-
-
-def load_fixture_tree(name: str):
-    return parse_tree((FIXTURES / name).read_text())
-
-
 def test_criterion_01_fixture_measures():
-    q3, k8, s7 = (load_fixture_graph(n) for n in ("q3.g", "k8.g", "s7.g"))
-    trees = {n: load_fixture_tree(f"{n}.t") for n in ("b1", "b2", "b3", "b4", "b5")}
-    pinned = [
-        (q3, "b1", 4, 48), (q3, "b2", 4, 48), (q3, "b3", 5, 49),
-        (k8, "b1", 16, 132), (k8, "b2", 16, 136), (k8, "b3", 16, 133),
-        (k8, "b4", 16, 127),
-        (s7, "b1", 7, 32), (s7, "b2", 7, 34), (s7, "b3", 7, 35),
-        (s7, "b4", 7, 31), (s7, "b5", 7, 29),
-    ]
-    for g, name, alpha, beta in pinned:
-        rep = measures(g, trees[name])
-        assert (rep.alpha, rep.beta) == (alpha, beta), (name, rep)
-    arrs = [("phi3.a", 6, 22), ("phi5.a", 4, 16), ("phi3p.a", 7, 28)]
-    for name, alpha, beta in arrs:
-        arr = parse_arrangement((FIXTURES / name).read_text())
-        rep = evaluate_arrangement(s7, arr)
-        assert (rep.alpha, rep.beta) == (alpha, beta), (name, rep)
+    # the fixture files hold the catalog that the fixtures suite pins
+    for name in ("q3", "k8", "s7"):
+        assert parse_graph((FIXTURES / f"{name}.g").read_text()) == FIXTURE_GRAPHS[name], name
+    for name, text in FIXTURE_TREES.items():
+        assert parse_tree((FIXTURES / f"{name}.t").read_text()) == parse_tree(text), name
+    for name, order in FIXTURE_ARRANGEMENTS.items():
+        assert parse_arrangement((FIXTURES / f"{name}.a").read_text()).order == order, name
+    res = verify.suite_fixtures()
+    assert res.ok, res.detail
+    assert res.checks == 22
     verdict(1, "all 15 pinned fixture measures reproduce exactly")
 
 
 def test_criterion_02_exhaustive_binary_optima():
     q3, k8, s7 = qcube3_graph(), complete_graph(8), star_graph(7)
-    b1, b4, b5 = (load_fixture_tree(n) for n in ("b1.t", "b4.t", "b5.t"))
+    b1, b4, b5 = (parse_tree(FIXTURE_TREES[name]) for name in ("b1", "b4", "b5"))
     elapsed = {}
 
     def brute(g, objective):
@@ -96,30 +78,22 @@ def test_criterion_02_exhaustive_binary_optima():
                "(q3: alpha 4 / beta 47; k8: beta 127; s7: beta 28, linear 29)")
 
 
-def test_criterion_03_beta_equals_gamma_randomized():
-    rng = random.Random(20260815)
-    connected = disconnected = 0
-    for _ in range(1000):
-        n = rng.randint(1, 10)
-        density = rng.random()
-        edges = tuple(e for e in itertools.combinations(range(1, n + 1), 2)
-                      if rng.random() < density)
-        g = Graph(n, edges)
-        if g.is_connected():
-            connected += 1
-        else:
-            disconnected += 1
-        order = list(g.vertices)
-        rng.shuffle(order)
-        arr = Arrangement(tuple(order))
-        rep = evaluate_arrangement(g, arr)
-        assert rep.beta == rep.gamma == sum(edge_length(arr, e) for e in g.edges)
+def test_criterion_03_beta_equals_gamma_randomized(monkeypatch):
+    # the suite's own draws, each graph noted on its way to the checker
+    graphs, check = [], verify._beta_equals_gamma
+    monkeypatch.setattr(verify, "_beta_equals_gamma",
+                        lambda rec, g, arr: graphs.append(g) or check(rec, g, arr))
+    res = verify.suite_beta_equals_gamma(20260815, 1000)
+    assert res.ok and res.checks == len(graphs) == 1000, res.detail
+    connected = sum(g.is_connected() for g in graphs)
+    disconnected = len(graphs) - connected
     assert connected > 100 and disconnected > 100
     verdict(3, f"beta == gamma on 1000 random instances "
                f"({connected} connected, {disconnected} disconnected)")
 
 
 def test_criterion_04_roundtrips_exhaustive(atlas6):
+    rec = verify._Recorder("criterion 4")
     linear_checked = strict_checked = 0
     for g in atlas6:
         # every linear tree appears exactly once among the orders whose
@@ -127,15 +101,15 @@ def test_criterion_04_roundtrips_exhaustive(atlas6):
         for perm in itertools.permutations(g.vertices):
             if g.n >= 2 and perm[0] > perm[1]:
                 continue
-            tree = induce_reassembling(g, Arrangement(perm))
-            assert induce_reassembling(g, induce_arrangement(g, tree)) == tree
+            verify._roundtrip(rec, g, Arrangement(perm))
             linear_checked += 1
         for masks in binary_tree_masks(g.n):
             tree = ReassemblyTree(masks)
-            if first_nonstrict_pair(g, tree) is not None:
-                continue
-            assert block_tree(g, canonical_ordering(g, tree)) == tree
-            strict_checked += 1
+            if first_nonstrict_pair(g, tree) is None:
+                verify._bin_can(rec, g, tree)
+                strict_checked += 1
+    assert rec.failures == 0, rec.bad
+    assert rec.checks == 3 * linear_checked + strict_checked
     verdict(4, f"roundtrips hold on all connected graphs with n <= 6 "
                f"({linear_checked} linear, {strict_checked} strict trees)")
 
@@ -146,30 +120,22 @@ def test_criterion_05_anchored_beta_identity_exhaustive(atlas6):
         total_deg = 2 * g.m
         for perm in itertools.permutations(g.vertices):
             arr = Arrangement(perm)
-            tree_beta = measures(g, induce_reassembling(g, arr)).beta
-            arr_beta = evaluate_arrangement(g, arr).beta
-            assert tree_beta - arr_beta == total_deg - g.degree(perm[0])
+            tree_rep = measures(g, induce_reassembling(g, arr))
+            arr_rep = evaluate_arrangement(g, arr)
+            assert tree_rep.beta - arr_rep.beta == total_deg - g.degree(perm[0])
+            assert tree_rep.alpha == max(g.max_degree(), arr_rep.alpha)
             checked += 1
     verdict(5, f"anchored beta identity holds on all {checked} orders "
                f"of all connected graphs with n <= 6")
 
 
 def test_criterion_06_dp_equals_brute_force_exhaustive(atlas6):
+    rec = verify._Recorder("criterion 6")
     for g in atlas6:
-        for objective in ("alpha", "beta"):
-            dp = exact_arrangement(g, objective)
-            bf = brute_force_arrangement(g, objective)
-            assert dp.value == bf.value
-            assert dp.witness == bf.witness
-            for w in g.vertices:
-                try:
-                    a = exact_arrangement(g, objective, anchor=w)
-                except ValidationError:
-                    with pytest.raises(ValidationError):
-                        brute_force_arrangement(g, objective, anchor=w)
-                    continue
-                b = brute_force_arrangement(g, objective, anchor=w)
-                assert (a.value, a.witness) == (b.value, b.witness)
+        verify._dp_vs_brute(rec, g)
+    assert rec.failures == 0, rec.bad
+    # per objective: one free comparison and one per anchor
+    assert rec.checks == 2 * sum(1 + g.n for g in atlas6)
     verdict(6, "subset DP equals brute force (both objectives, free and "
                "anchored) on all connected graphs with n <= 6")
 

@@ -229,17 +229,36 @@ def test_huge_reduction_is_refused_before_building(workdir):
     _assert_refused_under_memory_cap(("reduce", g, "--problem", "beta"), "2^24")
 
 
-@pytest.mark.parametrize("flag", ["--arrangement", "--ordering"])
-def test_oversized_object_file_is_refused(run_cli, workdir, flag):
-    # ids and edge lines are counted before any of them becomes an int
-    if flag == "--arrangement":
-        text, limit = " ".join(map(str, range(1, MAX_VERTICES + 2))), MAX_VERTICES
+# runs `reasm.cli.main` on its arguments and prints the exit code and peak RSS in KB
+PEAK_AFTER_MAIN = """import sys
+from reasm.cli import main
+code = main(sys.argv[1:])
+print(code, next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM")))
+"""
+
+
+@pytest.mark.parametrize("flag", ["--arrangement", "--ordering", "--graph"])
+def test_oversized_object_file_is_refused(workdir, flag):
+    # ids and edge lines are read up to the first past the cap, before any of
+    # them becomes an int, and a graph file's surplus edge lines are counted,
+    # not stored; so each refusal peaks under 40 MB RSS (an idle `reasm` takes
+    # about 21 MB; a parser that split the whole file first would take about
+    # 190 MB).  The peak is the child's VmHWM, which starts afresh at exec.
+    text, code, message = {
+        "--arrangement": ("10 " * 2_000_000, 3, f"limit is {MAX_VERTICES}"),
+        "--ordering": ("1 2\n" * (MAX_EDGES + 1), 3, f"limit is {MAX_EDGES}"),
+        "--graph": ("2 1\n" + "1 2\n" * MAX_EDGES, 2, f"file has {MAX_EDGES} edge lines"),
+    }[flag]
+    big = write(workdir / "big.txt", text)
+    if flag == "--graph":
+        argv = ("--graph", big, "--arrangement", write(workdir / "a.txt", "1 2\n"))
     else:
-        text, limit = "1 2\n" * (MAX_EDGES + 1), MAX_EDGES
-    g = write(workdir / "p2.g", format_graph(path_graph(2)))
-    f = write(workdir / "big.txt", text)
-    code, _, err = run_cli("eval", "--graph", g, flag, f)
-    assert code == 3 and err.startswith("error:") and f"limit is {limit}" in err
+        argv = ("--graph", write(workdir / "p2.g", format_graph(path_graph(2))), flag, big)
+    proc = subprocess.run([sys.executable, "-c", PEAK_AFTER_MAIN, "eval", *argv],
+                          capture_output=True, text=True, env=_module_env())
+    exit_code, peak_kb = map(int, proc.stdout.split())
+    assert exit_code == code and proc.stderr.startswith("error:") and message in proc.stderr
+    assert peak_kb < 40 << 10, peak_kb
 
 
 def test_huge_tree_leaf_is_refused(workdir):

@@ -9,6 +9,7 @@ from reasm.graph import (MAX_VERTICES, Graph, QCUBE3_EDGES, classify_deg3,
                          mask_of, parse_graph, path_graph, qcube3_graph,
                          ring_tree_graph, star_graph, vertices_of)
 from reasm.tree import measures, parse_tree
+from reasm.verify import FIXTURE_TREES
 
 from conftest import connected_atlas
 
@@ -168,8 +169,7 @@ def test_qcube3_labeling_is_the_least_constrained_completion():
     rest = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)
             if (u, v) not in seed]
     cube = nx.hypercube_graph(3)
-    b1 = parse_tree("((((1 2) (3 4)) (5 6)) (7 8))")
-    b3 = parse_tree("(((((((1 2) 3) 4) 5) 6) 7) 8)")
+    b1, b3 = (parse_tree(FIXTURE_TREES[name]) for name in ("b1", "b3"))
     hits = []
     for combo in itertools.combinations(rest, 5):
         edges = seed + combo

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from reasm.layout import (Arrangement, edge_length, evaluate_arrangement,
                           induce_reassembling, parse_arrangement)
 from reasm.tree import measures, parse_tree
 
-from conftest import connected_atlas, is_anchored_arrangement
+from conftest import connected_atlas
 
 
 def test_arrangement_basics():
@@ -59,18 +58,6 @@ def test_edge_length():
     assert edge_length(arr, (3, 1)) == 1
 
 
-def test_beta_equals_total_edge_length():
-    rng = random.Random(5)
-    for g in connected_atlas(5):
-        order = list(g.vertices)
-        rng.shuffle(order)
-        rep = evaluate_arrangement(g, Arrangement(tuple(order)))
-        assert rep.beta == rep.gamma == sum(
-            edge_length(Arrangement(tuple(order)), e) for e in g.edges)
-        assert rep.beta == evaluate_arrangement(
-            g, Arrangement(tuple(order)).reversed()).beta
-
-
 def test_induce_arrangement_first_pair_rule():
     # star: the leaf of the first cluster must come before the center
     s3 = star_graph(3)
@@ -89,34 +76,6 @@ def test_induce_arrangement_rejects():
         induce_arrangement(complete_graph(4), parse_tree("((1 2) 3)"))
 
 
-def test_roundtrips_exhaustive_small():
-    for g in connected_atlas(4):
-        for perm in itertools.permutations(g.vertices):
-            arr = Arrangement(perm)
-            tree = induce_reassembling(g, arr)
-            assert tree.is_linear()
-            back = induce_arrangement(g, tree)
-            # the two orders describe the same tree
-            assert induce_reassembling(g, back) == tree
-            if g.n >= 2:
-                a, b = back.order[0], back.order[1]
-                assert (g.degree(a), a) <= (g.degree(b), b)
-
-
-def test_measure_identities_against_induced_arrangement():
-    rng = random.Random(11)
-    for g in connected_atlas(5):
-        order = list(g.vertices)
-        rng.shuffle(order)
-        arr = Arrangement(tuple(order))
-        tree = induce_reassembling(g, arr)
-        rep_t = measures(g, tree)
-        rep_a = evaluate_arrangement(g, arr)
-        total_deg = sum(g.degree(v) for v in g.vertices)
-        assert rep_t.beta == rep_a.beta + total_deg - g.degree(order[0])
-        assert rep_t.alpha == max(g.max_degree(), rep_a.alpha)
-
-
 def test_tree_beta_under_reversal():
     g = star_graph(3)
     arr = Arrangement((2, 1, 3, 4))
@@ -124,12 +83,9 @@ def test_tree_beta_under_reversal():
     rev = measures(g, induce_reassembling(g, arr.reversed())).beta
     # the anchor moves from the first to the last vertex
     assert rev - fwd == g.degree(2) - g.degree(4)
-
-
-def test_anchoring_predicates():
-    g = star_graph(7)
-    assert is_anchored_arrangement(g, Arrangement((2, 3, 4, 1, 5, 6, 7, 8)), 2)
-    assert not is_anchored_arrangement(g, Arrangement((2, 3, 4, 1, 5, 6, 7, 8)), 3)
-    # center first would need a second vertex of degree >= 7
-    assert not is_anchored_arrangement(g, Arrangement((1, 2, 3, 4, 5, 6, 7, 8)), 1)
-
+    # an arrangement and its reversal have the same beta
+    rng = random.Random(5)
+    for g in connected_atlas(5):
+        arr = Arrangement(tuple(rng.sample(g.vertices, g.n)))
+        assert (evaluate_arrangement(g, arr).beta
+                == evaluate_arrangement(g, arr.reversed()).beta)

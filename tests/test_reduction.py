@@ -121,14 +121,6 @@ def test_descatter_strictly_decreases_beta():
         descatter_move(out)  # no longer scattered
 
 
-def test_descatter_exhaustive_on_the_smallest_auxiliary():
-    aux = p2_aux()
-    for perm in itertools.permutations(range(1, 5)):
-        seq = vc_sequence(aux, perm)
-        if scatter(seq) > 0:
-            assert descatter_move(seq).beta < seq.beta
-
-
 def test_rebalance_preconditions():
     aux = p2_aux()
     with pytest.raises(ValidationError, match="scattered"):

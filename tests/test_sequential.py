@@ -37,11 +37,12 @@ def test_merge_consumes_every_parallel_bridge():
 
 
 def test_consumed_keeps_input_order():
+    # the bridges come sorted, whatever order the ordering consumed them in
     trace = seq_reassemble(complete_graph(3), [(2, 3), (1, 3), (1, 2)])
     assert trace.steps[1].bridges == ((1, 2), (1, 3))
 
 
-def test_bridges_are_the_consumed_edges_sorted():
+def test_bridges_are_the_edges_between_the_blocks_sorted():
     rng = random.Random(7)
     for g in connected_atlas(6):
         for _ in range(3):
@@ -108,19 +109,6 @@ def test_chain_to_ordering_rejects_bad_chains():
     bad = (masks({1}, {2}, {3}), masks({1, 3}, {2}), masks({1, 2, 3}))
     with pytest.raises(ValidationError, match=r"no edge between \[1\] and \[3\]"):
         chain_to_ordering(g, bad)
-
-
-def test_canonical_ordering_reproduces_the_tree():
-    rng = random.Random(9)
-    for g in (path_graph(6), cycle_graph(6), complete_graph(5), star_graph(5)):
-        for _ in range(20):
-            pi = list(g.edges)
-            rng.shuffle(pi)
-            tree = block_tree(g, pi)
-            can = canonical_ordering(g, tree)
-            assert block_tree(g, can) == tree
-            # canonical form is a fixpoint
-            assert canonical_ordering(g, block_tree(g, can)) == can
 
 
 def test_canonical_ordering_of_a_deep_caterpillar():

@@ -13,8 +13,7 @@ from reasm.solvers import (_cut_table, _prefix_table, _states, _twin_classes,
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import measures, print_tree
 
-from conftest import (FIXTURES, binary_tree_masks, connected_atlas,
-                      is_anchored_arrangement, prefix_costs)
+from conftest import FIXTURES, binary_tree_masks, connected_atlas, prefix_costs
 
 
 def random_connected(rng: random.Random, n: int) -> Graph:
@@ -167,27 +166,6 @@ def test_witnesses_reevaluate_to_the_value():
             assert getattr(measures(g, lin.witness), objective) == lin.value
             bin_ = exact_binary_reassembling(g, objective)
             assert getattr(measures(g, bin_.witness), objective) == bin_.value
-
-
-def test_dp_matches_brute_force_small():
-    for g in connected_atlas(5):
-        for objective in ("alpha", "beta"):
-            dp = exact_arrangement(g, objective)
-            bf = brute_force_arrangement(g, objective)
-            assert dp.value == bf.value
-            # both sides report the lexicographically least optimal order
-            assert dp.witness == bf.witness
-            for w in g.vertices:
-                try:
-                    a = exact_arrangement(g, objective, anchor=w)
-                except ValidationError:
-                    with pytest.raises(ValidationError):
-                        brute_force_arrangement(g, objective, anchor=w)
-                    continue
-                b = brute_force_arrangement(g, objective, anchor=w)
-                assert a.value == b.value
-                assert a.witness == b.witness
-                assert is_anchored_arrangement(g, a.witness, w)
 
 
 def test_linear_witness_is_least_anchored_order():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from reasm.errors import ValidationError
@@ -30,3 +32,14 @@ def test_small_deterministic_run():
     b = run_suites(["bin_can"], seed=3, trials=10)[0]
     assert a == b and a.ok
     assert a.to_json()["suite"] == "bin_can"
+
+
+def test_sampled_suites_pass_their_default_draws(run_cli):
+    # criterion 7 runs balance_lemmas, the one exhaustive suite
+    sampled = [name for name in SUITES if name != "balance_lemmas"]
+    for seed in range(4):
+        code, out, _ = run_cli("verify", *(f"--suite={name}" for name in sampled),
+                               "--seed", seed)
+        results = [json.loads(line) for line in out.splitlines()]
+        assert [res["suite"] for res in results] == sampled
+        assert code == 0 and all(res["ok"] and res["checks"] > 0 for res in results), results
