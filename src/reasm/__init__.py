@@ -10,9 +10,9 @@ the two linear beta problems and the degree-3 alpha pipeline.
 """
 
 from .errors import LimitError, ReasmError, ValidationError, VerificationError
-from .graph import (Deg3Report, Graph, classify_deg3, complete_graph,
-                    cycle_graph, format_graph, generate, parse_graph,
-                    path_graph, qcube3_graph, ring_tree_graph, star_graph)
+from .graph import (Graph, complete_graph, cycle_graph, format_graph,
+                    generate, parse_graph, path_graph, qcube3_graph,
+                    ring_tree_graph, star_graph)
 from .layout import (Arrangement, ArrangementReport, edge_length,
                      evaluate_arrangement, format_arrangement,
                      induce_arrangement, induce_reassembling,
@@ -34,12 +34,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "A2R", "R2A", "AlphaReductionReport", "Arrangement", "ArrangementReport",
-    "AuxiliaryGraph", "Deg3Report", "Graph", "LimitError", "MeasureReport",
-    "MergeStep", "ReasmError", "ReassemblyTree", "ReductionReport", "SeqTrace",
+    "AuxiliaryGraph", "Graph", "LimitError", "MeasureReport", "MergeStep",
+    "ReasmError", "ReassemblyTree", "ReductionReport", "SeqTrace",
     "SolveResult", "VCSequence", "ValidationError", "VerificationError",
     "block_tree", "brute_force_arrangement", "build_auxiliary",
-    "canonical_ordering", "chain_to_ordering", "classify_deg3",
-    "complete_graph", "cycle_graph", "descatter_move", "edge_length",
+    "canonical_ordering", "chain_to_ordering", "complete_graph",
+    "cycle_graph", "descatter_move", "edge_length",
     "evaluate_arrangement", "exact_arrangement", "exact_binary_reassembling",
     "exact_linear_reassembling", "first_nonstrict_pair",
     "format_arrangement", "format_graph", "format_ordering", "generate",

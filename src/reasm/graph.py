@@ -102,82 +102,25 @@ class Graph:
         out.sort()
         return tuple(out)
 
-    def is_connected(self) -> bool:
-        reached = 1
-        frontier = 1
+    def is_connected(self, mask: Optional[int] = None) -> bool:
+        """Whether the subgraph induced by vertex mask `mask` (default V) is
+        connected: one breadth-first search inside it from its lowest vertex."""
+        if mask is None:
+            mask = self.full_mask
+        elif mask & ~self.full_mask:
+            raise ValidationError(f"connectivity needs a vertex mask within 1..{self.n}")
+        reached = frontier = mask & -mask
         while frontier:
             nxt = 0
             for v in vertices_of(frontier):
                 nxt |= self.adj[v - 1]
-            frontier = nxt & ~reached
+            frontier = nxt & mask & ~reached
             reached |= frontier
-        return reached == self.full_mask
-
-    def cut_vertices(self) -> tuple[int, ...]:
-        """Articulation points, via one DFS (iterative, lowpoint rule)."""
-        if not self.is_connected():
-            raise ValidationError("cut vertices are defined for connected graphs only")
-        disc = {}
-        low = {}
-        parent = {1: 0}
-        cuts = set()
-        order = 0
-        stack = [(1, iter(vertices_of(self.adj[0])))]
-        disc[1] = low[1] = order
-        root_children = 0
-        while stack:
-            v, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                p = parent[v]
-                if p:
-                    low[p] = min(low[p], low[v])
-                    if p != 1 and low[v] >= disc[p]:
-                        cuts.add(p)
-                continue
-            if child not in disc:
-                if v == 1:
-                    root_children += 1
-                order += 1
-                disc[child] = low[child] = order
-                parent[child] = v
-                stack.append((child, iter(vertices_of(self.adj[child - 1]))))
-            elif child != parent[v]:
-                low[v] = min(low[v], disc[child])
-        if root_children > 1:
-            cuts.add(1)
-        return tuple(sorted(cuts))
+        return reached == mask
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.n):
             raise ValidationError(f"vertex {v} outside 1..{self.n}")
-
-
-@dataclass(frozen=True)
-class Deg3Report:
-    """Cut-vertex classification of the degree-3 vertices of a graph."""
-
-    max_degree: int
-    all_deg3_are_cut: bool
-    noncut_deg3_witness: Optional[int] = None
-
-
-def classify_deg3(g: Graph) -> Deg3Report:
-    """Report whether every degree-3 vertex is a cut vertex.
-
-    The witness (smallest non-cut degree-3 vertex) is only reported when the
-    maximum degree is exactly 3, which is the case the alpha reduction
-    branches on.
-    """
-    cuts = set(g.cut_vertices())
-    deg3 = [v for v in g.vertices if g.degree(v) == 3]
-    noncut = [v for v in deg3 if v not in cuts]
-    maxdeg = g.max_degree()
-    witness = min(noncut) if noncut and maxdeg == 3 else None
-    return Deg3Report(max_degree=maxdeg,
-                      all_deg3_are_cut=not noncut,
-                      noncut_deg3_witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ValidationError, VerificationError
-from .graph import Deg3Report, Graph, classify_deg3
+from .graph import Graph
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
 from .solvers import (_check_work, _states, _twin_classes, exact_arrangement,
@@ -318,15 +319,17 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
 @dataclass(frozen=True)
 class AlphaReductionReport:
     branch: str  # "all_deg3_cut" | "noncut_deg3"
-    classifier: Deg3Report
+    max_degree: int
+    all_deg3_are_cut: bool
+    noncut_deg3_witness: Optional[int]  # the smallest degree-3 non-cut vertex
     value: int
     witness: Arrangement
 
     def to_json(self) -> dict:
         return {"problem": "alpha", "branch": self.branch,
-                "classifier": {"max_degree": self.classifier.max_degree,
-                               "all_deg3_are_cut": self.classifier.all_deg3_are_cut,
-                               "noncut_deg3_witness": self.classifier.noncut_deg3_witness},
+                "classifier": {"max_degree": self.max_degree,
+                               "all_deg3_are_cut": self.all_deg3_are_cut,
+                               "noncut_deg3_witness": self.noncut_deg3_witness},
                 "value": self.value,
                 "witness": format_witness(self.witness)}
 
@@ -342,17 +345,21 @@ def reduce_alpha(g: Graph) -> AlphaReductionReport:
     """
     if not g.is_connected():
         raise ValidationError("alpha reduction needs a connected graph")
-    report = classify_deg3(g)
-    if report.max_degree > 3:
-        raise ValidationError(
-            f"alpha reduction needs maximum degree <= 3, got {report.max_degree}")
-    if report.all_deg3_are_cut:
+    maxdeg = g.max_degree()
+    if maxdeg > 3:
+        raise ValidationError(f"alpha reduction needs maximum degree <= 3, got {maxdeg}")
+    # both branches run the subset DP: its work check comes first, so the
+    # one search per degree-3 vertex below runs only on graphs it admits
+    _check_work(g.n, _states(g, _twin_classes(g)).size, "states")
+    # v is a cut vertex iff G - v is disconnected
+    noncut = next((v for v in g.vertices if g.degree(v) == 3
+                   and g.is_connected(g.full_mask ^ (1 << (v - 1)))), None)
+    if noncut is None:
         res = exact_arrangement(g, "alpha")
-        return AlphaReductionReport(branch="all_deg3_cut", classifier=report,
-                                    value=res.value, witness=res.witness)
-    res = exact_linear_reassembling(g, "alpha")
-    arr = induce_arrangement(g, res.witness)
-    value = evaluate_arrangement(g, arr).alpha
-    return AlphaReductionReport(branch="noncut_deg3", classifier=report,
-                                value=value, witness=arr)
-
+        branch, value, arr = "all_deg3_cut", res.value, res.witness
+    else:
+        arr = induce_arrangement(g, exact_linear_reassembling(g, "alpha").witness)
+        branch, value = "noncut_deg3", evaluate_arrangement(g, arr).alpha
+    return AlphaReductionReport(branch=branch, max_degree=maxdeg,
+                                all_deg3_are_cut=noncut is None,
+                                noncut_deg3_witness=noncut, value=value, witness=arr)

@@ -36,16 +36,28 @@ class MergeStep:
 
 @dataclass(frozen=True)
 class SeqTrace:
-    # n partitions, singletons first, (V,) last; a partition is a tuple of
-    # block masks ordered by lowest vertex
-    chain: tuple
+    n: int
     steps: tuple  # n - 1 MergeSteps
+
+    @property
+    def chain(self) -> tuple:
+        """The n partitions, singletons first, (V,) last; a partition is a
+        tuple of block masks ordered by lowest vertex.  Replayed from the
+        merges on each call: the trace stores no partition."""
+        parts = {v: 1 << (v - 1) for v in range(1, self.n + 1)}  # lowest vertex -> block
+        chain = [tuple(parts.values())]
+        for a, b in (s.merged for s in self.steps):
+            # the merged block keeps a's place in the lowest-vertex order
+            parts[(a & -a).bit_length()] = a | b
+            del parts[(b & -b).bit_length()]
+            chain.append(tuple(parts.values()))
+        return tuple(chain)
 
     def tree(self) -> ReassemblyTree:
         """The binary reassembling whose clusters are all blocks of the chain:
         the singletons and the union made by each merge step."""
         merged = (a | b for a, b in (s.merged for s in self.steps))
-        return ReassemblyTree([*self.chain[0], *merged])
+        return ReassemblyTree([*(1 << v for v in range(self.n)), *merged])
 
 
 def seq_reassemble(g: Graph, ordering) -> SeqTrace:
@@ -57,8 +69,6 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         raise ValidationError("sequential reassembling needs a connected graph")
     block = {v: v for v in g.vertices}  # vertex -> id of its block
     mask = {v: 1 << (v - 1) for v in g.vertices}  # block id -> its vertex mask
-    parts = dict(mask)  # lowest vertex -> block mask: the current partition
-    chain = [tuple(parts.values())]
     steps = []
     for u, v in pi:
         ia, ib = block[u], block[v]
@@ -76,11 +86,7 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         if ma & -ma > mb & -mb:
             ma, mb = mb, ma  # ma holds the lower vertex
         steps.append(MergeStep(merged=(ma, mb), bridges=bridges))
-        # the merged block keeps ma's place in the lowest-vertex order
-        parts[(ma & -ma).bit_length()] = ma | mb
-        del parts[(mb & -mb).bit_length()]
-        chain.append(tuple(parts.values()))
-    return SeqTrace(chain=tuple(chain), steps=tuple(steps))
+    return SeqTrace(g.n, tuple(steps))
 
 
 def block_tree(g: Graph, ordering) -> ReassemblyTree:

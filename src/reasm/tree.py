@@ -148,6 +148,11 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[int, 
 
 def parse_tree(text: str) -> ReassemblyTree:
     text = " ".join(line for _, line in data_lines(text))
+    # a tree on at most MAX_VERTICES leaves has one '(' per internal cluster;
+    # counted before any token or open pair is made
+    opens = text.count("(")
+    if opens >= MAX_VERTICES:
+        raise LimitError(f"tree file has {opens} opening brackets, limit is {MAX_VERTICES - 1}")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     seen = set()
     masks = []

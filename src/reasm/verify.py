@@ -23,7 +23,8 @@ from .layout import (Arrangement, edge_length, evaluate_arrangement,
                      induce_arrangement, induce_reassembling)
 from .reduction import (build_auxiliary, descatter_move, normalize_sequence,
                         scatter, unbalance, vc_sequence)
-from .sequential import block_tree, canonical_ordering, chain_to_ordering, seq_reassemble
+from .sequential import (SeqTrace, block_tree, canonical_ordering, chain_to_ordering,
+                         seq_reassemble)
 from .solvers import (brute_force_arrangement, exact_arrangement,
                       exact_linear_reassembling)
 from .tree import ReassemblyTree, measures, parse_tree
@@ -131,6 +132,14 @@ def _bin_can(rec: _Recorder, g: Graph, tree: ReassemblyTree) -> None:
                f"bin(can(T)) != T for the tree of clusters {tree.clusters}")
 
 
+def _chain_roundtrip(rec: _Recorder, g: Graph, trace: SeqTrace) -> None:
+    """The edge ordering that chain_to_ordering emits for a trace's chain
+    reproduces that chain."""
+    chain = trace.chain
+    rec.expect(seq_reassemble(g, chain_to_ordering(g, chain)).chain == chain,
+               f"chain not reproduced for the merges {[s.merged for s in trace.steps]}")
+
+
 def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
     """bin(can(T)) = T on the block trees of random edge orderings (every
     block tree is strict); chains regenerate their own orderings."""
@@ -143,9 +152,7 @@ def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
         rng.shuffle(ordering)
         trace = seq_reassemble(g, ordering)
         _bin_can(rec, g, trace.tree())
-        again = chain_to_ordering(g, trace.chain)
-        rec.expect(seq_reassemble(g, again).chain == trace.chain,
-                   f"chain not reproduced for {ordering}")
+        _chain_roundtrip(rec, g, trace)
     return rec.result()
 
 

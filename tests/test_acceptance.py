@@ -11,8 +11,8 @@ import random
 import time
 
 from reasm import verify
-from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
-                         path_graph, qcube3_graph, ring_tree_graph, star_graph)
+from reasm.graph import (complete_graph, cycle_graph, parse_graph, path_graph,
+                         qcube3_graph, ring_tree_graph, star_graph)
 from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
                           parse_arrangement)
 from reasm.reduction import A2R, R2A, build_auxiliary, reduce_alpha, reduce_beta
@@ -194,13 +194,7 @@ def test_criterion_10_structural_invariants():
     rng = random.Random(99)
     for trial in range(100):
         n = rng.randint(1, 10)
-        # random connected base: a random tree plus extra edges
-        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
-        for _ in range(rng.randint(0, n)):
-            u, v = rng.sample(range(1, n + 1), 2) if n > 1 else (1, 1)
-            if u != v:
-                edges.append((min(u, v), max(u, v)))
-        g = Graph(n, tuple(edges))
+        g = verify._random_connected_graph(rng, n, rng.randint(0, n))
 
         # a random binary tree over V validates and has 2n - 1 clusters
         blocks = [1 << (v - 1) for v in g.vertices]

@@ -12,6 +12,7 @@ import reasm
 from reasm import graph, layout, reduction, sequential, solvers, tree, verify
 from reasm.graph import (MAX_EDGES, MAX_VERTICES, format_graph, parse_graph, path_graph,
                          star_graph)
+from reasm.sequential import format_ordering
 
 from conftest import FIXTURES, caterpillar_text
 
@@ -237,28 +238,52 @@ print(code, next(line.split()[1] for line in open("/proc/self/status") if line.s
 """
 
 
-@pytest.mark.parametrize("flag", ["--arrangement", "--ordering", "--graph"])
+def _peak_after_main(*argv) -> tuple:
+    """(exit code, peak RSS in KB, stdout before them, stderr) of `reasm.cli.main`
+    on argv in a child process."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_AFTER_MAIN, *argv],
+                          capture_output=True, text=True, env=_module_env())
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    exit_code, peak_kb = map(int, last.split())
+    return exit_code, peak_kb, out, proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--arrangement", "--ordering", "--graph", "--tree"])
 def test_oversized_object_file_is_refused(workdir, flag):
     # ids and edge lines are read up to the first past the cap, before any of
-    # them becomes an int, and a graph file's surplus edge lines are counted,
-    # not stored; so each refusal peaks under 40 MB RSS (an idle `reasm` takes
-    # about 21 MB; a parser that split the whole file first would take about
-    # 190 MB).  The peak is the child's VmHWM, which starts afresh at exec.
+    # them becomes an int, a graph file's surplus edge lines are counted, not
+    # stored, and a tree's '(' are counted before any token is made; so each
+    # refusal peaks under 40 MB RSS (an idle `reasm` takes about 21 MB; a
+    # parser that split the whole file first would take about 190 MB).  The
+    # peak is the child's VmHWM, which starts afresh at exec.
     text, code, message = {
         "--arrangement": ("10 " * 2_000_000, 3, f"limit is {MAX_VERTICES}"),
         "--ordering": ("1 2\n" * (MAX_EDGES + 1), 3, f"limit is {MAX_EDGES}"),
         "--graph": ("2 1\n" + "1 2\n" * MAX_EDGES, 2, f"file has {MAX_EDGES} edge lines"),
+        "--tree": ("(" * 2_000_000, 3, f"limit is {MAX_VERTICES - 1}"),
     }[flag]
     big = write(workdir / "big.txt", text)
     if flag == "--graph":
         argv = ("--graph", big, "--arrangement", write(workdir / "a.txt", "1 2\n"))
     else:
         argv = ("--graph", write(workdir / "p2.g", format_graph(path_graph(2))), flag, big)
-    proc = subprocess.run([sys.executable, "-c", PEAK_AFTER_MAIN, "eval", *argv],
-                          capture_output=True, text=True, env=_module_env())
-    exit_code, peak_kb = map(int, proc.stdout.split())
-    assert exit_code == code and proc.stderr.startswith("error:") and message in proc.stderr
+    exit_code, peak_kb, _, err = _peak_after_main("eval", *argv)
+    assert exit_code == code and err.startswith("error:") and message in err
     assert peak_kb < 40 << 10, peak_kb
+
+
+def test_long_trace_keeps_only_its_merges(workdir):
+    # a trace stores its n - 1 merges, not the n partitions of its chain
+    # (about n^2 / 2 block masks, 50 million for this path), so the block
+    # tree of a 10000-vertex path peaks well under 150 MB RSS
+    n = 10_000
+    g = path_graph(n)
+    pi = write(workdir / "p.o", format_ordering(g.edges))
+    exit_code, peak_kb, out, _ = _peak_after_main(
+        "convert", "--graph", write(workdir / "p.g", format_graph(g)),
+        "--ordering", pi, "--to", "tree")
+    assert exit_code == 0 and json.loads(out)["text"].strip() == caterpillar_text(n)
+    assert peak_kb < 150 << 10, peak_kb
 
 
 def test_huge_tree_leaf_is_refused(workdir):
@@ -427,7 +452,7 @@ def test_public_names():
     for name in reasm.__all__:
         assert getattr(reasm, name) is not None
     removed = {
-        graph: ("popcount", "iter_bits"),
+        graph: ("popcount", "iter_bits", "Deg3Report", "classify_deg3"),
         tree: ("cross_sections", "validate_tree", "is_strict", "Cluster"),
         sequential: ("Partition", "Edge"),
         solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states"),
@@ -439,7 +464,7 @@ def test_public_names():
                               "height", "height_of", "subtree", "_lookup",
                               "_parent", "_heights", "_trusted", "_from_masks",
                               "_init_from", "cluster_masks", "_sorted_masks", "vertices"),
-        graph.Graph: ("boundary_degree", "_check_block"),
+        graph.Graph: ("boundary_degree", "_check_block", "cut_vertices"),
     }
     for home, names in removed.items():
         for name in names:
@@ -447,3 +472,5 @@ def test_public_names():
             assert not hasattr(reasm, name), name
     assert "consumed" not in {f.name for f in dataclasses.fields(sequential.MergeStep)}
     assert "pairs" not in {f.name for f in dataclasses.fields(reduction.VCSequence)}
+    assert "chain" not in {f.name for f in dataclasses.fields(sequential.SeqTrace)}
+    assert "classifier" not in {f.name for f in dataclasses.fields(reduction.AlphaReductionReport)}

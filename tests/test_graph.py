@@ -4,10 +4,11 @@ import networkx as nx
 import pytest
 
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import (MAX_VERTICES, Graph, QCUBE3_EDGES, classify_deg3,
-                         complete_graph, cycle_graph, format_graph, generate,
-                         mask_of, parse_graph, path_graph, qcube3_graph,
-                         ring_tree_graph, star_graph, vertices_of)
+from reasm.graph import (MAX_VERTICES, Graph, QCUBE3_EDGES, complete_graph,
+                         cycle_graph, format_graph, generate, mask_of,
+                         parse_graph, path_graph, qcube3_graph, ring_tree_graph,
+                         star_graph, vertices_of)
+from reasm.reduction import reduce_alpha
 from reasm.tree import measures, parse_tree
 from reasm.verify import FIXTURE_TREES
 
@@ -95,23 +96,18 @@ def test_connectivity_and_cut_vertices_against_networkx():
         nxg = nx.Graph(list(g.edges))
         nxg.add_nodes_from(g.vertices)
         assert g.is_connected()
-        assert set(g.cut_vertices()) == set(nx.articulation_points(nxg))
+        cuts = set(nx.articulation_points(nxg))
+        for v in g.vertices:
+            # G - v stays connected exactly when v is not a cut vertex
+            assert g.is_connected(g.full_mask ^ (1 << (v - 1))) == (v not in cuts)
     two = Graph(2, ())
     assert not two.is_connected()
     assert Graph(1, ()).is_connected()
-
-
-def test_classify_deg3():
-    k4 = classify_deg3(complete_graph(4))
-    assert (k4.max_degree, k4.all_deg3_are_cut, k4.noncut_deg3_witness) == (3, False, 1)
-    rt = classify_deg3(ring_tree_graph((3, 4)))
-    assert (rt.max_degree, rt.all_deg3_are_cut, rt.noncut_deg3_witness) == (3, True, None)
-    s3 = classify_deg3(star_graph(3))
-    assert (s3.max_degree, s3.all_deg3_are_cut, s3.noncut_deg3_witness) == (3, True, None)
-    p4 = classify_deg3(path_graph(4))
-    assert (p4.max_degree, p4.all_deg3_are_cut) == (2, True)
-    k8 = classify_deg3(complete_graph(8))
-    assert (k8.max_degree, k8.all_deg3_are_cut, k8.noncut_deg3_witness) == (7, True, None)
+    p4 = path_graph(4)
+    assert p4.is_connected(mask_of([2, 3])) and not p4.is_connected(mask_of([1, 3]))
+    for bad in (mask_of([5]), -1):
+        with pytest.raises(ValidationError, match="vertex mask"):
+            p4.is_connected(bad)
 
 
 def test_families():
@@ -125,11 +121,9 @@ def test_families():
 
 
 def test_ring_tree_attachment_points_are_cut():
-    g = ring_tree_graph((3, 5, 4), path_len=2)
-    cuts = set(g.cut_vertices())
-    for v in g.vertices:
-        if g.degree(v) == 3:
-            assert v in cuts
+    rep = reduce_alpha(ring_tree_graph((3, 5, 4), path_len=2))
+    assert (rep.branch, rep.max_degree, rep.all_deg3_are_cut) == ("all_deg3_cut", 3, True)
+    assert rep.noncut_deg3_witness is None
 
 
 @pytest.mark.parametrize("kwargs", [

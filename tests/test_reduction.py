@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph, qcube3_graph,
+                         ring_tree_graph, star_graph)
 from reasm.layout import Arrangement, evaluate_arrangement
 from reasm.reduction import (A2R, R2A, _check_auxiliary_states, build_auxiliary, descatter_move,
                              normalize_sequence, rebalance_move, reduce_alpha,
@@ -216,7 +218,6 @@ def test_reduce_alpha_branches():
     assert rep.value == exact_arrangement(k4, "alpha").value
     assert evaluate_arrangement(k4, rep.witness).alpha == rep.value
 
-    from reasm.graph import ring_tree_graph
     rt = ring_tree_graph((3, 4))
     rep = reduce_alpha(rt)
     assert rep.branch == "all_deg3_cut"
@@ -232,3 +233,37 @@ def test_reduce_alpha_rejects():
         reduce_alpha(complete_graph(8))
     with pytest.raises(ValidationError):
         reduce_alpha(Graph(3, ((1, 2),)))
+
+
+def test_reduce_alpha_classifies_by_cut_vertices():
+    graphs = [g for g in connected_atlas(7) if g.max_degree() <= 3]
+    assert len(graphs) == 113  # 1, 1, 2, 6, 10, 29, 64 for n = 1..7
+    # the ring trees of criterion 9
+    graphs += [ring_tree_graph((3, 4)), ring_tree_graph((3, 3), path_len=3)]
+    for g in graphs:
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(g.vertices)
+        cuts = set(nx.articulation_points(nxg))
+        noncut = [v for v in g.vertices if g.degree(v) == 3 and v not in cuts]
+        rep = reduce_alpha(g)
+        assert rep.max_degree == g.max_degree()
+        assert rep.all_deg3_are_cut == (not noncut)
+        assert rep.branch == ("noncut_deg3" if noncut else "all_deg3_cut")
+        assert rep.noncut_deg3_witness == (noncut[0] if noncut else None)
+
+
+def test_reduce_alpha_checks_the_work_before_classifying(monkeypatch):
+    # q3 is twin-free, so the DP would take 2^8 states: refused with the DP's
+    # own message before any G - v is searched
+    masks = []
+    is_connected = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected",
+                        lambda g, mask=None: masks.append(mask) or is_connected(g, mask))
+    monkeypatch.setenv("REASM_DP_LIMIT", "4")
+    q3 = qcube3_graph()
+    assert _twin_classes(q3) == []
+    with pytest.raises(LimitError, match=r"instance has 8 vertices and 2\^8\.0 states, "
+                                         r"limit is 2\^4$") as exc:
+        reduce_alpha(q3)
+    assert exc.value.exit_code == 3
+    assert masks and all(m in (None, q3.full_mask) for m in masks)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from reasm import verify
 from reasm.errors import ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, mask_of, path_graph,
                          star_graph, vertices_of)
@@ -89,13 +90,14 @@ def test_block_trees_are_strict():
 
 def test_chain_to_ordering_inverts_the_trace():
     rng = random.Random(4)
+    rec = verify._Recorder("chain round trip")
     for g in (path_graph(5), cycle_graph(5), complete_graph(4)):
         for _ in range(10):
             pi = list(g.edges)
             rng.shuffle(pi)
-            chain = seq_reassemble(g, pi).chain
-            again = seq_reassemble(g, chain_to_ordering(g, chain))
-            assert again.chain == chain
+            verify._chain_roundtrip(rec, g, seq_reassemble(g, pi))
+    assert rec.failures == 0, rec.bad
+    assert rec.checks == 30
 
 
 def test_chain_to_ordering_rejects_bad_chains():
