@@ -135,10 +135,11 @@ MAX_VERTICES = 10_000
 MAX_EDGES = 1_000_000
 
 
+# the characters str.splitlines() ends a line at ("\r\n" is one line end)
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # one match per line of str.splitlines(), plus an empty one at the end of the
 # text; group 1 is the line up to its first '#'
-_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029#]*)"
-                   r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*(?:\r\n|.)?", re.DOTALL)
+_LINE = re.compile(f"([^{_LINE_ENDS}#]*)[^{_LINE_ENDS}]*(?:\r\n|.)?", re.DOTALL)
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

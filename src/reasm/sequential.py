@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .graph import MAX_EDGES, Graph, _check_size, data_lines, vertices_of
+from .graph import MAX_EDGES, _LINE_ENDS, Graph, _check_size, data_lines, vertices_of
 from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
 
 
@@ -152,9 +152,12 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
 
 
 def parse_ordering(text: str) -> tuple:
-    # lines counted up to the first past the cap, before any becomes an edge
-    _check_size("ordering file has at least", 0,
-                sum(1 for _ in itertools.islice(data_lines(text), MAX_EDGES + 1)))
+    # a text has at most 1 + (its line ends) lines; only when that may pass
+    # the cap are they counted, up to the first past it, before any becomes
+    # an edge
+    if 1 + sum(map(text.count, _LINE_ENDS)) > MAX_EDGES:
+        _check_size("ordering file has at least", 0,
+                    sum(1 for _ in itertools.islice(data_lines(text), MAX_EDGES + 1)))
     edges = []
     for lineno, line in data_lines(text):
         parts = line.split()

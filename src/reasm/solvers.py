@@ -67,7 +67,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -79,10 +81,17 @@ from .tree import ReassemblyTree
 DEFAULT_DP_LIMIT = 24
 
 _INF = float("inf")
-# leaf block of the prefix table; chunk of the list comprehensions that fill
-# the tables, which bounds their temporary lists
+# leaf block of the prefix table; chunk of the comprehensions and lane folds
+# that fill the tables, which bounds their temporary lists and ints
 _LEAF = 1 << 6
 _CHUNK = 1 << 13
+
+
+def _lanes(bound: int) -> str:
+    """The smallest unsigned array code whose lanes hold every value up to
+    `bound` and a larger sentinel, all with the top bit clear."""
+    return next(code for code in "BHIQ"
+                if bound < (1 << (8 * array(code).itemsize - 1)) - 1)
 
 
 def dp_limit() -> int:
@@ -184,8 +193,8 @@ def _states(g: Graph, classes) -> _States:
                    tuple(classes), step)
 
 
-def _cut_table(g: Graph, st: _States) -> list:
-    """Boundary degree of every state.
+def _cut_table(g: Graph, st: _States) -> array:
+    """Boundary degree of every state, in lanes of _lanes(m).
 
     Filled by doubling, one position at a time from the lowest stride h:
     the states holding c vertices of a position (and any states of the
@@ -193,9 +202,13 @@ def _cut_table(g: Graph, st: _States) -> list:
     so cut[c h + k] = cut[(c - 1) h + k] + deg(v) - 2 |N(v) among them|.
     For a singleton bit c = 1 and the count is the popcount |N(v) & k|; a
     class counts v's neighbours in k by a list built the same way over the
-    lower positions, plus c - 1 for true twins.
+    lower positions, plus c - 1 for true twins.  Only the states t below
+    ceil(size / 2) are filled: a set and its complement have the same cut,
+    so the rest is the mirror image cut[size - 1 - t] = cut[t].
     """
-    cut = [0] * st.size
+    code = _lanes(g.m)
+    cut = array(code, [0]) * st.size
+    filled = (st.size + 1) // 2
     span = 1 << st.bits
     # neighbours on the singleton bits, as a mask of their strides
     low = [sum(st.stride[u - 1] for u in vertices_of(a) if st.stride[u - 1] < span)
@@ -204,12 +217,12 @@ def _cut_table(g: Graph, st: _States) -> list:
         half = st.stride[v - 1]
         if half >= span:
             continue
-        a, d = low[v - 1], st.deg[v - 1]
-        step = min(half, _CHUNK)
-        for k in range(0, half, step):
-            cut[half + k:half + k + step] = [
+        a, d, end = low[v - 1], st.deg[v - 1], min(half, filled - half)
+        for k in range(0, end, _CHUNK):
+            stop = min(k + _CHUNK, end)
+            cut[half + k:half + stop] = array(code, [
                 c + d - 2 * (a & j).bit_count()
-                for j, c in zip(range(k, k + step), cut[k:k + step])]
+                for j, c in zip(range(k, stop), cut[k:stop])])
     for i, members in enumerate(st.classes):
         v = members[0]
         half, a = st.stride[v - 1], g.adj[v - 1]
@@ -220,18 +233,20 @@ def _cut_table(g: Graph, st: _States) -> list:
                 nbrs = [n + c for c in range(len(other) + 1) for n in nbrs]
             else:
                 nbrs *= len(other) + 1
-        step = min(half, _CHUNK)
         for c in range(1, len(members) + 1):
             base, d = c * half, st.deg[v - 1] - 2 * inner * (c - 1)
-            for k in range(0, half, step):
-                cut[base + k:base + k + step] = [
+            end = min(half, filled - base)
+            for k in range(0, end, _CHUNK):
+                stop = min(k + _CHUNK, end)
+                cut[base + k:base + stop] = array(code, [
                     y + d - 2 * n
-                    for y, n in zip(cut[base - half + k:base - half + k + step],
-                                    nbrs[k:k + step])]
+                    for y, n in zip(cut[base - half + k:base - half + stop],
+                                    nbrs[k:stop])])
+    cut[filled:] = cut[:st.size - filled][::-1]
     return cut
 
 
-def _prefix_table(objective: str, cut: list, st: _States) -> list:
+def _prefix_table(objective: str, cut: array, st: _States) -> array:
     """X[T] = cut[T] (+) min over v in T of X[T - v], with X[0] = 0: the
     best cost of the cuts of an order of T, T itself included.
 
@@ -242,17 +257,32 @@ def _prefix_table(objective: str, cut: list, st: _States) -> list:
     s, has its range [e - s, e) final too, and its entries are min-ed into
     [e, e + s), which is the same range with one more vertex of that
     position.  Every state receives one fold per higher position it holds.
+
+    X is an array of k-bit lanes from _lanes (its values are at most m for
+    alpha and m n for beta), and unfilled states hold the sentinel
+    2^(k-1) - 1.  A fold is one lane-parallel min over a chunk read as two
+    ints a (the destination) and b (the source): with hi the top bit of
+    every lane, (a | hi) - b keeps hi in exactly the lanes where a >= b,
+    and no borrow crosses a lane since a, b < 2^(k-1); spread to full
+    lanes, that mask picks b there and a elsewhere.
     """
     size = len(cut)
     span = 1 << st.bits
     digits = [(st.stride[c[0] - 1], len(c) + 1) for c in st.classes]
     beta = objective == "beta"
-    x = [_INF] * size
+    m = sum(st.deg) // 2
+    code = _lanes(m * len(st.deg) if beta else m)
+    width, order = array(code).itemsize, sys.byteorder
+    k = 8 * width
+    x = array(code, [(1 << (k - 1)) - 1]) * size
     x[0] = 0
+    top = (1 << (k - 1)).to_bytes(width, order)  # one lane, top bit set
+    ones = (1 << k) - 1
+    view = memoryview(x).cast("B")
     leaf = min(_LEAF, span)
     lows = [tuple(lo ^ (1 << (v - 1)) for v in vertices_of(lo)) for lo in range(leaf)]
     for base in range(0, size, leaf):
-        blk = x[base:base + leaf]
+        blk = x[base:base + leaf].tolist()
         for lo, offs, c in zip(range(leaf), lows, cut[base:base + leaf]):
             best = blk[lo]
             for j in offs:
@@ -260,14 +290,22 @@ def _prefix_table(objective: str, cut: list, st: _States) -> list:
                 if v < best:
                     best = v
             blk[lo] = c + best if beta else (c if c > best else best)
-        x[base:base + leaf] = blk
+        x[base:base + leaf] = array(code, blk)
         e = base + leaf
         if e < size:
             s = e & -e if e % span else next(h for h, r in digits if e // h % r)
-            step = min(s, _CHUNK)
-            for k in range(e, e + s, step):
-                x[k:k + step] = [a if a < y else y
-                                 for a, y in zip(x[k:k + step], x[k - s:k - s + step])]
+            lanes = min(s, _CHUNK)
+            chunk, hi, shift = lanes * width, int.from_bytes(top * lanes, order), s * width
+            end = (e + s) * width
+            for i in range(e * width, end, chunk):
+                # a stride need not be a multiple of _CHUNK: clip the last chunk
+                n = min(chunk, end - i)
+                h = hi if n == chunk else hi >> 8 * (chunk - n)
+                a = int.from_bytes(view[i:i + n], order)
+                b = int.from_bytes(view[i - shift:i - shift + n], order)
+                ge = ((((a | h) - b) & h) >> (k - 1)) * ones
+                view[i:i + n] = (a ^ ((a ^ b) & ge)).to_bytes(n, order)
+    view.release()
     return x
 
 
@@ -297,7 +335,7 @@ def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
     return st, cut, _prefix_table(objective, cut, st)
 
 
-def _greedy_completion(g: Graph, st: _States, objective: str, cut: list, x: list,
+def _greedy_completion(g: Graph, st: _States, objective: str, cut: array, x: array,
                        prefix: list, budget: int) -> list:
     """Lexicographically least completion of `prefix` whose cost stays
     within `budget`; after a one-vertex prefix w the second vertex has
@@ -326,7 +364,7 @@ def _greedy_completion(g: Graph, st: _States, objective: str, cut: list, x: list
     return order
 
 
-def _anchored_start(st: _States, objective: str, cut: list, x: list, w: int) -> int:
+def _anchored_start(st: _States, objective: str, cut: array, x: array, w: int) -> int:
     """Best value of an arrangement anchored at w, a feasible anchor."""
     dw, sw = st.deg[w - 1], st.stride[w - 1]
     rest = st.size - 1 - sw

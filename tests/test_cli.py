@@ -272,6 +272,27 @@ def test_oversized_object_file_is_refused(workdir, flag):
     assert peak_kb < 40 << 10, peak_kb
 
 
+def test_dp_tables_are_compact(workdir):
+    # the circulant C20(1, 3) is twin-free, so its prefix DP has 2^20
+    # states; the cut table takes one byte a state and the beta prefix table
+    # two, so the solve peaks under 8 MB RSS above a solve of P4 (lists of
+    # ints would add 8 bytes a state per table, 16 MB).  Both peaks are the
+    # child's VmHWM, which starts afresh at exec.
+    n = 20
+    g = reasm.Graph(n, tuple(sorted({tuple(sorted((v, (v + d - 1) % n + 1)))
+                                     for v in range(1, n + 1) for d in (1, 3)})))
+    assert g.m == 40 and g.is_connected() and solvers._twin_classes(g) == []
+    peaks = []
+    for name, h in (("p4", path_graph(4)), ("c20", g)):
+        exit_code, peak_kb, out, _ = _peak_after_main(
+            "solve", write(workdir / f"{name}.g", format_graph(h)), "--objective", "beta",
+            "--witness-out", str(workdir / f"{name}.w"))
+        assert exit_code == 0 and json.loads(out)["stats"]["states"] == 1 << h.n
+        peaks.append(peak_kb)
+    assert json.loads(out)["value"] == 140
+    assert peaks[1] - peaks[0] < 8 << 10, peaks
+
+
 def test_long_trace_keeps_only_its_merges(workdir):
     # a trace stores its n - 1 merges, not the n partitions of its chain
     # (about n^2 / 2 block masks, 50 million for this path), so the block

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from reasm import verify
-from reasm.errors import ValidationError
+from reasm import graph, sequential, verify
+from reasm.errors import LimitError, ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, mask_of, path_graph,
                          star_graph, vertices_of)
 from reasm.sequential import (block_tree, canonical_ordering,
@@ -138,3 +138,24 @@ def test_ordering_file_roundtrip():
         parse_ordering("1 2 3\n")
     with pytest.raises(ValidationError):
         parse_ordering("1 x\n")
+
+
+def test_ordering_lines_are_counted_only_near_the_cap(monkeypatch):
+    # the data lines are counted in a pass of their own only when the text
+    # has at least MAX_EDGES line ends, so a smaller ordering is scanned once
+    scans, data_lines = [], sequential.data_lines
+
+    def counted(text):
+        scans.append(text)
+        return data_lines(text)
+
+    monkeypatch.setattr(sequential, "data_lines", counted)
+    assert parse_ordering("1 2\r\n2 3\f3 4\x1c4 5\u2028") == ((1, 2), (2, 3), (3, 4), (4, 5))
+    assert len(scans) == 1
+    for module in (graph, sequential):
+        monkeypatch.setattr(module, "MAX_EDGES", 3)
+    scans.clear()
+    assert parse_ordering("1 2\n\n\n# 3 4\n2 3") == ((1, 2), (2, 3))
+    assert len(scans) == 2
+    with pytest.raises(LimitError, match="ordering file has at least 4 edges, limit is 3"):
+        parse_ordering("1 2\n2 3\r3 4\v4 5")

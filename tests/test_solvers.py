@@ -8,7 +8,8 @@ from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
                          path_graph, qcube3_graph, star_graph, vertices_of)
 from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
 from reasm.reduction import build_auxiliary
-from reasm.solvers import (_cut_table, _prefix_table, _states, _twin_classes,
+from reasm import solvers
+from reasm.solvers import (_States, _cut_table, _lanes, _prefix_table, _states, _twin_classes,
                            brute_force_arrangement, dp_limit, exact_arrangement,
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import measures, print_tree
@@ -28,20 +29,39 @@ def test_cut_table_matches_cut_mask():
     rng = random.Random(12)
     for n in range(1, 13):
         g = random_connected(rng, n)
-        assert _cut_table(g, _states(g, ())) == [g.cut_mask(s) for s in range(1 << n)]
+        assert list(_cut_table(g, _states(g, ()))) == [g.cut_mask(s) for s in range(1 << n)]
 
 
-def test_prefix_table_matches_per_mask_recurrence():
+def _per_mask_tables(g: Graph) -> tuple:
+    """(g, classes, cut by mask, prefix cost by objective and mask)."""
+    return (g, _twin_classes(g), [g.cut_mask(t) for t in range(1 << g.n)],
+            {objective: prefix_costs(g, objective) for objective in ("alpha", "beta")})
+
+
+@pytest.fixture(scope="module")
+def random_tables() -> list:
     # n runs below, at and above the 64-mask leaf block, where folding
     # starts, and up to n = 15, whose top fold spans two 2^13 chunks
     rng = random.Random(14)
-    for n in range(1, 16):
-        g = random_connected(rng, n)
-        st = _states(g, ())
-        cut = _cut_table(g, st)
-        for objective in ("alpha", "beta"):
-            x = _prefix_table(objective, cut, st)
-            assert x == prefix_costs(g, objective), (n, objective)
+    return [_per_mask_tables(random_connected(rng, n)) for n in range(1, 16)]
+
+
+def _assert_tables_match(g: Graph, classes, cuts: list, costs: dict) -> _States:
+    # a vertex set and its count vector share the cut and the prefix cost
+    st = _states(g, classes)
+    index = [sum(st.stride[v - 1] for v in vertices_of(t)) for t in range(1 << g.n)]
+    assert set(index) == set(range(st.size))
+    cut = _cut_table(g, st)
+    assert [cut[i] for i in index] == cuts, g
+    for objective in ("alpha", "beta"):
+        x = _prefix_table(objective, cut, st)
+        assert [x[i] for i in index] == costs[objective], (g, objective)
+    return st
+
+
+def test_prefix_table_matches_per_mask_recurrence(random_tables):
+    for g, _, cuts, costs in random_tables:
+        _assert_tables_match(g, (), cuts, costs)
 
 
 def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
@@ -88,23 +108,63 @@ def _quotient_graphs():
     # stride 2^14, so its folds and cut fill span two 2^13 chunks
     g = random_connected(random.Random(0), 14)
     yield Graph(16, g.edges + ((1, 15), (1, 16), (15, 16)))
+    # a path on 10 singleton bits with a pair of false twins hung on each of
+    # 1, 2 and 3: the pair digits have strides 1024, 3072 and 9216, and a
+    # fold of stride 9216 ends inside a 2^13 chunk
+    p = path_graph(10)
+    yield Graph(16, p.edges + tuple((v, 9 + 2 * v + j) for v in (1, 2, 3) for j in (0, 1)))
 
 
-def test_quotient_tables_match_per_mask_tables():
-    # a vertex set and its count vector share the cut and the prefix cost
-    graphs = 0
-    for g in _quotient_graphs():
+@pytest.fixture(scope="module")
+def quotient_tables() -> list:
+    return [_per_mask_tables(g) for g in _quotient_graphs()]
+
+
+def test_quotient_tables_match_per_mask_tables(quotient_tables):
+    for g, classes, cuts, costs in quotient_tables:
+        assert _assert_tables_match(g, classes, cuts, costs).size < 1 << g.n
+    assert len(quotient_tables) == 665 + 12 + 2
+
+
+@pytest.mark.parametrize("code", ["I", "Q"])
+def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code):
+    # the lane folds and the mirrored cut table are exact in every lane width
+    monkeypatch.setattr(solvers, "_lanes", lambda bound: code)
+    for g, _, cuts, costs in random_tables:
+        _assert_tables_match(g, (), cuts, costs)
+    for g, classes, cuts, costs in quotient_tables:
+        _assert_tables_match(g, classes, cuts, costs)
+    g = quotient_tables[-1][0]
+    st = _states(g, _twin_classes(g))
+    assert _prefix_table("beta", _cut_table(g, st), st).typecode == code
+
+
+def test_lanes_keep_the_top_bit_and_a_sentinel_free():
+    bounds = (0, 126, 127, 32766, 32767, 2 ** 31 - 2, 2 ** 31 - 1)
+    assert [_lanes(b) for b in bounds] == ["B", "B", "H", "H", "I", "I", "Q"]
+
+
+def test_mirrored_cut_table_on_odd_state_counts():
+    # K2 has 3 states, K4 5 and C4 (false twins 1, 3 and 2, 4) 9: the
+    # middle state is its own complement
+    for g, size in ((complete_graph(2), 3), (complete_graph(4), 5), (cycle_graph(4), 9)):
         st = _states(g, _twin_classes(g))
-        assert st.size < 1 << g.n
-        index = [sum(st.stride[v - 1] for v in vertices_of(t)) for t in range(1 << g.n)]
-        assert set(index) == set(range(st.size))
         cut = _cut_table(g, st)
-        assert [cut[i] for i in index] == [g.cut_mask(t) for t in range(1 << g.n)]
-        for objective in ("alpha", "beta"):
-            x = _prefix_table(objective, cut, st)
-            assert [x[i] for i in index] == prefix_costs(g, objective), (g, objective)
-        graphs += 1
-    assert graphs == 665 + 12 + 1
+        assert st.size == len(cut) == size
+        assert all(cut[t] == cut[size - 1 - t] for t in range(size))
+        for t in range(1 << g.n):
+            assert cut[sum(st.stride[v - 1] for v in vertices_of(t))] == g.cut_mask(t)
+
+
+def test_complete_graph_in_wide_lanes():
+    # beta of K_n is the sum of k (n - k) over k, (n^3 - n) / 6; K300 has
+    # m = 44850, so its cut and prefix tables take 32-bit lanes
+    g = complete_graph(300)
+    st = _states(g, _twin_classes(g))
+    assert _cut_table(g, st).typecode == "I"
+    res = exact_arrangement(g, "beta")
+    assert res.value == (300 ** 3 - 300) // 6 == 4499950
+    assert res.stats["states"] == 301
 
 
 def test_state_counts():
