@@ -137,17 +137,34 @@ MAX_EDGES = 1_000_000
 
 # the characters str.splitlines() ends a line at ("\r\n" is one line end)
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# one match per line of str.splitlines(), plus an empty one at the end of the
-# text; group 1 is the line up to its first '#'
-_LINE = re.compile(f"([^{_LINE_ENDS}#]*)[^{_LINE_ENDS}]*(?:\r\n|.)?", re.DOTALL)
+_LINE_END = re.compile(f"\r\n|[{_LINE_ENDS}]")
+_SLICE = 1 << 16  # characters data_lines splits at once, up to the next line end
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, text) of every line that holds data once its '#'
     comment is cut off and it is stripped; every file format reads these.
-    Lines are made one at a time, so a caller can stop at a size cap."""
-    lines = enumerate((m.group(1).strip() for m in _LINE.finditer(text)), 1)
-    return ((i, line) for i, line in lines if line)
+    The lines are those of str.splitlines(), made a slice at a time, so a
+    caller can stop at a size cap."""
+    lineno = pos = 0
+    while pos < len(text):
+        end = _LINE_END.search(text, pos + _SLICE)
+        end = end.end() if end else len(text)
+        for line in text[pos:end].splitlines():
+            lineno += 1
+            line = line.partition("#")[0].strip()
+            if line:
+                yield lineno, line
+        pos = end
+
+
+def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
+    """The two ints of a data line; every other line is refused."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise ValidationError(f"line {lineno}: expected {what}, got {line!r}") from None
+    return a, b
 
 
 def _check_size(what: str, n: int, m: int) -> None:
@@ -162,29 +179,15 @@ def parse_graph(text: str) -> Graph:
     lineno, head = next(rows, (0, ""))  # a data line is never empty
     if not head:
         raise ValidationError("empty graph file")
-    parts = head.split()
-    if len(parts) != 2:
-        raise ValidationError(f"line {lineno}: expected 'n m' header, got {head!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValidationError(f"line {lineno}: expected 'n m' header, got {head!r}") from None
+    n, m = _int_pair(lineno, head, "'n m' header")
+    if n < 0 or m < 0:
+        raise ValidationError(f"line {lineno}: header declares a negative size, got {head!r}")
     _check_size(f"line {lineno}: header declares", n, m)
     body = list(itertools.islice(rows, m))
     count = len(body) + sum(1 for _ in rows)  # lines past m are counted, not stored
     if count != m:
         raise ValidationError(f"header declares {m} edges but file has {count} edge lines")
-    edges = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}") from None
-        edges.append((u, v))
-    return Graph(n, tuple(edges))
+    return Graph(n, tuple(_int_pair(lineno, line, "'u v'") for lineno, line in body))
 
 
 def format_graph(g: Graph) -> str:

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .graph import MAX_EDGES, _LINE_ENDS, Graph, _check_size, data_lines, vertices_of
+from .graph import (MAX_EDGES, _LINE_ENDS, Graph, _check_size, _int_pair, data_lines,
+                    vertices_of)
 from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
 
 
@@ -158,15 +159,7 @@ def parse_ordering(text: str) -> tuple:
     if 1 + sum(map(text.count, _LINE_ENDS)) > MAX_EDGES:
         _check_size("ordering file has at least", 0,
                     sum(1 for _ in itertools.islice(data_lines(text), MAX_EDGES + 1)))
-    edges = []
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            edges.append(_norm_edge((int(parts[0]), int(parts[1]))))
-        except ValueError:
-            raise ValidationError(f"line {lineno}: expected 'u v', got {line!r}") from None
+    edges = [_norm_edge(_int_pair(lineno, line, "'u v'")) for lineno, line in data_lines(text)]
     if not edges:
         raise ValidationError("empty ordering file")
     return tuple(edges)

@@ -18,14 +18,15 @@ test below reads X at a complement.
 The tables are indexed by twin-class count vectors, not by vertex sets.
 Twins (false twins share N(v), true twins share N[v]) can be swapped by an
 automorphism, so cut and X depend only on how many vertices of each class a
-set holds (the number of classes is the neighbourhood diversity).  Vertices
-without a twin take the low strides 1, 2, 4, ..., so a twin-free graph
-keeps the plain bitmask layout; each larger class is one mixed-radix digit
-of radix |class| + 1 above them.  A set is the sum of its vertices'
-strides, V is the largest index, and V - t is the complement of t.  The
-witness rule below still scans vertex ids in increasing order, and among
-twins it reaches the smallest unplaced one first, so the witnesses are
-those of the plain layout.
+set holds (the number of classes is the neighbourhood diversity).  Every
+position of the index is one mixed-radix digit of radix |class| + 1: a
+vertex without a twin is a class of one, a digit of radix 2.  These take
+the lowest strides 1, 2, 4, ... in id order, so a twin-free graph keeps
+the plain bitmask layout, and the larger classes follow.  A set is the
+sum of its vertices' strides, V is the largest index, and V - t is the
+complement of t.  The witness rule below still scans vertex ids in
+increasing order, and among twins it reaches the smallest unplaced one
+first, so the witnesses are those of the plain layout.
 
 Binary reassemblings use a second subset DP, over splits of plain bitmask
 vertex sets (the quotient does not apply to it): the best tree on
@@ -80,9 +81,9 @@ from .tree import ReassemblyTree
 
 DEFAULT_DP_LIMIT = 24
 
-_INF = float("inf")
-# leaf block of the prefix table; chunk of the comprehensions and lane folds
-# that fill the tables, which bounds their temporary lists and ints
+# caps on the states spanned by the lowest digits: the prefix table's leaf
+# block, and the chunk of the lane-parallel fills and folds, which bounds
+# their temporary ints
 _LEAF = 1 << 6
 _CHUNK = 1 << 13
 
@@ -161,88 +162,96 @@ class _States(NamedTuple):
 
     A state says how many vertices of each twin class are placed; swapping
     twins is an automorphism, so every table entry depends on these counts
-    only.  The `bits` vertices in no larger class take strides 1, 2, 4, ...
-    in id order, so a twin-free graph keeps the plain bitmask layout, and
-    each class of `classes` is one digit of radix |class| + 1 above them.
-    Placing vertex v adds stride[v - 1]; the state holding every vertex is
-    size - 1, and the complement of state t is size - 1 - t.  deg[v - 1] is
-    the degree of v, read by the anchor and witness loops.
+    only.  Each entry (stride, members) of `digits` is one digit of radix
+    |members| + 1, in ascending stride: first every vertex without a twin,
+    a class of one, in id order (strides 1, 2, 4, ..., so a twin-free graph
+    keeps the plain bitmask layout), then each class of `classes`.  Placing
+    vertex v adds stride[v - 1]; the state holding every vertex is size - 1,
+    and the complement of state t is size - 1 - t.  deg[v - 1] is the
+    degree of v, read by the anchor and witness loops.
     """
 
     stride: tuple
     deg: tuple
-    bits: int
-    classes: tuple
+    digits: tuple
     size: int
 
 
 def _states(g: Graph, classes) -> _States:
     grouped = {v for c in classes for v in c}
     stride = [0] * g.n
+    digits = []
     step = 1
-    for v in g.vertices:
-        if v not in grouped:
+    for members in [(v,) for v in g.vertices if v not in grouped] + list(classes):
+        for v in members:
             stride[v - 1] = step
-            step <<= 1
-    bits = step.bit_length() - 1
-    for c in classes:
-        for v in c:
-            stride[v - 1] = step
-        step *= len(c) + 1
-    return _States(tuple(stride), tuple(a.bit_count() for a in g.adj), bits,
-                   tuple(classes), step)
+        digits.append((step, tuple(members)))
+        step *= len(members) + 1
+    return _States(tuple(stride), tuple(a.bit_count() for a in g.adj), tuple(digits), step)
+
+
+def _low_span(st: _States, cap: int) -> int:
+    """States spanned by the lowest digits whose radices multiply to at most
+    `cap`, the lowest digit always included: the stride of the next digit
+    up, or size."""
+    tops = [h * (len(members) + 1) for h, members in st.digits]
+    return max([t for t in tops if t <= cap], default=tops[0])
+
+
+def _lanewise(view: memoryview, width: int, chunk: int, dst: int, src: int, count: int,
+              op) -> None:
+    """Lanes [dst, dst + count) of `view` become op(j, a, b, ones), chunk by
+    chunk, where a and b are the lanes from dst + j and src + j read as ints
+    and `ones` has a 1 in every lane; `chunk` divides `count` if smaller."""
+    order = sys.byteorder
+    lanes = min(count, chunk)
+    n = lanes * width
+    ones = int.from_bytes((1).to_bytes(width, order) * lanes, order)
+    for j in range(0, count, lanes):
+        i, o = (dst + j) * width, (src + j) * width
+        a = int.from_bytes(view[i:i + n], order)
+        b = int.from_bytes(view[o:o + n], order)
+        view[i:i + n] = op(j, a, b, ones).to_bytes(n, order)
 
 
 def _cut_table(g: Graph, st: _States) -> array:
     """Boundary degree of every state, in lanes of _lanes(m).
 
-    Filled by doubling, one position at a time from the lowest stride h:
-    the states holding c vertices of a position (and any states of the
-    positions below it, k < h) are those holding c - 1 plus one vertex v,
-    so cut[c h + k] = cut[(c - 1) h + k] + deg(v) - 2 |N(v) among them|.
-    For a singleton bit c = 1 and the count is the popcount |N(v) & k|; a
-    class counts v's neighbours in k by a list built the same way over the
-    lower positions, plus c - 1 for true twins.  Only the states t below
-    ceil(size / 2) are filled: a set and its complement have the same cut,
-    so the rest is the mirror image cut[size - 1 - t] = cut[t].
+    Filled by doubling, one digit at a time from the lowest: with h the
+    digit's stride and v its first member, the states holding c of its
+    vertices (and any state k < h of the digits below) are those holding
+    c - 1 plus one vertex v, so
+
+        cut[c h + k] = cut[(c - 1) h + k] + deg(v) - 2 (nb[k] + t (c - 1))
+
+    where nb[k] counts v's neighbours in state k and t = 1 for true twins
+    (the c - 1 twins already placed are neighbours too).  Each fill is one
+    lane-parallel add per chunk spanning the lowest digits: over a chunk,
+    nb is a fixed pattern over those digits plus a constant from the digits
+    above them.  No lane under- or overflows, since every result is a cut,
+    at most m.
     """
-    code = _lanes(g.m)
-    cut = array(code, [0]) * st.size
-    filled = (st.size + 1) // 2
-    span = 1 << st.bits
-    # neighbours on the singleton bits, as a mask of their strides
-    low = [sum(st.stride[u - 1] for u in vertices_of(a) if st.stride[u - 1] < span)
-           for a in g.adj]
-    for v in g.vertices:
-        half = st.stride[v - 1]
-        if half >= span:
-            continue
-        a, d, end = low[v - 1], st.deg[v - 1], min(half, filled - half)
-        for k in range(0, end, _CHUNK):
-            stop = min(k + _CHUNK, end)
-            cut[half + k:half + stop] = array(code, [
-                c + d - 2 * (a & j).bit_count()
-                for j, c in zip(range(k, stop), cut[k:stop])])
-    for i, members in enumerate(st.classes):
+    cut = array(_lanes(g.m), [0]) * st.size
+    width, order = cut.itemsize, sys.byteorder
+    chunk = _low_span(st, _CHUNK)
+    view = memoryview(cut).cast("B")
+    for h, members in st.digits:
         v = members[0]
-        half, a = st.stride[v - 1], g.adj[v - 1]
-        inner = a >> (members[1] - 1) & 1  # true twins are adjacent
-        nbrs = [(low[v - 1] & k).bit_count() for k in range(span)]
-        for other in st.classes[:i]:
-            if a >> (other[0] - 1) & 1:
-                nbrs = [n + c for c in range(len(other) + 1) for n in nbrs]
-            else:
-                nbrs *= len(other) + 1
+        a = g.adj[v - 1]
+        # v's neighbours by digit: 2 nb over the lowest min(h, chunk) states
+        # as lanes, and the digits above those
+        nbrs = [(s, len(other) + 1) for s, other in st.digits
+                if s < h and a >> (other[0] - 1) & 1]
+        lanes = min(h, chunk)
+        nb2 = sum(int.from_bytes(b"".join((2 * c).to_bytes(width, order) * s for c in range(r))
+                                 * (lanes // (s * r)), order) for s, r in nbrs if s < lanes)
+        up = [(s, r) for s, r in nbrs if s >= lanes]
+        t = a >> (members[-1] - 1) & 1  # true twins are adjacent; a class of one has c = 1
         for c in range(1, len(members) + 1):
-            base, d = c * half, st.deg[v - 1] - 2 * inner * (c - 1)
-            end = min(half, filled - base)
-            for k in range(0, end, _CHUNK):
-                stop = min(k + _CHUNK, end)
-                cut[base + k:base + stop] = array(code, [
-                    y + d - 2 * n
-                    for y, n in zip(cut[base - half + k:base - half + stop],
-                                    nbrs[k:stop])])
-    cut[filled:] = cut[:st.size - filled][::-1]
+            d = st.deg[v - 1] - 2 * t * (c - 1)
+            _lanewise(view, width, chunk, c * h, (c - 1) * h, h, lambda j, _, b, ones: (
+                b + (d - 2 * sum(j // s % r for s, r in up)) * ones - nb2))
+    view.release()
     return cut
 
 
@@ -250,37 +259,41 @@ def _prefix_table(objective: str, cut: array, st: _States) -> array:
     """X[T] = cut[T] (+) min over v in T of X[T - v], with X[0] = 0: the
     best cost of the cuts of an order of T, T itself included.
 
-    States are filled in increasing order, in leaf blocks of up to _LEAF
-    over the low singleton bits.  Inside a block a loop takes the minimum
-    over the low bits of T.  The other positions are folded in ahead: once
-    the block ending at e is final, e's lowest nonzero position, of stride
-    s, has its range [e - s, e) final too, and its entries are min-ed into
-    [e, e + s), which is the same range with one more vertex of that
-    position.  Every state receives one fold per higher position it holds.
+    States are filled in increasing order, in leaf blocks spanning the
+    lowest digits (up to _LEAF states, or the lowest digit alone).  Inside
+    a block a loop takes the minimum over the leaf digits nonzero in T.
+    The digits above the leaf are folded in ahead: once the block ending
+    at e is final, e's lowest nonzero digit, of stride s, has its range
+    [e - s, e) final too, and its entries are min-ed into [e, e + s),
+    which is the same range with one more vertex of that digit.  Every
+    state receives one fold per digit above the leaf that it holds.
 
     X is an array of k-bit lanes from _lanes (its values are at most m for
     alpha and m n for beta), and unfilled states hold the sentinel
-    2^(k-1) - 1.  A fold is one lane-parallel min over a chunk read as two
+    2^(k-1) - 1.  A fold is one lane-parallel min per chunk, read as two
     ints a (the destination) and b (the source): with hi the top bit of
     every lane, (a | hi) - b keeps hi in exactly the lanes where a >= b,
     and no borrow crosses a lane since a, b < 2^(k-1); spread to full
     lanes, that mask picks b there and a elsewhere.
     """
     size = len(cut)
-    span = 1 << st.bits
-    digits = [(st.stride[c[0] - 1], len(c) + 1) for c in st.classes]
     beta = objective == "beta"
     m = sum(st.deg) // 2
     code = _lanes(m * len(st.deg) if beta else m)
-    width, order = array(code).itemsize, sys.byteorder
-    k = 8 * width
+    width = array(code).itemsize
+    k, full = 8 * width, (1 << 8 * width) - 1
     x = array(code, [(1 << (k - 1)) - 1]) * size
     x[0] = 0
-    top = (1 << (k - 1)).to_bytes(width, order)  # one lane, top bit set
-    ones = (1 << k) - 1
+
+    def lane_min(j, a, b, ones):
+        hi = ones << (k - 1)
+        return a ^ ((a ^ b) & ((((a | hi) - b) & hi) >> (k - 1)) * full)
+
+    leaf, chunk = _low_span(st, _LEAF), _low_span(st, _CHUNK)
+    radix = [(h, len(members) + 1) for h, members in st.digits]
+    lows = [tuple(lo - h for h, r in radix if h < leaf and lo // h % r) for lo in range(leaf)]
+    upper = [(h, r) for h, r in radix if h >= leaf]
     view = memoryview(x).cast("B")
-    leaf = min(_LEAF, span)
-    lows = [tuple(lo ^ (1 << (v - 1)) for v in vertices_of(lo)) for lo in range(leaf)]
     for base in range(0, size, leaf):
         blk = x[base:base + leaf].tolist()
         for lo, offs, c in zip(range(leaf), lows, cut[base:base + leaf]):
@@ -293,18 +306,8 @@ def _prefix_table(objective: str, cut: array, st: _States) -> array:
         x[base:base + leaf] = array(code, blk)
         e = base + leaf
         if e < size:
-            s = e & -e if e % span else next(h for h, r in digits if e // h % r)
-            lanes = min(s, _CHUNK)
-            chunk, hi, shift = lanes * width, int.from_bytes(top * lanes, order), s * width
-            end = (e + s) * width
-            for i in range(e * width, end, chunk):
-                # a stride need not be a multiple of _CHUNK: clip the last chunk
-                n = min(chunk, end - i)
-                h = hi if n == chunk else hi >> 8 * (chunk - n)
-                a = int.from_bytes(view[i:i + n], order)
-                b = int.from_bytes(view[i - shift:i - shift + n], order)
-                ge = ((((a | h) - b) & h) >> (k - 1)) * ones
-                view[i:i + n] = (a ^ ((a ^ b) & ge)).to_bytes(n, order)
+            s = next(h for h, r in upper if e // h % r)
+            _lanewise(view, width, chunk, e, e - s, s, lane_min)
     view.release()
     return x
 
@@ -367,14 +370,10 @@ def _greedy_completion(g: Graph, st: _States, objective: str, cut: array, x: arr
 def _anchored_start(st: _States, objective: str, cut: array, x: array, w: int) -> int:
     """Best value of an arrangement anchored at w, a feasible anchor."""
     dw, sw = st.deg[w - 1], st.stride[w - 1]
-    rest = st.size - 1 - sw
-    best = _INF
-    for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1):
-        if v == w or d < dw:
-            continue
-        # x[rest - sv] = cut[w + v] (+) the best cost of the cuts after {w, v}
-        best = min(best, _combine(objective, cut[sw], x[rest - sv]))
-    return best
+    # x[size - 1 - sw - sv] = cut[w + v] (+) the best cost of the cuts after {w, v}
+    return min(_combine(objective, cut[sw], x[st.size - 1 - sw - sv])
+               for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1)
+               if v != w and d >= dw)
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:

@@ -107,6 +107,14 @@ def test_undecodable_file(run_cli, workdir):
     assert code == 2 and err.startswith("error:")
 
 
+def test_negative_header_exits_2(run_cli, workdir):
+    g = write(workdir / "neg.g", "3 -1\n")
+    a = write(workdir / "a.txt", "1 2\n")
+    code, out, err = run_cli("eval", "--graph", g, "--arrangement", a)
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: header declares a negative size, got '3 -1'\n"
+
+
 def test_unwritable_outputs(run_cli, workdir):
     code, _, err = run_cli("solve", FIXTURES / "s7.g", "--objective", "beta",
                            "--witness-out", workdir)

@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import (MAX_VERTICES, Graph, QCUBE3_EDGES, complete_graph,
-                         cycle_graph, format_graph, generate, mask_of,
+from reasm import graph
+from reasm.graph import (_LINE_ENDS, MAX_VERTICES, Graph, QCUBE3_EDGES, complete_graph,
+                         cycle_graph, data_lines, format_graph, generate, mask_of,
                          parse_graph, path_graph, qcube3_graph, ring_tree_graph,
                          star_graph, vertices_of)
 from reasm.reduction import reduce_alpha
@@ -63,6 +65,25 @@ def test_parse_caps_the_header():
     # refused on the header alone, even with the edge lines missing
     with pytest.raises(LimitError, match=f"limit is {MAX_VERTICES}"):
         parse_graph(f"{MAX_VERTICES + 1} 1\n")
+
+
+@pytest.mark.parametrize("text", ["1 -1\n", "3 -1\n1 2\n", "-1 0\n", "-2 -1\n"])
+def test_parse_refuses_a_negative_header(text):
+    with pytest.raises(ValidationError, match="line 1: header declares a negative size"):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("slice_len", [1, 2, 3, 5, 1 << 16])
+def test_data_lines_are_the_lines_of_splitlines(monkeypatch, slice_len):
+    # slices end at a line end, "\r\n" kept whole, wherever they are cut
+    monkeypatch.setattr(graph, "_SLICE", slice_len)
+    rng = random.Random(slice_len)
+    pieces = list(_LINE_ENDS) + ["\r\n", "a", "b", " ", "\t", "#"]
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(40)))
+        want = ((i, line.partition("#")[0].strip())
+                for i, line in enumerate(text.splitlines(), 1))
+        assert list(data_lines(text)) == [(i, line) for i, line in want if line], repr(text)
 
 
 def test_boundary_degree_and_cut_mask():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,11 @@ def _quotient_graphs():
     # fold of stride 9216 ends inside a 2^13 chunk
     p = path_graph(10)
     yield Graph(16, p.edges + tuple((v, 9 + 2 * v + j) for v in (1, 2, 3) for j in (0, 1)))
+    # K_{5,5,5}: three class digits of radix 6, 216 states; the leaf spans
+    # the lower two, so folds have stride 36, neither a power of two nor a
+    # multiple of the chunk
+    yield Graph(15, tuple((u, v) for u, v in itertools.combinations(range(1, 16), 2)
+                          if (u - 1) // 5 != (v - 1) // 5))
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +129,12 @@ def quotient_tables() -> list:
 def test_quotient_tables_match_per_mask_tables(quotient_tables):
     for g, classes, cuts, costs in quotient_tables:
         assert _assert_tables_match(g, classes, cuts, costs).size < 1 << g.n
-    assert len(quotient_tables) == 665 + 12 + 2
+    assert len(quotient_tables) == 665 + 12 + 3
 
 
 @pytest.mark.parametrize("code", ["I", "Q"])
 def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code):
-    # the lane folds and the mirrored cut table are exact in every lane width
+    # the lane folds and the lane-parallel cut fill are exact in every lane width
     monkeypatch.setattr(solvers, "_lanes", lambda bound: code)
     for g, _, cuts, costs in random_tables:
         _assert_tables_match(g, (), cuts, costs)
@@ -144,7 +150,7 @@ def test_lanes_keep_the_top_bit_and_a_sentinel_free():
     assert [_lanes(b) for b in bounds] == ["B", "B", "H", "H", "I", "I", "Q"]
 
 
-def test_mirrored_cut_table_on_odd_state_counts():
+def test_cut_table_is_complement_symmetric_on_odd_state_counts():
     # K2 has 3 states, K4 5 and C4 (false twins 1, 3 and 2, 4) 9: the
     # middle state is its own complement
     for g, size in ((complete_graph(2), 3), (complete_graph(4), 5), (cycle_graph(4), 9)):
@@ -154,6 +160,22 @@ def test_mirrored_cut_table_on_odd_state_counts():
         assert all(cut[t] == cut[size - 1 - t] for t in range(size))
         for t in range(1 << g.n):
             assert cut[sum(st.stride[v - 1] for v in vertices_of(t))] == g.cut_mask(t)
+
+
+def test_cut_table_needs_little_beyond_itself():
+    # the twin-free circulant C18(1, 3): 2^18 states in 8-bit lanes, filled
+    # a chunk of 2^13 lanes at a time
+    g = Graph(18, tuple((v, (v + s - 1) % 18 + 1) for v in range(1, 19) for s in (1, 3)))
+    st = _states(g, _twin_classes(g))
+    assert st.size == 1 << 18
+    tracemalloc.start()
+    try:
+        cut = _cut_table(g, st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut.itemsize == 1
+    assert peak < 1.25 * len(cut), peak
 
 
 def test_complete_graph_in_wide_lanes():
