@@ -13,10 +13,10 @@ that shape the restriction to V is an optimal anchored solution of the
 original problem.  Minimizing over all anchors gives the exact optimum.
 
 For alpha on graphs of maximum degree <= 3 the pipeline branches on whether
-every degree-3 vertex is a cut vertex; an exact subset-DP arrangement solve
-stands in for the specialized polynomial-time algorithm in the branch where
-that holds, and otherwise the alpha-optimal linear reassembling induces an
-alpha-optimal arrangement.
+every degree-3 vertex is a cut vertex.  Where that holds, the cut-bounded
+search solves the arrangement problem directly; otherwise the alpha-optimal
+linear reassembling, found by the same search, induces an alpha-optimal
+arrangement.
 """
 
 from __future__ import annotations
@@ -338,19 +338,16 @@ def reduce_alpha(g: Graph) -> AlphaReductionReport:
     """Cutwidth-optimal arrangement for max degree <= 3.
 
     If every degree-3 vertex is a cut vertex, solve the arrangement problem
-    directly (exact subset DP standing in for the specialized
-    polynomial-time algorithm).  Otherwise solve the alpha-optimal linear
-    reassembling and return its induced arrangement, which is then
-    alpha-optimal among arrangements.
+    directly.  Otherwise solve the alpha-optimal linear reassembling and
+    return its induced arrangement, which is then alpha-optimal among
+    arrangements.  Both run the cut-bounded search, which refuses (exit 3)
+    once it stores more sets than the work limit allows.
     """
     if not g.is_connected():
         raise ValidationError("alpha reduction needs a connected graph")
     maxdeg = g.max_degree()
     if maxdeg > 3:
         raise ValidationError(f"alpha reduction needs maximum degree <= 3, got {maxdeg}")
-    # both branches run the subset DP: its work check comes first, so the
-    # one search per degree-3 vertex below runs only on graphs it admits
-    _check_work(g.n, _states(g, _twin_classes(g)).size, "states")
     # v is a cut vertex iff G - v is disconnected
     noncut = next((v for v in g.vertices if g.degree(v) == 3
                    and g.is_connected(g.full_mask ^ (1 << (v - 1)))), None)

@@ -1,19 +1,18 @@
 """Exact optimizers for arrangements and reassemblings.
 
-The workhorse is a subset DP over prefix sets (Bodlaender, Fomin, Koster,
-Kratsch and Thilikos, ToCS 2012), where (+) is the sum for beta and the
-maximum for alpha.  The prefix table
+Each objective has one arrangement engine.  Beta runs a subset DP over
+prefix sets (Bodlaender, Fomin, Koster, Kratsch and Thilikos, ToCS 2012).
+Its prefix table
 
-    X[T] = cut[T] (+) min over v in T of X[T - v],    X[0] = 0
+    X[T] = cut[T] + min over v in T of X[T - v],    X[0] = 0
 
-is the best cost of the cuts of an order of T, T itself included.  Since
+is the least sum of the cuts of an order of T, T itself included.  Since
 cut[S] = cut[V - S], reading an order backwards turns the cuts still to
 come after a placed set t into the cuts of an order of V - t, so
 
-    X[V - t] = cut[t] (+) (best cost of the cuts after t).
+    X[V - t] = cut[t] + (least sum of the cuts after t).
 
-One table serves both objectives: the free optimum is X[V], and every
-test below reads X at a complement.
+The free optimum is X[V], and every test below reads X at a complement.
 
 The tables are indexed by twin-class count vectors, not by vertex sets.
 Twins (false twins share N(v), true twins share N[v]) can be swapped by an
@@ -28,20 +27,36 @@ complement of t.  The witness rule below still scans vertex ids in
 increasing order, and among twins it reaches the smallest unplaced one
 first, so the witnesses are those of the plain layout.
 
-Binary reassemblings use a second subset DP, over splits of plain bitmask
-vertex sets (the quotient does not apply to it): the best tree on
-S costs best[S] = cut[S] (+) min over splits {S - A, A} of best[S - A] (+)
-best[A].  Linear trees are the ones whose splits peel off one vertex.
+Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
+Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
+cut <= k is a union of components of G - C, where C is its cut, so few
+sets qualify.  The cut-bounded search grows prefix sets one vertex at a
+time, cut(S + v) = cut(S) + deg(v) - 2 |N(v) & S|, and keeps a set while
+its cut stays <= k.  Twins are placed in id order, so its sets are the
+count vectors above written as vertex masks.  A set whose successors are
+not all within k waits in a bucket keyed by the least of their cuts above
+k; when nothing within k is left and V is not reached, k rises to the
+smallest waiting cut and the sets of that bucket are scanned again.  Only
+admitted sets are stored, each is scanned once per bound at which it gains
+successors, and the k that reaches V is the optimum.  A backward pass then
+marks the admitted sets from which V can be reached.
 
-Witnesses of both DPs come from one budgeted rule: go through the choices
-in a fixed order and take the first whose cost still fits the budget.
-For an arrangement it keeps the cost spent so far and appends the
-smallest vertex v with spent (+) X[V - (S + v)] <= budget; after a
-one-vertex prefix (an anchor w) v must also have deg(v) >= deg(w).  With
-the budget set to the optimum, the witness is the lexicographically least
-optimal order.  For a binary tree it works top down from V and splits a
-cluster S at the first A (largest subset of S minus its lowest vertex
-first) with cut[S] (+) best[S - A] (+) best[A] <= budget.
+Witnesses of the arrangement engines come from one first-fit rule: append
+the smallest unplaced vertex v whose step still fits, and after a
+one-vertex prefix (an anchor w) v must also have deg(v) >= deg(w).  For
+beta the step fits when spent + X[V - (S + v)] <= budget, with spent the
+sum of the cuts so far; for alpha it fits when S + v is marked, the same
+test as max(spent, X[V - (S + v)]) <= k on the alpha table.  With the
+budget set to the optimum, the witness is the lexicographically least
+optimal order.
+
+Binary reassemblings use a second subset DP, over splits of plain bitmask
+vertex sets (the quotient does not apply to it), where (+) is the sum for
+beta and the maximum for alpha: the best tree on S costs best[S] = cut[S]
+(+) min over splits {S - A, A} of best[S - A] (+) best[A].  Linear trees
+are the ones whose splits peel off one vertex.  Its witness works top down
+from V and splits a cluster S at the first A (largest subset of S minus
+its lowest vertex first) with cut[S] (+) best[S - A] (+) best[A] <= budget.
 
 Linear reassemblings are solved through arrangements: a linear tree whose
 first cluster is {w, w'} with deg(w) <= deg(w') corresponds to an
@@ -53,7 +68,9 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
 so minimizing over feasible anchors is exact.  The three arrangement-based
 problems differ only in the budget: X[V] for a free arrangement, the
 anchored optimum for an anchored one, and for a linear tree the tree value
-(alpha) or the tree value minus the degree sum over v != w (beta).
+minus the degree sum over v != w (beta).  For alpha, each anchor's search
+starts at k = max degree and stops once k reaches the best value of an
+earlier anchor.
 
 Brute force is only the factorial scan of arrangements, kept as an
 independent reference for small instances.
@@ -61,6 +78,9 @@ independent reference for small instances.
 Every engine counts what it will enumerate -- states of the prefix table,
 splits (S, A) of the binary DP, or orders of the brute force scan -- and
 refuses more than 2^REASM_DP_LIMIT of them before any table or loop starts.
+The search cannot count its sets ahead, so it counts them as it stores
+them and refuses more than 2^(REASM_DP_LIMIT - 5): a stored set is a dict
+entry, about 2^5 times the bytes of a DP state.
 """
 
 from __future__ import annotations
@@ -126,13 +146,17 @@ def _check_objective(objective: str) -> None:
         raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
 
 
+def _too_much(n: int, count: int, unit: str, limit: int) -> LimitError:
+    return LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
+                      f"{unit}, limit is 2^{limit}")
+
+
 def _check_work(n: int, count: int, unit: str) -> None:
     """At most 2^dp_limit() units of work (states, splits or orders) for an
     instance on n vertices; checked before any table or loop starts."""
     limit = dp_limit()
     if count and (count - 1).bit_length() > limit:  # count > 2^limit, for any int limit
-        raise LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
-                         f"{unit}, limit is 2^{limit}")
+        raise _too_much(n, count, unit, limit)
 
 
 def _check_solvable(g: Graph, count: int, unit: str) -> None:
@@ -255,9 +279,9 @@ def _cut_table(g: Graph, st: _States) -> array:
     return cut
 
 
-def _prefix_table(objective: str, cut: array, st: _States) -> array:
-    """X[T] = cut[T] (+) min over v in T of X[T - v], with X[0] = 0: the
-    best cost of the cuts of an order of T, T itself included.
+def _prefix_table(cut: array, st: _States) -> array:
+    """X[T] = cut[T] + min over v in T of X[T - v], with X[0] = 0: the least
+    sum of the cuts of an order of T, T itself included.
 
     States are filled in increasing order, in leaf blocks spanning the
     lowest digits (up to _LEAF states, or the lowest digit alone).  Inside
@@ -268,18 +292,16 @@ def _prefix_table(objective: str, cut: array, st: _States) -> array:
     which is the same range with one more vertex of that digit.  Every
     state receives one fold per digit above the leaf that it holds.
 
-    X is an array of k-bit lanes from _lanes (its values are at most m for
-    alpha and m n for beta), and unfilled states hold the sentinel
-    2^(k-1) - 1.  A fold is one lane-parallel min per chunk, read as two
-    ints a (the destination) and b (the source): with hi the top bit of
-    every lane, (a | hi) - b keeps hi in exactly the lanes where a >= b,
-    and no borrow crosses a lane since a, b < 2^(k-1); spread to full
-    lanes, that mask picks b there and a elsewhere.
+    X is an array of k-bit lanes from _lanes (its values are at most m n),
+    and unfilled states hold the sentinel 2^(k-1) - 1.  A fold is one
+    lane-parallel min per chunk, read as two ints a (the destination) and
+    b (the source): with hi the top bit of every lane, (a | hi) - b keeps
+    hi in exactly the lanes where a >= b, and no borrow crosses a lane
+    since a, b < 2^(k-1); spread to full lanes, that mask picks b there
+    and a elsewhere.
     """
     size = len(cut)
-    beta = objective == "beta"
-    m = sum(st.deg) // 2
-    code = _lanes(m * len(st.deg) if beta else m)
+    code = _lanes(sum(st.deg) // 2 * len(st.deg))
     width = array(code).itemsize
     k, full = 8 * width, (1 << 8 * width) - 1
     x = array(code, [(1 << (k - 1)) - 1]) * size
@@ -302,7 +324,7 @@ def _prefix_table(objective: str, cut: array, st: _States) -> array:
                 v = blk[j]
                 if v < best:
                     best = v
-            blk[lo] = c + best if beta else (c if c > best else best)
+            blk[lo] = c + best
         x[base:base + leaf] = array(code, blk)
         e = base + leaf
         if e < size:
@@ -324,98 +346,209 @@ def _anchor_feasible(deg: tuple, w: int) -> bool:
     return any(v != w and d >= deg[w - 1] for v, d in enumerate(deg, start=1))
 
 
-def _dp_tables(g: Graph, objective: str, anchor: Optional[int]) -> tuple:
-    """Checks shared by the subset-DP solvers, then the state layout and
-    the cut and prefix tables."""
-    _check_objective(objective)
-    st = _states(g, _twin_classes(g))
-    _check_solvable(g, st.size, "states")
+def _check_anchor(g: Graph, deg: tuple, anchor: Optional[int]) -> None:
     if anchor is not None:
         g._check_vertex(anchor)
-        if not _anchor_feasible(st.deg, anchor):
+        if not _anchor_feasible(deg, anchor):
             raise _infeasible_anchor(anchor)
-    cut = _cut_table(g, st)
-    return st, cut, _prefix_table(objective, cut, st)
 
 
-def _greedy_completion(g: Graph, st: _States, objective: str, cut: array, x: array,
-                       prefix: list, budget: int) -> list:
-    """Lexicographically least completion of `prefix` whose cost stays
-    within `budget`; after a one-vertex prefix w the second vertex has
-    degree >= deg(w)."""
+def _first_fit(g: Graph, deg: tuple, prefix: list, state, step) -> list:
+    """The witness rule of both arrangement engines: extend `prefix` by the
+    smallest unplaced vertex v for which step(state, v) gives the next
+    state (None: v does not fit), until V is placed or no vertex fits;
+    after a one-vertex prefix w, v must also have deg(v) >= deg(w)."""
     order = list(prefix)
-    placed = t = spent = 0
-    for v in order:
-        placed |= 1 << (v - 1)
-        t += st.stride[v - 1]
-        spent = _combine(objective, spent, cut[t])
-    min_deg = st.deg[order[0] - 1] if len(order) == 1 else 0
-    full = st.size - 1
+    placed = sum(1 << (v - 1) for v in order)
+    min_deg = deg[order[0] - 1] if len(order) == 1 else 0
     while placed != g.full_mask:
         for v in vertices_of(g.full_mask ^ placed):
-            if st.deg[v - 1] < min_deg:
-                continue
-            u = t + st.stride[v - 1]
-            # x[full - u] = cut[u] (+) the best cost of the cuts after u
-            if _combine(objective, spent, x[full - u]) <= budget:
-                order.append(v)
-                placed |= 1 << (v - 1)
-                t, spent, min_deg = u, _combine(objective, spent, cut[u]), 0
-                break
+            if deg[v - 1] >= min_deg:
+                nxt = step(state, v)
+                if nxt is not None:
+                    break
         else:
-            raise VerificationError(f"prefix table is inconsistent at {order}, budget {budget}")
+            return order
+        order.append(v)
+        placed |= 1 << (v - 1)
+        state, min_deg = nxt, 0
     return order
 
 
-def _anchored_start(st: _States, objective: str, cut: array, x: array, w: int) -> int:
-    """Best value of an arrangement anchored at w, a feasible anchor."""
+def _dp_tables(g: Graph, anchor: Optional[int]) -> tuple:
+    """Checks of the beta solvers, then the state layout and the cut and
+    prefix tables."""
+    st = _states(g, _twin_classes(g))
+    _check_solvable(g, st.size, "states")
+    _check_anchor(g, st.deg, anchor)
+    cut = _cut_table(g, st)
+    return st, cut, _prefix_table(cut, st)
+
+
+def _greedy_completion(g: Graph, st: _States, cut: array, x: array, prefix: list,
+                       budget: int) -> list:
+    """Lexicographically least completion of `prefix` whose beta stays
+    within `budget`."""
+    full = st.size - 1
+    t = spent = 0
+    for v in prefix:
+        t += st.stride[v - 1]
+        spent += cut[t]
+
+    def step(state, v):
+        t, spent = state
+        u = t + st.stride[v - 1]
+        # x[full - u] = cut[u] + the least sum of the cuts after u
+        return (u, spent + cut[u]) if spent + x[full - u] <= budget else None
+
+    order = _first_fit(g, st.deg, prefix, (t, spent), step)
+    if len(order) < g.n:
+        raise VerificationError(f"prefix table is inconsistent at {order}, budget {budget}")
+    return order
+
+
+def _anchored_start(st: _States, cut: array, x: array, w: int) -> int:
+    """Beta of an arrangement anchored at w, a feasible anchor."""
     dw, sw = st.deg[w - 1], st.stride[w - 1]
-    # x[size - 1 - sw - sv] = cut[w + v] (+) the best cost of the cuts after {w, v}
-    return min(_combine(objective, cut[sw], x[st.size - 1 - sw - sv])
-               for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1)
-               if v != w and d >= dw)
+    # x[size - 1 - sw - sv] = cut[w + v] + the least sum of the cuts after {w, v}
+    return cut[sw] + min(x[st.size - 1 - sw - sv]
+                         for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1)
+                         if v != w and d >= dw)
+
+
+def _search_checks(g: Graph, anchor: Optional[int]) -> tuple:
+    """Checks of the alpha solvers; the degrees."""
+    if not g.is_connected():
+        raise ValidationError("optimizers need a connected graph")
+    deg = tuple(a.bit_count() for a in g.adj)
+    _check_anchor(g, deg, anchor)
+    return deg
+
+
+def _cut_search(g: Graph, deg: tuple, k: int, anchor: Optional[int] = None) -> tuple:
+    """(value, marks, sets stored): the least value >= k of an order of V
+    (anchored at `anchor`: after it a vertex of degree >= deg(anchor)) whose
+    prefix cuts all stay <= value, and for each admitted set whether V can
+    be reached from it within that value."""
+    limit = dp_limit() - 5
+    cap = 1 << min(limit, 64) if limit >= 0 else 0
+    if not cap:
+        raise _too_much(g.n, 1, "sets", limit)
+    before = {}  # vertex -> the bit of the twin placed just before it
+    for c in _twin_classes(g):
+        c = [v for v in c if v != anchor]
+        before.update((v, 1 << (u - 1)) for u, v in zip(c, c[1:]))
+    # one row per vertex: its bit; its bit and the twin's, of which a set
+    # may hold only the twin's; its neighbours; its degree
+    rows = [(1 << (v - 1), (1 << (v - 1)) | before.get(v, 0), before.get(v, 0), a, d)
+            for v, a, d in zip(g.vertices, g.adj, deg)]
+    start = 0 if anchor is None else 1 << (anchor - 1)
+    first = rows if anchor is None else [r for r in rows if r[4] >= deg[anchor - 1]]
+    full, unset = g.full_mask, g.m + 1  # above every cut
+    seen = {start: deg[anchor - 1] if anchor else 0}  # admitted set -> its cut
+    # admitted sets to scan for successors of cut <= k; and, by cut, the
+    # scanned sets whose least successor above k has that cut (no set above
+    # k is admitted yet)
+    todo, waiting = [start], {}
+    while True:
+        while todo:
+            s = todo.pop()
+            c = seen[s]
+            above = unset
+            for b, bt, t, a, d in first if s == start else rows:
+                if s & bt != t:
+                    continue
+                cu = c + d - 2 * (a & s).bit_count()
+                if cu > k:
+                    if cu < above:
+                        above = cu
+                elif s | b not in seen:
+                    if len(seen) == cap:
+                        raise _too_much(g.n, cap + 1, "sets", limit)
+                    seen[s | b] = cu
+                    todo.append(s | b)
+            if above != unset:
+                waiting.setdefault(above, []).append(s)
+        if full in seen:
+            break
+        k = min(waiting)
+        todo = waiting.pop(k)
+    # backward, largest sets first: a set is marked when one of its
+    # successors is; its mark replaces its cut, which is spent
+    for s in sorted(seen, key=int.bit_count, reverse=True):
+        mark = s == full
+        if not mark:
+            for b, bt, t, _, _ in rows:
+                if s & bt == t and seen.get(s | b) is True:
+                    mark = True
+                    break
+        seen[s] = mark
+    return k, seen, len(seen)
+
+
+def _marked_walk(g: Graph, deg: tuple, prefix: list, marks: dict) -> list:
+    """The first-fit order from `prefix` through marked sets."""
+    order = _first_fit(g, deg, prefix, sum(1 << (v - 1) for v in prefix),
+                       lambda s, v: s | 1 << (v - 1) if marks.get(s | 1 << (v - 1)) else None)
+    if len(order) < g.n:
+        raise VerificationError(f"set search is inconsistent at {order}")
+    return order
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:
-    """Optimal arrangement by subset DP (free, or anchored at a vertex)."""
+    """Optimal arrangement, free or anchored at a vertex: by the cut-bounded
+    search for alpha, by the prefix DP for beta."""
     t0 = time.perf_counter()
-    st, cut, x = _dp_tables(g, objective, anchor)
-    if anchor is None:
-        prefix, value = [], x[-1]
+    _check_objective(objective)
+    prefix = [] if anchor is None else [anchor]
+    if objective == "alpha":
+        deg = _search_checks(g, anchor)
+        k = (max(deg) + 1) // 2 if anchor is None else deg[anchor - 1]
+        value, marks, states = _cut_search(g, deg, k, anchor)
+        order = _marked_walk(g, deg, prefix, marks)
     else:
-        prefix, value = [anchor], _anchored_start(st, objective, cut, x, anchor)
-    order = _greedy_completion(g, st, objective, cut, x, prefix, value)
+        st, cut, x = _dp_tables(g, anchor)
+        value = x[-1] if anchor is None else _anchored_start(st, cut, x, anchor)
+        order, states = _greedy_completion(g, st, cut, x, prefix, value), len(x)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
-                       anchor=anchor, stats={"states": len(x), "millis": millis})
+                       anchor=anchor, stats={"states": states, "millis": millis})
 
 
 def exact_linear_reassembling(g: Graph, objective: str,
                               anchor: Optional[int] = None) -> SolveResult:
     """Optimal linear reassembling via anchored arrangements."""
     t0 = time.perf_counter()
-    st, cut, x = _dp_tables(g, objective, anchor)
-    total_deg = 2 * g.m
-    maxdeg = max(st.deg)
-    anchors = [anchor] if anchor is not None else [
-        w for w in g.vertices if _anchor_feasible(st.deg, w)]
-    best = None  # (tree value, w, budget)
-    for w in anchors:
-        arr_value = _anchored_start(st, objective, cut, x, w)
-        if objective == "beta":
-            value, budget = arr_value + (total_deg - st.deg[w - 1]), arr_value
-        else:
-            value = budget = max(maxdeg, arr_value)
-        if best is None or (value, w) < best[:2]:
-            best = (value, w, budget)
-    # a single vertex has no feasible anchor: its one-leaf tree costs 0
-    value, w, budget = best if best is not None else (0, None, 0)
-    order = _greedy_completion(g, st, objective, cut, x, [w] if w is not None else [],
-                               budget)
+    _check_objective(objective)
+    if objective == "alpha":
+        deg = _search_checks(g, anchor)
+        # the least k >= max degree of an order anchored at `anchor`, or of
+        # any order: swapping the first two vertices changes only the first
+        # cut, so the least over all anchors is the free cutwidth.  Every
+        # set that an order anchored at w reaches within k is admitted from
+        # the empty set too, so the marks tell which anchors attain k.
+        value, marks, states = _cut_search(g, deg, max(deg), anchor)
+        # a single vertex has no feasible anchor: its one-leaf tree costs 0
+        w = anchor if anchor is not None else next(
+            (w for w in g.vertices for v in g.vertices
+             if v != w and deg[v - 1] >= deg[w - 1] and marks.get(1 << (w - 1) | 1 << (v - 1))),
+            None)
+        order = _marked_walk(g, deg, [] if w is None else [w], marks)
+    else:
+        st, cut, x = _dp_tables(g, anchor)
+        states, best = len(x), None  # (tree value, w, budget)
+        for w in [anchor] if anchor is not None else [
+                w for w in g.vertices if _anchor_feasible(st.deg, w)]:
+            budget = _anchored_start(st, cut, x, w)
+            value = budget + 2 * g.m - st.deg[w - 1]
+            if best is None or (value, w) < best[:2]:
+                best = (value, w, budget)
+        value, w, budget = best if best is not None else (0, None, 0)
+        order = _greedy_completion(g, st, cut, x, [] if w is None else [w], budget)
     tree = induce_reassembling(g, Arrangement(tuple(order)))
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "linear_reassembling", int(value), tree,
-                       anchor=w, stats={"states": len(x), "millis": millis})
+                       anchor=w, stats={"states": states, "millis": millis})
 
 
 def _splits(s: int):

@@ -222,9 +222,10 @@ def _anchored(solve: Callable, g: Graph, objective: str, w: int) -> Optional[tup
 
 
 def _dp_vs_brute(rec: _Recorder, g: Graph) -> None:
-    """Subset DP and the factorial scan agree on value and witness, free and
-    at every anchor w; at each w both refuse, or the witness is anchored (w
-    first, deg(w) <= deg(second))."""
+    """The exact arrangement engines (the subset DP for beta, the cut-bounded
+    search for alpha) and the factorial scan agree on value and witness,
+    free and at every anchor w; at each w both refuse, or the witness is
+    anchored (w first, deg(w) <= deg(second))."""
     for objective in ("alpha", "beta"):
         dp = exact_arrangement(g, objective)
         bf = brute_force_arrangement(g, objective)
@@ -241,7 +242,7 @@ def _dp_vs_brute(rec: _Recorder, g: Graph) -> None:
 
 
 def suite_dp_vs_brute(seed: int, trials: Optional[int] = None) -> SuiteResult:
-    """Subset DP against the factorial scan on random connected graphs."""
+    """The exact engines against the factorial scan on random connected graphs."""
     rng = random.Random(seed)
     rec = _Recorder("dp_vs_brute")
     for _ in range(trials or 15):

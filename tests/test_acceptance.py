@@ -11,12 +11,12 @@ import random
 import time
 
 from reasm import verify
-from reasm.graph import (complete_graph, cycle_graph, parse_graph, path_graph,
+from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph, path_graph,
                          qcube3_graph, ring_tree_graph, star_graph)
 from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling,
                           parse_arrangement)
 from reasm.reduction import A2R, R2A, build_auxiliary, reduce_alpha, reduce_beta
-from reasm.solvers import (brute_force_arrangement, exact_arrangement,
+from reasm.solvers import (_cut_search, brute_force_arrangement, exact_arrangement,
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import ReassemblyTree, first_nonstrict_pair, measures, parse_tree
 from reasm.verify import FIXTURE_ARRANGEMENTS, FIXTURE_GRAPHS, FIXTURE_TREES, run_suites
@@ -186,8 +186,18 @@ def test_criterion_09_alpha_reduction_end_to_end():
         assert evaluate_arrangement(g, rep.witness).alpha == rep.value
         if g.n <= 10:
             assert rep.value == brute_force_arrangement(g, "alpha").value
-    verdict(9, "alpha reduction gives the exact cutwidth on q3, k4 and "
-               "two ring trees")
+    # beyond the 2^24 states of the subset DP: a chain of five 5-rings, and
+    # the complete binary tree of height h = 4, whose cutwidth is
+    # ceil(h / 2) + 1 = 3: no order keeps every prefix cut <= 2
+    tree = Graph(31, tuple((v // 2, v) for v in range(2, 32)))
+    for g, n, value in ((ring_tree_graph((5,) * 5), 25, 2), (tree, 31, 3)):
+        rep = reduce_alpha(g)
+        assert (g.n, rep.branch, rep.value) == (n, "all_deg3_cut", value)
+        assert evaluate_arrangement(g, rep.witness).alpha == value
+    deg = tuple(tree.degree(v) for v in tree.vertices)
+    assert _cut_search(tree, deg, 2)[0] == 3
+    verdict(9, "alpha reduction gives the exact cutwidth on q3, k4, three "
+               "ring trees and a binary tree")
 
 
 def test_criterion_10_structural_invariants():

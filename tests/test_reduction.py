@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
 
 import networkx as nx
 import pytest
 
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph, qcube3_graph,
-                         ring_tree_graph, star_graph)
+from reasm import solvers
+from reasm.graph import (Graph, complete_graph, cycle_graph, format_graph, path_graph,
+                         qcube3_graph, ring_tree_graph, star_graph)
 from reasm.layout import Arrangement, evaluate_arrangement
 from reasm.reduction import (A2R, R2A, _check_auxiliary_states, build_auxiliary, descatter_move,
                              normalize_sequence, rebalance_move, reduce_alpha,
@@ -252,18 +254,36 @@ def test_reduce_alpha_classifies_by_cut_vertices():
         assert rep.noncut_deg3_witness == (noncut[0] if noncut else None)
 
 
-def test_reduce_alpha_checks_the_work_before_classifying(monkeypatch):
-    # q3 is twin-free, so the DP would take 2^8 states: refused with the DP's
-    # own message before any G - v is searched
-    masks = []
-    is_connected = Graph.is_connected
-    monkeypatch.setattr(Graph, "is_connected",
-                        lambda g, mask=None: masks.append(mask) or is_connected(g, mask))
-    monkeypatch.setenv("REASM_DP_LIMIT", "4")
-    q3 = qcube3_graph()
-    assert _twin_classes(q3) == []
-    with pytest.raises(LimitError, match=r"instance has 8 vertices and 2\^8\.0 states, "
-                                         r"limit is 2\^4$") as exc:
-        reduce_alpha(q3)
-    assert exc.value.exit_code == 3
-    assert masks and all(m in (None, q3.full_mask) for m in masks)
+def test_alpha_search_refuses_above_its_set_cap(monkeypatch, run_cli, tmp_path):
+    # the alpha search stores at most 2^(REASM_DP_LIMIT - 5) sets, 32 at a
+    # limit of 10, and refuses the first set past them: K_31 stores its 32
+    # prefix sets, and K_32's 33rd is refused
+    monkeypatch.setenv("REASM_DP_LIMIT", "10")
+    refused = []
+    too_much = solvers._too_much
+    monkeypatch.setattr(solvers, "_too_much",
+                        lambda n, count, unit, limit: refused.append(count)
+                        or too_much(n, count, unit, limit))
+    assert exact_arrangement(complete_graph(31), "alpha").stats["states"] == 32
+    with pytest.raises(LimitError, match=r"^instance has 32 vertices and 2\^5\.0 sets, "
+                                         r"limit is 2\^5$") as exc:
+        exact_arrangement(complete_graph(32), "alpha")
+    assert exc.value.exit_code == 3 and refused == [33]
+    # q3 needs 96 sets in each of its solves, so every alpha verb refuses it,
+    # and a solve writes no witness file; a ring tree's 16 sets fit
+    q3, rt = tmp_path / "q3.g", tmp_path / "rt34.g"
+    q3.write_text(format_graph(qcube3_graph()))
+    rt.write_text(format_graph(ring_tree_graph((3, 4))))
+    witness = tmp_path / "q3.witness"
+    for argv in (("solve", q3, "--objective", "alpha", "--witness-out", witness),
+                 ("solve", q3, "--objective", "alpha", "--mode", "linear",
+                  "--witness-out", witness),
+                 ("reduce", q3, "--problem", "alpha")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: instance has 8 vertices and 2^5.0 sets, limit is 2^5")
+    assert not witness.exists()
+    assert refused == [33] * 4
+    code, out, _ = run_cli("reduce", rt, "--problem", "alpha")
+    assert code == 0 and (json.loads(out)["branch"], json.loads(out)["value"]) == (
+        "all_deg3_cut", 2)

@@ -6,7 +6,7 @@ import pytest
 
 from reasm.errors import LimitError, ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
-                         path_graph, qcube3_graph, star_graph, vertices_of)
+                         path_graph, qcube3_graph, ring_tree_graph, star_graph, vertices_of)
 from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
 from reasm.reduction import build_auxiliary
 from reasm import solvers
@@ -34,9 +34,9 @@ def test_cut_table_matches_cut_mask():
 
 
 def _per_mask_tables(g: Graph) -> tuple:
-    """(g, classes, cut by mask, prefix cost by objective and mask)."""
+    """(g, classes, cut by mask, beta prefix cost by mask)."""
     return (g, _twin_classes(g), [g.cut_mask(t) for t in range(1 << g.n)],
-            {objective: prefix_costs(g, objective) for objective in ("alpha", "beta")})
+            prefix_costs(g, "beta"))
 
 
 @pytest.fixture(scope="module")
@@ -47,16 +47,15 @@ def random_tables() -> list:
     return [_per_mask_tables(random_connected(rng, n)) for n in range(1, 16)]
 
 
-def _assert_tables_match(g: Graph, classes, cuts: list, costs: dict) -> _States:
+def _assert_tables_match(g: Graph, classes, cuts: list, costs: list) -> _States:
     # a vertex set and its count vector share the cut and the prefix cost
     st = _states(g, classes)
     index = [sum(st.stride[v - 1] for v in vertices_of(t)) for t in range(1 << g.n)]
     assert set(index) == set(range(st.size))
     cut = _cut_table(g, st)
     assert [cut[i] for i in index] == cuts, g
-    for objective in ("alpha", "beta"):
-        x = _prefix_table(objective, cut, st)
-        assert [x[i] for i in index] == costs[objective], (g, objective)
+    x = _prefix_table(cut, st)
+    assert [x[i] for i in index] == costs, g
     return st
 
 
@@ -66,14 +65,13 @@ def test_prefix_table_matches_per_mask_recurrence(random_tables):
 
 
 def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
-    # X[V - t] = cut[t] (+) the best cost of the cuts after placing t, the
-    # best taken over every order of the remaining vertices
+    # X[V - t] = cut[t] + the least sum of the cuts after placing t, taken
+    # over every order of the remaining vertices
     for g in connected_atlas(6):
         full = g.full_mask
         st = _states(g, ())
         cut = _cut_table(g, st)
-        tables = {objective: _prefix_table(objective, cut, st)
-                  for objective in ("alpha", "beta")}
+        x = _prefix_table(cut, st)
         for t in range(full + 1):
             after = []
             for order in itertools.permutations(vertices_of(full ^ t)):
@@ -82,9 +80,7 @@ def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
                     s |= 1 << (v - 1)
                     cuts.append(cut[s])
                 after.append(cuts)
-            assert tables["beta"][full ^ t] == cut[t] + min(sum(c) for c in after)
-            assert tables["alpha"][full ^ t] == max(cut[t], min(max(c, default=0)
-                                                                for c in after))
+            assert x[full ^ t] == cut[t] + min(sum(c) for c in after)
 
 
 def test_twin_classes():
@@ -142,7 +138,7 @@ def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code
         _assert_tables_match(g, classes, cuts, costs)
     g = quotient_tables[-1][0]
     st = _states(g, _twin_classes(g))
-    assert _prefix_table("beta", _cut_table(g, st), st).typecode == code
+    assert _prefix_table(_cut_table(g, st), st).typecode == code
 
 
 def test_lanes_keep_the_top_bit_and_a_sentinel_free():
@@ -284,6 +280,80 @@ def test_linear_witness_is_least_anchored_order():
                 assert res.value == value
                 assert res.anchor == (order[0] if g.n > 1 else None)
                 assert res.witness == induce_reassembling(g, Arrangement(order))
+
+
+def _prefix_cuts(g: Graph, order) -> list:
+    cuts, prefix = [], 0
+    for v in order:
+        prefix |= 1 << (v - 1)
+        cuts.append(g.cut_mask(prefix))
+    return cuts
+
+
+def test_linear_alpha_matches_brute_force(atlas6):
+    # the value and anchor are the least (max(max degree, brute force's
+    # anchored cutwidth), w); the tree comes from the first order anchored
+    # at w, in permutation order, whose prefix cuts all stay within the
+    # value: the value can exceed the anchored cutwidth, so that order need
+    # not be brute force's witness
+    for g in atlas6:
+        deg = [g.degree(v) for v in g.vertices]
+        anchors = [w for w in g.vertices
+                   if any(v != w and deg[v - 1] >= deg[w - 1] for v in g.vertices)]
+        res = exact_linear_reassembling(g, "alpha")
+        if not anchors:
+            assert (res.value, res.anchor) == (0, None)
+            continue
+        value, w = min((max(g.max_degree(), brute_force_arrangement(g, "alpha", anchor=w).value),
+                        w) for w in anchors)
+        order = next((w,) + rest for rest in itertools.permutations(
+            [v for v in g.vertices if v != w])
+            if deg[rest[0] - 1] >= deg[w - 1] and max(_prefix_cuts(g, (w,) + rest)) <= value)
+        assert (res.value, res.anchor) == (value, w), g
+        assert res.witness == induce_reassembling(g, Arrangement(order)), g
+
+
+def test_free_alpha_is_the_prefix_cost_of_v():
+    graphs = [g for g in connected_atlas(7) if g.n == 7]
+    assert len(graphs) == 853
+    for g in graphs:
+        res = exact_arrangement(g, "alpha")
+        assert res.value == prefix_costs(g, "alpha")[-1], g
+        assert max(_prefix_cuts(g, res.witness.order)) == res.value
+
+
+def test_heavy_twin_alpha_pins():
+    # values and witnesses of the subset DP that the search replaced; K_n
+    # stores its n + 1 prefix sets, one per count of its single class
+    k555 = Graph(15, tuple((u, v) for u, v in itertools.combinations(range(1, 16), 2)
+                           if (u - 1) // 5 != (v - 1) // 5))
+    pins = [
+        (complete_graph(40), 400, " ".join(map(str, range(1, 41))), 400, 1,
+         range(1, 41)),
+        (star_graph(30), 15, " ".join(map(str, [*range(2, 17), 1, *range(17, 32)])), 30, 2,
+         range(1, 32)),
+        (k555, 38, "1 2 3 6 7 11 12 8 4 5 9 10 13 14 15", 38, 1,
+         (1, 2, 3, 6, 7, 11, 12, 8, 4, 5, 9, 10, 13, 14, 15)),
+    ]
+    for g, value, witness, lin_value, lin_anchor, lin_order in pins:
+        res = exact_arrangement(g, "alpha")
+        assert (res.value, " ".join(map(str, res.witness.order))) == (value, witness)
+        lin = exact_linear_reassembling(g, "alpha")
+        assert (lin.value, lin.anchor) == (lin_value, lin_anchor)
+        assert lin.witness == induce_reassembling(g, Arrangement(tuple(lin_order)))
+    assert exact_arrangement(complete_graph(40), "alpha").stats["states"] <= 41
+
+
+def test_alpha_search_stores_few_sets_on_ring_trees():
+    # a prefix set with cut <= 2 is a union of components of G - C for a
+    # cut C of at most two edges, so a chain of r five-rings (cutwidth 2)
+    # admits O(m^2) of them, where the subset DP had 2^n states
+    for r in range(5, 41):
+        g = ring_tree_graph((5,) * r)
+        res = exact_arrangement(g, "alpha")
+        assert res.value == 2
+        assert max(_prefix_cuts(g, res.witness.order)) == 2
+        assert res.stats["states"] <= g.m ** 2, (r, res.stats["states"])
 
 
 def test_anchored_witness_structure():
