@@ -38,17 +38,17 @@ not all within k waits in a bucket keyed by the least of their cuts above
 k; when nothing within k is left and V is not reached, k rises to the
 smallest waiting cut and the sets of that bucket are scanned again.  Only
 admitted sets are stored, each is scanned once per bound at which it gains
-successors, and the k that reaches V is the optimum.  A backward pass then
-marks the admitted sets from which V can be reached.
+successors, and the k at which V is admitted is the optimum.
 
-Witnesses of the arrangement engines come from one first-fit rule: append
-the smallest unplaced vertex v whose step still fits, and after a
-one-vertex prefix (an anchor w) v must also have deg(v) >= deg(w).  For
-beta the step fits when spent + X[V - (S + v)] <= budget, with spent the
-sum of the cuts so far; for alpha it fits when S + v is marked, the same
-test as max(spent, X[V - (S + v)]) <= k on the alpha table.  With the
-budget set to the optimum, the witness is the lexicographically least
-optimal order.
+Witnesses of the arrangement engines are the lexicographically least
+orders within the optimum, and after a one-vertex prefix (an anchor w)
+the next vertex v must have deg(v) >= deg(w).  Beta's greedy completion
+appends the smallest unplaced v with spent + X[V - (S + v)] <= budget,
+with spent the sum of the cuts so far.  Alpha walks depth first from the
+start set at the optimum, trying vertices in increasing order: it steps
+to a successor whose cut is within the bound and that is not known to be
+dead, and records a set none of whose successors leads to V as dead.  The
+first order to reach V is the least one.
 
 Binary reassemblings use a second subset DP, over splits of plain bitmask
 vertex sets (the quotient does not apply to it), where (+) is the sum for
@@ -68,9 +68,10 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
 so minimizing over feasible anchors is exact.  The three arrangement-based
 problems differ only in the budget: X[V] for a free arrangement, the
 anchored optimum for an anchored one, and for a linear tree the tree value
-minus the degree sum over v != w (beta).  For alpha, each anchor's search
-starts at k = max degree and stops once k reaches the best value of an
-earlier anchor.
+minus the degree sum over v != w (beta).  For alpha, swapping the first
+two vertices of an order changes only its first cut, so the least value
+over all anchors is max(max degree, cutwidth): one search from the empty
+set settles it, and the anchor is the first vertex of the walk's order.
 
 Brute force is only the factorial scan of arrangements, kept as an
 independent reference for small instances.
@@ -79,8 +80,9 @@ Every engine counts what it will enumerate -- states of the prefix table,
 splits (S, A) of the binary DP, or orders of the brute force scan -- and
 refuses more than 2^REASM_DP_LIMIT of them before any table or loop starts.
 The search cannot count its sets ahead, so it counts them as it stores
-them and refuses more than 2^(REASM_DP_LIMIT - 5): a stored set is a dict
-entry, about 2^5 times the bytes of a DP state.
+them, admitted and dead ones alike, and refuses more than
+2^(REASM_DP_LIMIT - 5): a stored set is a dict or set entry, about 2^5
+times the bytes of a DP state.
 """
 
 from __future__ import annotations
@@ -353,28 +355,6 @@ def _check_anchor(g: Graph, deg: tuple, anchor: Optional[int]) -> None:
             raise _infeasible_anchor(anchor)
 
 
-def _first_fit(g: Graph, deg: tuple, prefix: list, state, step) -> list:
-    """The witness rule of both arrangement engines: extend `prefix` by the
-    smallest unplaced vertex v for which step(state, v) gives the next
-    state (None: v does not fit), until V is placed or no vertex fits;
-    after a one-vertex prefix w, v must also have deg(v) >= deg(w)."""
-    order = list(prefix)
-    placed = sum(1 << (v - 1) for v in order)
-    min_deg = deg[order[0] - 1] if len(order) == 1 else 0
-    while placed != g.full_mask:
-        for v in vertices_of(g.full_mask ^ placed):
-            if deg[v - 1] >= min_deg:
-                nxt = step(state, v)
-                if nxt is not None:
-                    break
-        else:
-            return order
-        order.append(v)
-        placed |= 1 << (v - 1)
-        state, min_deg = nxt, 0
-    return order
-
-
 def _dp_tables(g: Graph, anchor: Optional[int]) -> tuple:
     """Checks of the beta solvers, then the state layout and the cut and
     prefix tables."""
@@ -388,22 +368,28 @@ def _dp_tables(g: Graph, anchor: Optional[int]) -> tuple:
 def _greedy_completion(g: Graph, st: _States, cut: array, x: array, prefix: list,
                        budget: int) -> list:
     """Lexicographically least completion of `prefix` whose beta stays
-    within `budget`."""
+    within `budget`: append the smallest unplaced vertex v with
+    spent + X[V - (S + v)] <= budget, where spent is the sum of the cuts so
+    far; after a one-vertex prefix w, v must also have deg(v) >= deg(w)."""
     full = st.size - 1
-    t = spent = 0
+    order = list(prefix)
+    t = spent = placed = 0
     for v in prefix:
         t += st.stride[v - 1]
         spent += cut[t]
-
-    def step(state, v):
-        t, spent = state
-        u = t + st.stride[v - 1]
-        # x[full - u] = cut[u] + the least sum of the cuts after u
-        return (u, spent + cut[u]) if spent + x[full - u] <= budget else None
-
-    order = _first_fit(g, st.deg, prefix, (t, spent), step)
-    if len(order) < g.n:
-        raise VerificationError(f"prefix table is inconsistent at {order}, budget {budget}")
+        placed |= 1 << (v - 1)
+    min_deg = st.deg[prefix[0] - 1] if len(prefix) == 1 else 0
+    while placed != g.full_mask:
+        for v in vertices_of(g.full_mask ^ placed):
+            u = t + st.stride[v - 1]
+            # x[full - u] = cut[u] + the least sum of the cuts after u
+            if st.deg[v - 1] >= min_deg and spent + x[full - u] <= budget:
+                break
+        else:
+            raise VerificationError(f"prefix table is inconsistent at {order}, budget {budget}")
+        order.append(v)
+        placed |= 1 << (v - 1)
+        t, spent, min_deg = u, spent + cut[u], 0
     return order
 
 
@@ -416,20 +402,16 @@ def _anchored_start(st: _States, cut: array, x: array, w: int) -> int:
                          if v != w and d >= dw)
 
 
-def _search_checks(g: Graph, anchor: Optional[int]) -> tuple:
-    """Checks of the alpha solvers; the degrees."""
-    if not g.is_connected():
-        raise ValidationError("optimizers need a connected graph")
+def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) -> tuple:
+    """(value, order, sets stored) of an alpha arrangement, free or anchored
+    at `anchor`, or of a linear tree (`linear`): the least bound within
+    which an order keeps all its prefix cuts (for a linear tree, at least
+    the maximum degree), and the lexicographically least such order.
+    Anchored or linear, a one-vertex prefix w is followed by a vertex of
+    degree >= deg(w)."""
+    _check_solvable(g, 0, "sets")
     deg = tuple(a.bit_count() for a in g.adj)
     _check_anchor(g, deg, anchor)
-    return deg
-
-
-def _cut_search(g: Graph, deg: tuple, k: int, anchor: Optional[int] = None) -> tuple:
-    """(value, marks, sets stored): the least value >= k of an order of V
-    (anchored at `anchor`: after it a vertex of degree >= deg(anchor)) whose
-    prefix cuts all stay <= value, and for each admitted set whether V can
-    be reached from it within that value."""
     limit = dp_limit() - 5
     cap = 1 << min(limit, 64) if limit >= 0 else 0
     if not cap:
@@ -442,57 +424,65 @@ def _cut_search(g: Graph, deg: tuple, k: int, anchor: Optional[int] = None) -> t
     # may hold only the twin's; its neighbours; its degree
     rows = [(1 << (v - 1), (1 << (v - 1)) | before.get(v, 0), before.get(v, 0), a, d)
             for v, a, d in zip(g.vertices, g.adj, deg)]
-    start = 0 if anchor is None else 1 << (anchor - 1)
-    first = rows if anchor is None else [r for r in rows if r[4] >= deg[anchor - 1]]
+    ruled = linear or anchor is not None
+
+    def low(s):  # the least degree of a vertex that may follow s
+        return deg[s.bit_length() - 1] if ruled and s and not s & (s - 1) else 0
+
     full, unset = g.full_mask, g.m + 1  # above every cut
-    seen = {start: deg[anchor - 1] if anchor else 0}  # admitted set -> its cut
+    if anchor is None:
+        start, k = 0, (max(deg) + 1) // 2
+    else:
+        start, k = 1 << (anchor - 1), deg[anchor - 1]
+    seen = {start: 0 if anchor is None else k}  # admitted set -> its cut
     # admitted sets to scan for successors of cut <= k; and, by cut, the
     # scanned sets whose least successor above k has that cut (no set above
     # k is admitted yet)
     todo, waiting = [start], {}
-    while True:
-        while todo:
-            s = todo.pop()
-            c = seen[s]
-            above = unset
-            for b, bt, t, a, d in first if s == start else rows:
-                if s & bt != t:
-                    continue
+    while full not in seen:
+        if not todo:
+            k = min(waiting)
+            todo = waiting.pop(k)
+        s = todo.pop()
+        c, lo = seen[s], low(s)
+        above = unset
+        for b, bt, t, a, d in rows:
+            if s & bt != t or d < lo:
+                continue
+            cu = c + d - 2 * (a & s).bit_count()
+            if cu > k:
+                if cu < above:
+                    above = cu
+            elif s | b not in seen:
+                if len(seen) == cap:
+                    raise _too_much(g.n, cap + 1, "sets", limit)
+                seen[s | b] = cu
+                todo.append(s | b)
+        if above != unset:
+            waiting.setdefault(above, []).append(s)
+    value = max(k, max(deg)) if linear else k
+    # depth first at the value, smallest vertex first: a set none of whose
+    # successors within the value leads to V is dead.  The search above
+    # reached V from start under the same rules, so start never dies.
+    dead = set()
+    stack = [(start, seen[start], iter(rows))]  # set, its cut, rows left to try
+    while stack[-1][0] != full:
+        s, c, left = stack[-1]
+        lo = low(s)
+        for b, bt, t, a, d in left:
+            if s & bt == t and d >= lo and s | b not in dead:
                 cu = c + d - 2 * (a & s).bit_count()
-                if cu > k:
-                    if cu < above:
-                        above = cu
-                elif s | b not in seen:
-                    if len(seen) == cap:
-                        raise _too_much(g.n, cap + 1, "sets", limit)
-                    seen[s | b] = cu
-                    todo.append(s | b)
-            if above != unset:
-                waiting.setdefault(above, []).append(s)
-        if full in seen:
-            break
-        k = min(waiting)
-        todo = waiting.pop(k)
-    # backward, largest sets first: a set is marked when one of its
-    # successors is; its mark replaces its cut, which is spent
-    for s in sorted(seen, key=int.bit_count, reverse=True):
-        mark = s == full
-        if not mark:
-            for b, bt, t, _, _ in rows:
-                if s & bt == t and seen.get(s | b) is True:
-                    mark = True
+                if cu <= value:
+                    stack.append((s | b, cu, iter(rows)))
                     break
-        seen[s] = mark
-    return k, seen, len(seen)
-
-
-def _marked_walk(g: Graph, deg: tuple, prefix: list, marks: dict) -> list:
-    """The first-fit order from `prefix` through marked sets."""
-    order = _first_fit(g, deg, prefix, sum(1 << (v - 1) for v in prefix),
-                       lambda s, v: s | 1 << (v - 1) if marks.get(s | 1 << (v - 1)) else None)
-    if len(order) < g.n:
-        raise VerificationError(f"set search is inconsistent at {order}")
-    return order
+        else:
+            if len(seen) + len(dead) == cap:
+                raise _too_much(g.n, cap + 1, "sets", limit)
+            dead.add(s)
+            stack.pop()
+    order = [] if anchor is None else [anchor]
+    order += [(u ^ s).bit_length() for (s, _, _), (u, _, _) in zip(stack, stack[1:])]
+    return value, order, len(seen) + len(dead)
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:
@@ -500,15 +490,12 @@ def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) ->
     search for alpha, by the prefix DP for beta."""
     t0 = time.perf_counter()
     _check_objective(objective)
-    prefix = [] if anchor is None else [anchor]
     if objective == "alpha":
-        deg = _search_checks(g, anchor)
-        k = (max(deg) + 1) // 2 if anchor is None else deg[anchor - 1]
-        value, marks, states = _cut_search(g, deg, k, anchor)
-        order = _marked_walk(g, deg, prefix, marks)
+        value, order, states = _cut_search(g, anchor)
     else:
         st, cut, x = _dp_tables(g, anchor)
         value = x[-1] if anchor is None else _anchored_start(st, cut, x, anchor)
+        prefix = [] if anchor is None else [anchor]
         order, states = _greedy_completion(g, st, cut, x, prefix, value), len(x)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
@@ -521,19 +508,9 @@ def exact_linear_reassembling(g: Graph, objective: str,
     t0 = time.perf_counter()
     _check_objective(objective)
     if objective == "alpha":
-        deg = _search_checks(g, anchor)
-        # the least k >= max degree of an order anchored at `anchor`, or of
-        # any order: swapping the first two vertices changes only the first
-        # cut, so the least over all anchors is the free cutwidth.  Every
-        # set that an order anchored at w reaches within k is admitted from
-        # the empty set too, so the marks tell which anchors attain k.
-        value, marks, states = _cut_search(g, deg, max(deg), anchor)
+        value, order, states = _cut_search(g, anchor, linear=True)
         # a single vertex has no feasible anchor: its one-leaf tree costs 0
-        w = anchor if anchor is not None else next(
-            (w for w in g.vertices for v in g.vertices
-             if v != w and deg[v - 1] >= deg[w - 1] and marks.get(1 << (w - 1) | 1 << (v - 1))),
-            None)
-        order = _marked_walk(g, deg, [] if w is None else [w], marks)
+        w = order[0] if g.n > 1 else None
     else:
         st, cut, x = _dp_tables(g, anchor)
         states, best = len(x), None  # (tree value, w, budget)

@@ -194,8 +194,8 @@ def test_criterion_09_alpha_reduction_end_to_end():
         rep = reduce_alpha(g)
         assert (g.n, rep.branch, rep.value) == (n, "all_deg3_cut", value)
         assert evaluate_arrangement(g, rep.witness).alpha == value
-    deg = tuple(tree.degree(v) for v in tree.vertices)
-    assert _cut_search(tree, deg, 2)[0] == 3
+    # the free search starts at ceil(3 / 2) = 2 and rises to 3
+    assert _cut_search(tree)[0] == 3
     verdict(9, "alpha reduction gives the exact cutwidth on q3, k4, three "
                "ring trees and a binary tree")
 

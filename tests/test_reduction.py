@@ -269,8 +269,8 @@ def test_alpha_search_refuses_above_its_set_cap(monkeypatch, run_cli, tmp_path):
                                          r"limit is 2\^5$") as exc:
         exact_arrangement(complete_graph(32), "alpha")
     assert exc.value.exit_code == 3 and refused == [33]
-    # q3 needs 96 sets in each of its solves, so every alpha verb refuses it,
-    # and a solve writes no witness file; a ring tree's 16 sets fit
+    # q3 needs 35 sets in each of its solves, so every alpha verb refuses it,
+    # and a solve writes no witness file; a ring tree's 10 sets fit
     q3, rt = tmp_path / "q3.g", tmp_path / "rt34.g"
     q3.write_text(format_graph(qcube3_graph()))
     rt.write_text(format_graph(ring_tree_graph((3, 4))))

@@ -347,13 +347,18 @@ def test_heavy_twin_alpha_pins():
 def test_alpha_search_stores_few_sets_on_ring_trees():
     # a prefix set with cut <= 2 is a union of components of G - C for a
     # cut C of at most two edges, so a chain of r five-rings (cutwidth 2)
-    # admits O(m^2) of them, where the subset DP had 2^n states
+    # admits O(m^2) of them, where the subset DP had 2^n states.  A linear
+    # tree's value is max(3, 2) = 3, which its search settles at the
+    # cutwidth; only the witness walk runs at 3
     for r in range(5, 41):
         g = ring_tree_graph((5,) * r)
         res = exact_arrangement(g, "alpha")
         assert res.value == 2
         assert max(_prefix_cuts(g, res.witness.order)) == 2
         assert res.stats["states"] <= g.m ** 2, (r, res.stats["states"])
+        lin = exact_linear_reassembling(g, "alpha")
+        assert (lin.value, lin.anchor) == (3, 1)
+        assert lin.stats["states"] <= 2 * g.m, (r, lin.stats["states"])
 
 
 def test_anchored_witness_structure():
