@@ -197,7 +197,7 @@ def _parse_ring_sizes(raw: str) -> tuple:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    ring_sizes = _parse_ring_sizes(args.ring_sizes) if args.ring_sizes else None
+    ring_sizes = _parse_ring_sizes(args.ring_sizes) if args.ring_sizes is not None else None
     g = generate(args.family, args.size, ring_sizes=ring_sizes,
                  path_len=args.path_len)
     text = format_graph(g)

@@ -17,13 +17,6 @@ from typing import Iterable, Iterator, Optional
 from .errors import LimitError, ValidationError
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
 def vertices_of(mask: int) -> tuple[int, ...]:
     """The vertex ids set in `mask`, ascending; time grows with their count,
     not with the highest id."""

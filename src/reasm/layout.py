@@ -37,10 +37,6 @@ class Arrangement:
         if not self.order:
             raise ValidationError("empty arrangement")
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
     def position(self, v: int) -> int:
         try:
             return self.order.index(v) + 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import ValidationError, VerificationError
 from .graph import (MAX_EDGES, _LINE_ENDS, Graph, _check_size, _int_pair, data_lines,
                     vertices_of)
-from .tree import ReassemblyTree, _check_ground, first_nonstrict_pair, print_tree
+from .tree import ReassemblyTree, _check_ground, print_tree
 
 
 def _norm_edge(e) -> tuple:
@@ -130,21 +130,21 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
     tree.
     """
     _check_ground(g, tree)
-    bad = first_nonstrict_pair(g, tree)
-    if bad is not None:
-        raise ValidationError(f"tree is not strict: no edge between "
-                              f"{list(vertices_of(bad[0]))} and {list(vertices_of(bad[1]))}")
-
     can = {}  # ordering of each cluster whose parent is not done yet
     for m in tree.clusters:
         if m not in tree._children:
             can[m] = ()
             continue
         a, b = tree._children[m]
+        bridges = g.bridges(a, b)
+        if not bridges:
+            lo, hi = (a, b) if a & -a < b & -b else (b, a)
+            raise ValidationError(f"tree is not strict: no edge between "
+                                  f"{list(vertices_of(lo))} and {list(vertices_of(hi))}")
         ca, cb = can.pop(a), can.pop(b)
         if ca and cb and cb[0] < ca[0]:
             ca, cb = cb, ca
-        can[m] = ca + cb + g.bridges(a, b)
+        can[m] = ca + cb + bridges
     out = can[tree.ground_mask]
     if len(out) != g.m:
         raise VerificationError(f"canonical ordering of {print_tree(tree)} has "

@@ -65,13 +65,20 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
     beta(G, L) = beta(G, phi) + sum of deg(v) over v != w
     alpha(G, L) = max(max degree, alpha(G, phi))
 
-so minimizing over feasible anchors is exact.  The three arrangement-based
-problems differ only in the budget: X[V] for a free arrangement, the
-anchored optimum for an anchored one, and for a linear tree the tree value
-minus the degree sum over v != w (beta).  For alpha, swapping the first
-two vertices of an order changes only its first cut, so the least value
-over all anchors is max(max degree, cutwidth): one search from the empty
-set settles it, and the anchor is the first vertex of the walk's order.
+so minimizing over feasible anchors is exact.  Each objective solves the
+free, anchored and linear problems in one call, (g, anchor, linear) ->
+(value, order, states).  The beta call, _prefix_search, fills both tables
+and starts from X[V] when free; otherwise from the least (value, w), over
+the anchor or, for a free linear tree, over every feasible w, with
+
+    value = cut[w] + min over v != w, deg(v) >= deg(w) of X[V - {w, v}]
+
+plus 2m - deg(w) for a linear tree.  Its greedy completion then runs from
+the empty prefix or from w, within the beta of that arrangement.  For
+alpha, swapping the first two vertices of an order changes only its first
+cut, so the least value over all anchors is max(max degree, cutwidth):
+one search from the empty set settles it, and the anchor is the first
+vertex of the walk's order.
 
 Brute force is only the factorial scan of arrangements, kept as an
 independent reference for small instances.
@@ -97,7 +104,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .errors import LimitError, ValidationError, VerificationError
-from .graph import Graph, vertices_of
+from .graph import Graph
 from .layout import Arrangement, format_witness, induce_reassembling
 from .tree import ReassemblyTree
 
@@ -344,62 +351,59 @@ def _infeasible_anchor(w: int) -> ValidationError:
     return ValidationError(f"anchor {w} infeasible: no second vertex of degree >= deg({w})")
 
 
-def _anchor_feasible(deg: tuple, w: int) -> bool:
-    return any(v != w and d >= deg[w - 1] for v, d in enumerate(deg, start=1))
-
-
 def _check_anchor(g: Graph, deg: tuple, anchor: Optional[int]) -> None:
     if anchor is not None:
         g._check_vertex(anchor)
-        if not _anchor_feasible(deg, anchor):
+        if not any(v != anchor and d >= deg[anchor - 1] for v, d in enumerate(deg, start=1)):
             raise _infeasible_anchor(anchor)
 
 
-def _dp_tables(g: Graph, anchor: Optional[int]) -> tuple:
-    """Checks of the beta solvers, then the state layout and the cut and
-    prefix tables."""
+def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) -> tuple:
+    """(value, order, states) of a beta arrangement, free or anchored at
+    `anchor`, or of a linear tree (`linear`): the optimum read off the
+    prefix table, and the lexicographically least order within it.
+    Anchored or linear, the first vertex w is followed by a vertex of
+    degree >= deg(w)."""
     st = _states(g, _twin_classes(g))
     _check_solvable(g, st.size, "states")
     _check_anchor(g, st.deg, anchor)
     cut = _cut_table(g, st)
-    return st, cut, _prefix_table(cut, st)
-
-
-def _greedy_completion(g: Graph, st: _States, cut: array, x: array, prefix: list,
-                       budget: int) -> list:
-    """Lexicographically least completion of `prefix` whose beta stays
-    within `budget`: append the smallest unplaced vertex v with
-    spent + X[V - (S + v)] <= budget, where spent is the sum of the cuts so
-    far; after a one-vertex prefix w, v must also have deg(v) >= deg(w)."""
+    x = _prefix_table(cut, st)
     full = st.size - 1
-    order = list(prefix)
-    t = spent = placed = 0
-    for v in prefix:
-        t += st.stride[v - 1]
-        spent += cut[t]
-        placed |= 1 << (v - 1)
-    min_deg = st.deg[prefix[0] - 1] if len(prefix) == 1 else 0
-    while placed != g.full_mask:
-        for v in vertices_of(g.full_mask ^ placed):
+    if anchor is None and not linear:
+        value, w, budget = x[full], None, x[full]
+    else:
+        starts = []  # (value, w, budget): budget is the beta of the arrangement
+        for w in g.vertices if anchor is None else [anchor]:
+            dw, sw = st.deg[w - 1], st.stride[w - 1]
+            # x[full - sw - sv] = cut[w + v] + the least sum of the cuts after {w, v}
+            ends = [x[full - sw - sv] for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1)
+                    if v != w and d >= dw]
+            if ends:
+                budget = cut[sw] + min(ends)
+                starts.append((budget + (2 * g.m - dw if linear else 0), w, budget))
+        # a single vertex has no feasible anchor: its one-leaf tree costs 0
+        value, w, budget = min(starts, default=(0, None, 0))
+    # greedy: append the smallest unplaced v with spent + X[V - (S + v)] <= budget,
+    # where spent is the sum of the cuts so far; after w, deg(v) >= deg(w)
+    order = [] if w is None else [w]
+    rest = [v for v in g.vertices if v != w]
+    t, low = (0, 0) if w is None else (st.stride[w - 1], st.deg[w - 1])
+    spent = cut[t]
+    while rest:
+        for v in rest:
             u = t + st.stride[v - 1]
             # x[full - u] = cut[u] + the least sum of the cuts after u
-            if st.deg[v - 1] >= min_deg and spent + x[full - u] <= budget:
+            if st.deg[v - 1] >= low and spent + x[full - u] <= budget:
                 break
         else:
-            raise VerificationError(f"prefix table is inconsistent at {order}, budget {budget}")
+            raise VerificationError(
+                f"prefix table is inconsistent at {order}, budget {budget} "
+                f"(n = {g.n}, m = {g.m}, anchor {anchor}, linear {linear})")
+        rest.remove(v)
         order.append(v)
-        placed |= 1 << (v - 1)
-        t, spent, min_deg = u, spent + cut[u], 0
-    return order
-
-
-def _anchored_start(st: _States, cut: array, x: array, w: int) -> int:
-    """Beta of an arrangement anchored at w, a feasible anchor."""
-    dw, sw = st.deg[w - 1], st.stride[w - 1]
-    # x[size - 1 - sw - sv] = cut[w + v] + the least sum of the cuts after {w, v}
-    return cut[sw] + min(x[st.size - 1 - sw - sv]
-                         for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1)
-                         if v != w and d >= dw)
+        t, spent, low = u, spent + cut[u], 0
+    return value, order, len(x)
 
 
 def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) -> tuple:
@@ -490,13 +494,8 @@ def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) ->
     search for alpha, by the prefix DP for beta."""
     t0 = time.perf_counter()
     _check_objective(objective)
-    if objective == "alpha":
-        value, order, states = _cut_search(g, anchor)
-    else:
-        st, cut, x = _dp_tables(g, anchor)
-        value = x[-1] if anchor is None else _anchored_start(st, cut, x, anchor)
-        prefix = [] if anchor is None else [anchor]
-        order, states = _greedy_completion(g, st, cut, x, prefix, value), len(x)
+    search = _cut_search if objective == "alpha" else _prefix_search
+    value, order, states = search(g, anchor)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
                        anchor=anchor, stats={"states": states, "millis": millis})
@@ -507,21 +506,10 @@ def exact_linear_reassembling(g: Graph, objective: str,
     """Optimal linear reassembling via anchored arrangements."""
     t0 = time.perf_counter()
     _check_objective(objective)
-    if objective == "alpha":
-        value, order, states = _cut_search(g, anchor, linear=True)
-        # a single vertex has no feasible anchor: its one-leaf tree costs 0
-        w = order[0] if g.n > 1 else None
-    else:
-        st, cut, x = _dp_tables(g, anchor)
-        states, best = len(x), None  # (tree value, w, budget)
-        for w in [anchor] if anchor is not None else [
-                w for w in g.vertices if _anchor_feasible(st.deg, w)]:
-            budget = _anchored_start(st, cut, x, w)
-            value = budget + 2 * g.m - st.deg[w - 1]
-            if best is None or (value, w) < best[:2]:
-                best = (value, w, budget)
-        value, w, budget = best if best is not None else (0, None, 0)
-        order = _greedy_completion(g, st, cut, x, [] if w is None else [w], budget)
+    search = _cut_search if objective == "alpha" else _prefix_search
+    value, order, states = search(g, anchor, linear=True)
+    # a single vertex has no feasible anchor: its one-leaf tree costs 0
+    w = order[0] if g.n > 1 else None
     tree = induce_reassembling(g, Arrangement(tuple(order)))
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "linear_reassembling", int(value), tree,

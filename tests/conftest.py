@@ -1,5 +1,5 @@
-"""Shared fixtures: the exhaustive small-graph catalog, an independent
-binary-tree enumerator, a per-mask prefix-cost recurrence, deep caterpillar
+"""Shared fixtures: the exhaustive small-graph catalog, vertex masks, an
+independent binary-tree enumerator, a per-mask prefix-cost recurrence, deep caterpillar
 trees, a process-pool stand-in and a CLI runner."""
 
 from functools import lru_cache
@@ -11,6 +11,14 @@ import pytest
 from reasm.graph import Graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def mask_of(vertices) -> int:
+    """Bitmask of a vertex collection: bit v - 1 stands for vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << (v - 1)
+    return m
 
 
 def _from_networkx(nxg) -> Graph:

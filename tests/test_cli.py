@@ -415,6 +415,8 @@ def test_gen_cli(run_cli, workdir):
     assert code == 2
     code, _, err = run_cli("gen", "--family", "ring_tree", "--ring-sizes", "x")
     assert code == 2
+    code, _, err = run_cli("gen", "--family", "ring_tree", "--ring-sizes", "")
+    assert code == 2 and "empty ring size list" in err
 
 
 def test_convert_cli(run_cli, workdir):

@@ -81,13 +81,18 @@ def test_inconsistent_prefix_table_exits_4(run_cli, monkeypatch, tmp_path):
 
     def broken(*args):
         x = real(*args)
-        x[-1] -= 1  # a free optimum below every order's cost
+        for t in range(1, len(x)):
+            x[t] -= 1  # every optimum below its orders' costs
         return x
 
     monkeypatch.setattr(solvers, "_prefix_table", broken)
     code, _, err = run_cli("solve", FIXTURES / "s7.g", "--objective", "beta",
                            "--witness-out", tmp_path / "w")
     assert code == 4 and err.startswith("error: prefix table is inconsistent")
+    assert err.endswith("(n = 8, m = 7, anchor None, linear False)\n")
+    code, _, err = run_cli("solve", FIXTURES / "s7.g", "--objective", "beta",
+                           "--mode", "linear", "--anchor", "2", "--witness-out", tmp_path / "w")
+    assert code == 4 and err.endswith("(n = 8, m = 7, anchor 2, linear True)\n")
 
 
 # ---------------------------------------------------------------------------

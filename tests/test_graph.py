@@ -7,12 +7,13 @@ import pytest
 from reasm.errors import LimitError, ValidationError
 from reasm import graph
 from reasm.graph import (_LINE_ENDS, MAX_VERTICES, Graph, QCUBE3_EDGES, complete_graph,
-                         cycle_graph, data_lines, format_graph, generate, mask_of,
-                         parse_graph, path_graph, qcube3_graph, ring_tree_graph,
-                         star_graph, vertices_of)
+                         cycle_graph, data_lines, format_graph, generate, parse_graph,
+                         path_graph, qcube3_graph, ring_tree_graph, star_graph, vertices_of)
 from reasm.reduction import reduce_alpha
 from reasm.tree import measures, parse_tree
 from reasm.verify import FIXTURE_TREES
+
+from conftest import mask_of
 
 from conftest import connected_atlas
 

@@ -14,7 +14,7 @@ from conftest import connected_atlas
 
 def test_arrangement_basics():
     arr = Arrangement((3, 1, 2))
-    assert arr.n == 3
+    assert len(arr.order) == 3
     assert arr.position(3) == 1 and arr.position(2) == 3
     assert arr.reversed() == Arrangement((2, 1, 3))
     with pytest.raises(ValidationError):

@@ -4,14 +4,14 @@ import pytest
 
 from reasm import graph, sequential, verify
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import (Graph, complete_graph, cycle_graph, mask_of, path_graph,
+from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph,
                          star_graph, vertices_of)
 from reasm.sequential import (block_tree, canonical_ordering,
                               chain_to_ordering, format_ordering,
                               parse_ordering, seq_reassemble)
 from reasm.tree import first_nonstrict_pair, parse_tree
 
-from conftest import caterpillar_text, connected_atlas
+from conftest import caterpillar_text, connected_atlas, mask_of
 
 
 def masks(*groups):

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from reasm.errors import ValidationError
-from reasm.graph import complete_graph, mask_of, path_graph, star_graph
+from reasm.graph import complete_graph, path_graph, star_graph
 from reasm.tree import (ReassemblyTree, first_nonstrict_pair, measures,
                         parse_tree, print_tree)
 
-from conftest import binary_tree_masks, caterpillar_text
+from conftest import binary_tree_masks, caterpillar_text, mask_of
 
 B1 = "((((1 2) (3 4)) (5 6)) (7 8))"
 CHAIN8 = "(((((((1 2) 3) 4) 5) 6) 7) 8)"
