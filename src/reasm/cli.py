@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "ring_tree"))
     p.add_argument("--size", type=int, help="vertex count (star: leaf count)")
     p.add_argument("--ring-sizes", help="ring_tree only, e.g. '3,4'")
-    p.add_argument("--path-len", type=int, default=1,
-                   help="ring_tree only: spoke path length")
+    p.add_argument("--path-len", type=int,
+                   help="ring_tree only: spoke path length (default 1)")
     p.add_argument("--out", help="write the graph file here")
     p.set_defaults(fn=cmd_gen)
 

@@ -264,17 +264,23 @@ def ring_tree_graph(ring_sizes: Iterable[int], path_len: int = 1) -> Graph:
 
 def generate(family: str, size: Optional[int] = None, *,
              ring_sizes: Optional[Iterable[int]] = None,
-             path_len: int = 1) -> Graph:
+             path_len: Optional[int] = None) -> Graph:
     """Build a named graph family.
 
     complete/star/path/cycle take `size` (for star: the number of leaves);
-    qcube3 takes no parameters; ring_tree takes `ring_sizes` and `path_len`.
+    qcube3 takes no parameters; ring_tree takes `ring_sizes` and `path_len`
+    (None means 1), which no other family accepts.
     """
+    if family != "ring_tree" and (ring_sizes is not None or path_len is not None):
+        raise ValidationError(f"ring sizes and path length are for ring_tree only, "
+                              f"not {family!r}")
     if family == "qcube3":
         return qcube3_graph()
     if family == "ring_tree":
         if ring_sizes is None:
             raise ValidationError("ring_tree needs ring_sizes")
+        if path_len is None:
+            path_len = 1
         sizes = tuple(ring_sizes)
         ring_n, joints = sum(sizes), max(len(sizes) - 1, 0)
         _check_size("ring_tree would have", ring_n + joints * (path_len - 1),

@@ -105,14 +105,20 @@ def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
 def _scatter_positions(seq: VCSequence):
     """None if the clique vertices sit consecutively; otherwise (i, j, k, l)
     where i/l are the outermost clique positions and j/k the nearest base
-    vertices inside them."""
+    vertices inside them: the first gap in `k_pos` from the left and the
+    last from the right."""
     pos = seq.k_pos
     i, l = pos[0], pos[-1]
-    if l - i + 1 == len(pos):
+    last = len(pos) - 1
+    if l - i == last:
         return None
-    j = next(a + 1 for a, b in zip(pos, pos[1:]) if b > a + 1)
-    k = next(b - 1 for a, b in zip(pos[-2::-1], pos[::-1]) if b > a + 1)
-    return i, j, k, l
+    a = 1
+    while pos[a] == i + a:
+        a += 1
+    b = 1
+    while pos[last - b] == l - b:
+        b += 1
+    return i, i + a, l - b, l
 
 
 def scatter(seq: VCSequence) -> int:
@@ -196,17 +202,25 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
     return out
 
 
+def _normal_step(seq: VCSequence) -> Optional[VCSequence]:
+    """The one normalization step: descatter a scattered sequence, else
+    rebalance an unbalanced one; None at a fixpoint."""
+    if scatter(seq) > 0:
+        return descatter_move(seq)
+    if unbalance(seq) > 0:
+        return rebalance_move(seq)
+    return None
+
+
 def normalize_sequence(seq: VCSequence) -> VCSequence:
     """Descatter then rebalance to a fixpoint: scatter 0, unbalance 0, and
     beta no larger than the input's.  Balanced inputs come back unchanged."""
     guard = 0
     while True:
-        if scatter(seq) > 0:
-            seq = descatter_move(seq)
-        elif unbalance(seq) > 0:
-            seq = rebalance_move(seq)
-        else:
+        nxt = _normal_step(seq)
+        if nxt is None:
             return seq
+        seq = nxt
         guard += 1
         if guard > 4 * len(seq.order) + seq.beta:
             raise VerificationError(f"normalization did not terminate, at order {seq.order}")

@@ -417,6 +417,11 @@ def test_gen_cli(run_cli, workdir):
     assert code == 2
     code, _, err = run_cli("gen", "--family", "ring_tree", "--ring-sizes", "")
     assert code == 2 and "empty ring size list" in err
+    # the ring_tree options are refused for every other family
+    code, out, err = run_cli("gen", "--family", "path", "--size", "3", "--ring-sizes", "3,4")
+    assert (code, out) == (2, "") and err.startswith("error: ring sizes and path length "
+                                                     "are for ring_tree only")
+    assert err.count("\n") == 1
 
 
 def test_convert_cli(run_cli, workdir):

@@ -76,6 +76,14 @@ def test_idle_rebalancing_is_caught(monkeypatch):
         normalize_sequence(seq)
 
 
+def test_idle_rebalancing_stops_the_normal_form_table(run_cli, monkeypatch):
+    # balance_lemmas walks through its table, not normalize_sequence
+    monkeypatch.setattr(reduction, "rebalance_move", lambda seq: seq)
+    code, out, err = run_cli("verify", "--suite", "balance_lemmas")
+    assert code == 4 and out == ""
+    assert err.startswith("error: normalization did not terminate") and err.count("\n") == 1
+
+
 def test_inconsistent_prefix_table_exits_4(run_cli, monkeypatch, tmp_path):
     real = solvers._prefix_table
 

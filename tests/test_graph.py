@@ -168,6 +168,10 @@ def test_generate_dispatcher():
         generate("grid", 4)
     with pytest.raises(ValidationError):
         generate("ring_tree", 5)  # ring sizes missing
+    with pytest.raises(ValidationError, match="ring_tree only"):
+        generate("path", 3, ring_sizes=(3, 4))
+    with pytest.raises(ValidationError, match="ring_tree only"):
+        generate("cycle", 5, path_len=2)
 
 
 def test_qcube3_is_the_3_cube():

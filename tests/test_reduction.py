@@ -10,11 +10,13 @@ from reasm import solvers
 from reasm.graph import (Graph, complete_graph, cycle_graph, format_graph, path_graph,
                          qcube3_graph, ring_tree_graph, star_graph)
 from reasm.layout import Arrangement, evaluate_arrangement
-from reasm.reduction import (A2R, R2A, _check_auxiliary_states, build_auxiliary, descatter_move,
+from reasm.reduction import (A2R, R2A, _check_auxiliary_states, _scatter_positions,
+                             build_auxiliary, descatter_move,
                              normalize_sequence, rebalance_move, reduce_alpha,
                              reduce_beta, scatter, unbalance, vc_sequence)
 from reasm.solvers import _states, _twin_classes, exact_arrangement, exact_linear_reassembling
 from reasm.tree import measures
+from reasm.verify import _distinct_aux_orders
 
 from conftest import connected_atlas
 
@@ -114,6 +116,21 @@ def test_scatter_and_unbalance():
     assert scatter(vc_sequence(aux, (2, 3, 4, 1))) == 0
     assert unbalance(vc_sequence(aux, (2, 3, 4, 1))) == 1
     assert unbalance(vc_sequence(aux, (2, 1, 3, 4))) == 0
+
+
+def test_scatter_positions_match_their_definition():
+    # every order of P4's G_1 up to permuting U: 10! / 6! = 5040
+    aux = build_auxiliary(path_graph(4), 1)
+    orders = 0
+    for order in _distinct_aux_orders(aux):
+        seq = vc_sequence(aux, order)
+        clique = [q for q, v in enumerate(order, start=1) if v > aux.base.n or v == aux.w]
+        i, l = clique[0], clique[-1]
+        gaps = [q for q in range(i, l + 1) if q not in clique]  # base vertices inside
+        assert _scatter_positions(seq) == ((i, gaps[0], gaps[-1], l) if gaps else None)
+        assert scatter(seq) == (min(gaps[0] - i, l - gaps[-1]) if gaps else 0)
+        orders += 1
+    assert orders == 5040
 
 
 def test_descatter_strictly_decreases_beta():

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from reasm.errors import ValidationError
-from reasm.verify import SUITES, _Recorder, run_suites
+from reasm.graph import complete_graph, path_graph
+from reasm.reduction import _normal_step, build_auxiliary, normalize_sequence, vc_sequence
+from reasm.verify import SUITES, _balance_lemmas, _normal_forms, _Recorder, run_suites
 
 
 def test_suite_names():
@@ -43,3 +45,22 @@ def test_sampled_suites_pass_their_default_draws(run_cli):
         results = [json.loads(line) for line in out.splitlines()]
         assert [res["suite"] for res in results] == sampled
         assert code == 0 and all(res["ok"] and res["checks"] > 0 for res in results), results
+
+
+@pytest.mark.parametrize("g, orders", [(path_graph(3), 210), (complete_graph(3), 504)])
+def test_normal_form_table_matches_normalize_sequence(g, orders):
+    # the per-order path, one scoring and a full walk each, is the reference
+    for w in g.vertices:
+        aux = build_auxiliary(g, w)
+        seen = set()
+        for s, t, nf in _normal_forms(aux):
+            ref = vc_sequence(aux, s.order)
+            step = _normal_step(ref)
+            assert s.beta == ref.beta
+            assert (None if t is None else t.order) == (None if step is None else step.order)
+            assert nf.order == normalize_sequence(ref).order
+            seen.add(s.order)
+        assert len(seen) == orders
+        rec = _Recorder("balance_lemmas")
+        _balance_lemmas(rec, aux)
+        assert rec.checks > orders and rec.failures == 0, rec.bad
