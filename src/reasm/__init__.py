@@ -27,8 +27,7 @@ from .sequential import (MergeStep, SeqTrace, block_tree, canonical_ordering,
                          seq_reassemble)
 from .solvers import (SolveResult, brute_force_arrangement, exact_arrangement,
                       exact_binary_reassembling, exact_linear_reassembling)
-from .tree import (MeasureReport, ReassemblyTree, first_nonstrict_pair,
-                   measures, parse_tree, print_tree)
+from .tree import MeasureReport, ReassemblyTree, measures, parse_tree, print_tree
 
 __version__ = "0.1.0"
 
@@ -41,8 +40,8 @@ __all__ = [
     "canonical_ordering", "chain_to_ordering", "complete_graph",
     "cycle_graph", "descatter_move", "edge_length",
     "evaluate_arrangement", "exact_arrangement", "exact_binary_reassembling",
-    "exact_linear_reassembling", "first_nonstrict_pair",
-    "format_arrangement", "format_graph", "format_ordering", "generate",
+    "exact_linear_reassembling", "format_arrangement", "format_graph",
+    "format_ordering", "generate",
     "induce_arrangement", "induce_reassembling", "measures",
     "normalize_sequence", "parse_arrangement", "parse_graph",
     "parse_ordering", "parse_tree", "path_graph", "print_tree",

@@ -14,7 +14,8 @@ splits or orders, refused before anything is built, or above
 2^(REASM_DP_LIMIT - 5) sets stored by the alpha search, or an input above
 MAX_VERTICES vertices or MAX_EDGES edges, refused before it is built;
 4 verification failure: a failed verify suite, or an identity of the
-paper that failed in any verb.
+paper that failed in any verb.  A reader that closes stdout early ends the
+run with exit 0.
 """
 
 from __future__ import annotations
@@ -345,10 +346,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except ReasmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # whoever reads stdout stopped reading; point fd 1 at the null
+        # device so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

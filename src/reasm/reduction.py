@@ -12,6 +12,20 @@ every beta-optimal order of G_w into the shape  U ... U  w  V-{w},  and in
 that shape the restriction to V is an optimal anchored solution of the
 original problem.  Minimizing over all anchors gives the exact optimum.
 
+An order's beta has a closed form.  Let q_1 < ... < q_n be the positions of
+the base vertices pi_1 ... pi_n and k_1 < ... < k_{p+1} those of U + {w},
+with q_{n+1} = k_{p+2} = n + p + 1.  Then
+
+    beta = sum_j cut_G(pi_1..pi_j) (q_{j+1} - q_j) + sum_c c (p+1-c) (k_{c+1} - k_c).
+
+A descattering move therefore changes beta by an amount that only the moved
+vertex v, the clique run of t vertices it crosses and the set L of base
+vertices on the run's far side from v decide.  With
+g(x, S) = deg(x) - 2 |N(x) & S|, the clique term falls by t (p+1-t) and the
+base term rises by t g(v, L) if w is not in the run, or else, with w at
+offset o from the run's end nearest L, by
+o g(v, L) + g(v, L) - g(w, L) + (t-1-o) g(v, L + {w}).
+
 For alpha on graphs of maximum degree <= 3 the pipeline branches on whether
 every degree-3 vertex is a cut vertex.  Where that holds, the cut-bounded
 search solves the arrangement problem directly; otherwise the alpha-optimal
@@ -24,6 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import ValidationError, VerificationError
@@ -77,15 +92,20 @@ class VCSequence:
     k_pos: tuple
 
     def reversed(self) -> "VCSequence":
-        return vc_sequence(self.aux, tuple(reversed(self.order)))
+        return _score(self.aux, self.order[::-1])
 
 
 def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
     order = tuple(order)
-    n, p, w = aux.base.n, aux.p, aux.w
-    nv = n + p
+    nv = aux.base.n + aux.p
     if len(order) != nv or set(order) != set(range(1, nv + 1)):
         raise ValidationError("order is not a permutation of the auxiliary vertices")
+    return _score(aux, order)
+
+
+def _score(aux: AuxiliaryGraph, order: tuple) -> VCSequence:
+    """vc_sequence's scan, for orders that a move built from a permutation."""
+    n, p, w = aux.base.n, aux.p, aux.w
     adj = aux.base.adj
     k_pos = []
     prefix = 0
@@ -100,6 +120,46 @@ def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
             k_pos.append(i)
         beta += r + s  # the whole order adds its pair (0, 0)
     return VCSequence(aux=aux, order=order, beta=beta, k_pos=tuple(k_pos))
+
+
+def _aux_sequences(aux):
+    """Every order of the auxiliary vertex set up to permuting U among
+    itself (U vertices are interchangeable by symmetry), scored: choose the
+    positions of the base vertices, order them, and fill the rest with U
+    ascending.  beta is the closed form of the module docstring: per choice
+    of positions, one clique term for each slot w can take, plus, per base
+    order, the dot product of its prefix cuts with the gaps between base
+    positions."""
+    g, w, p = aux.base, aux.w, aux.p
+    n = g.n
+    total = n + p
+    perms = []  # (base order, slot of w, cut after each prefix)
+    for perm in itertools.permutations(g.vertices):
+        cuts = []
+        prefix = cut = 0
+        for v in perm:
+            nbrs = g.adj[v - 1]
+            cut += nbrs.bit_count() - 2 * (nbrs & prefix).bit_count()
+            prefix |= 1 << (v - 1)
+            cuts.append(cut)
+        perms.append((perm, perm.index(w), cuts))
+    for positions in itertools.combinations(range(1, total + 1), n):
+        upos = sorted(set(range(1, total + 1)).difference(positions))
+        gaps = [b - a for a, b in zip(positions, positions[1:] + (total + 1,))]
+        layouts = []  # per slot of w: clique positions and the clique term
+        for q in positions:
+            k_pos = tuple(sorted(upos + [q]))
+            ends = k_pos[1:] + (total + 1,)
+            layouts.append((k_pos, sum(c * (p + 1 - c) * (b - a) for c, a, b
+                                       in zip(range(1, p + 2), k_pos, ends))))
+        order: list = [0] * total
+        for i, u in zip(upos, aux.u_vertices):
+            order[i - 1] = u
+        for perm, slot, cuts in perms:
+            for i, v in zip(positions, perm):
+                order[i - 1] = v
+            k_pos, clique = layouts[slot]
+            yield VCSequence(aux, tuple(order), clique + sum(map(mul, cuts, gaps)), k_pos)
 
 
 def _scatter_positions(seq: VCSequence):
@@ -148,18 +208,47 @@ def descatter_move(seq: VCSequence) -> VCSequence:
     pos = _scatter_positions(seq)
     if pos is None:
         raise ValidationError("sequence is not scattered")
+    return _descatter(seq, pos)
+
+
+def _descatter(seq: VCSequence, pos: tuple) -> VCSequence:
+    """descatter_move at the scatter positions `pos` of seq, scored by the
+    delta in the module docstring."""
     i, j, k, l = pos
-    order = list(seq.order)
+    aux, order, k_pos = seq.aux, seq.order, seq.k_pos
     if j - i <= l - k:
-        v = order.pop(j - 1)
-        order.insert(i - 1, v)
+        t = j - i
+        v = order[j - 1]
+        run = order[i - 1:j - 1]
+        beyond = order[:i - 1]  # base vertices only: i is the first clique position
+        moved = beyond + (v,) + run + order[j:]
+        k_pos = tuple(range(i + 1, j + 1)) + k_pos[t:]
     else:
-        v = order.pop(k - 1)
-        order.insert(l - 1, v)  # lands right after the old position l
-    out = vc_sequence(seq.aux, tuple(order))
-    if out.beta >= seq.beta:
-        raise VerificationError(f"descattering {seq.order} left beta {seq.beta} at {out.beta}")
-    return out
+        t = l - k
+        v = order[k - 1]
+        run = order[k:l][::-1]  # offsets count from the end nearest `beyond`
+        beyond = order[l:]
+        moved = order[:k - 1] + order[k:l] + (v,) + beyond
+        k_pos = k_pos[:-t] + tuple(range(k, l))
+    adj = aux.base.adj
+    side = 0
+    for x in beyond:
+        side |= 1 << (x - 1)
+    nv = adj[v - 1]
+    g_v = nv.bit_count() - 2 * (nv & side).bit_count()
+    w = aux.w
+    if w in run:
+        o = run.index(w)
+        nw = adj[w - 1]
+        g_w = nw.bit_count() - 2 * (nw & side).bit_count()
+        g_vw = g_v - 2 * (nv >> (w - 1) & 1)
+        delta = (o + 1) * g_v - g_w + (t - 1 - o) * g_vw
+    else:
+        delta = t * g_v
+    beta = seq.beta + delta - t * (aux.p + 1 - t)
+    if beta >= seq.beta:
+        raise VerificationError(f"descattering {seq.order} left beta {seq.beta} at {beta}")
+    return VCSequence(aux=aux, order=moved, beta=beta, k_pos=k_pos)
 
 
 def rebalance_move(seq: VCSequence) -> VCSequence:
@@ -196,7 +285,7 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
         # on a tie w now leads the block, so the k = 0 move follows (it
         # leaves the order as it is when `right` is empty)
         order = left + right + run if d_left == d_right else left + run + right
-    out = vc_sequence(aux, tuple(order))
+    out = _score(aux, tuple(order))
     if out.beta > seq.beta:
         raise VerificationError(f"rebalancing {seq.order} raised beta {seq.beta} to {out.beta}")
     return out
@@ -205,8 +294,9 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
 def _normal_step(seq: VCSequence) -> Optional[VCSequence]:
     """The one normalization step: descatter a scattered sequence, else
     rebalance an unbalanced one; None at a fixpoint."""
-    if scatter(seq) > 0:
-        return descatter_move(seq)
+    pos = _scatter_positions(seq)
+    if pos is not None:
+        return _descatter(seq, pos)
     if unbalance(seq) > 0:
         return rebalance_move(seq)
     return None

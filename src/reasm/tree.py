@@ -11,15 +11,14 @@ the union of the clusters, may be any set of positive ints -- a parsed tree
 keeps the vertex ids it was written with.  Every tree, whether given as
 clusters, parsed or built by a solver, is checked by one merge sweep in
 ascending cluster size, which also records each non-singleton cluster's
-child pair.  The module evaluates the alpha/beta measures, finds sibling
-pairs with no edge between them (strictness), and reads and writes the
-bracket text format.
+child pair.  The module evaluates the alpha/beta measures and reads and
+writes the bracket text format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import LimitError, ValidationError
 from .graph import MAX_VERTICES, Graph, data_lines, vertices_of
@@ -125,20 +124,6 @@ def measures(g: Graph, tree: ReassemblyTree) -> MeasureReport:
     per = {m: g.cut_mask(m) for m in tree.clusters}
     vals = per.values()
     return MeasureReport(alpha=max(vals), beta=sum(vals), per_cluster=per)
-
-
-def first_nonstrict_pair(g: Graph, tree: ReassemblyTree) -> Optional[tuple[int, int]]:
-    """First sibling pair (in `clusters` order of their parent) with no edge
-    between the two sides, as masks with the lower-vertex side first, or
-    None if the tree is strict."""
-    _check_ground(g, tree)
-    for m in tree.clusters[tree.n:]:
-        a, b = tree._children[m]
-        if a.bit_count() > b.bit_count():
-            a, b = b, a  # scan the smaller side
-        if not any(g.adj[v - 1] & b for v in vertices_of(a)):
-            return (a, b) if a & -a < b & -b else (b, a)
-    return None
 
 
 # ---------------------------------------------------------------------------

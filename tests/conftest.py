@@ -1,14 +1,17 @@
 """Shared fixtures: the exhaustive small-graph catalog, vertex masks, an
 independent binary-tree enumerator, a per-mask prefix-cost recurrence, deep caterpillar
-trees, a process-pool stand-in and a CLI runner."""
+trees, the order-by-order enumeration of an auxiliary graph, the first
+non-strict sibling pair of a tree, a process-pool stand-in and a CLI runner."""
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from reasm.graph import Graph
+from reasm.graph import Graph, vertices_of
+from reasm.tree import ReassemblyTree
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -97,6 +100,39 @@ def prefix_costs(g: Graph, objective: str) -> list:
 def caterpillar_text(n: int) -> str:
     """The linear tree ((((1 2) 3) 4) ... n), nested n - 1 levels deep."""
     return "(" * (n - 1) + "1 " + " ".join(f"{v})" for v in range(2, n + 1))
+
+
+def distinct_aux_orders(aux):
+    """All orders of the auxiliary vertex set up to permuting U among itself:
+    choose the positions of the base vertices, order them, and fill the rest
+    with U ascending."""
+    base = list(aux.base.vertices)
+    us = list(aux.u_vertices)
+    total = len(base) + len(us)
+    for positions in itertools.combinations(range(total), len(base)):
+        pos_set = set(positions)
+        upos = [i for i in range(total) if i not in pos_set]
+        for perm in itertools.permutations(base):
+            order: list = [0] * total
+            for i, v in zip(positions, perm):
+                order[i] = v
+            for i, u in zip(upos, us):
+                order[i] = u
+            yield tuple(order)
+
+
+def first_nonstrict_pair(g: Graph, tree: ReassemblyTree):
+    """First sibling pair (in `clusters` order of their parent) with no edge
+    between the two sides, as masks with the lower-vertex side first, or
+    None if the tree is strict."""
+    assert tree.ground_mask == g.full_mask
+    for m in tree.clusters[tree.n:]:
+        a, b = tree._children[m]
+        if a.bit_count() > b.bit_count():
+            a, b = b, a  # scan the smaller side
+        if not any(g.adj[v - 1] & b for v in vertices_of(a)):
+            return (a, b) if a & -a < b & -b else (b, a)
+    return None
 
 
 @pytest.fixture

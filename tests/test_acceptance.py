@@ -18,10 +18,10 @@ from reasm.layout import (Arrangement, evaluate_arrangement, induce_reassembling
 from reasm.reduction import A2R, R2A, build_auxiliary, reduce_alpha, reduce_beta
 from reasm.solvers import (_cut_search, brute_force_arrangement, exact_arrangement,
                            exact_binary_reassembling, exact_linear_reassembling)
-from reasm.tree import ReassemblyTree, first_nonstrict_pair, measures, parse_tree
+from reasm.tree import ReassemblyTree, measures, parse_tree
 from reasm.verify import FIXTURE_ARRANGEMENTS, FIXTURE_GRAPHS, FIXTURE_TREES, run_suites
 
-from conftest import FIXTURES, binary_tree_masks
+from conftest import FIXTURES, binary_tree_masks, first_nonstrict_pair
 
 
 def verdict(number: int, text: str) -> None:

@@ -476,6 +476,17 @@ def test_module_entry_point(workdir):
     assert json.loads(proc.stdout)["m"] == 4
 
 
+def test_closed_stdout_exits_cleanly():
+    # a reader that stops early, as `| head -c 100` does, ends the run with
+    # exit 0 and nothing on stderr
+    proc = subprocess.Popen([sys.executable, "-m", "reasm", "reduce", FIXTURES / "q3.g",
+                             "--problem", "beta"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_module_env())
+    proc.stdout.close()  # before the report is written
+    err = proc.stderr.read().decode()
+    assert (proc.wait(), err) == (0, "")
+
+
 def test_import_loads_no_process_pool():
     # concurrent.futures is imported only when reduce --jobs starts a pool
     proc = subprocess.run([sys.executable, "-c", "import sys, reasm.cli; "
@@ -489,7 +500,8 @@ def test_public_names():
         assert getattr(reasm, name) is not None
     removed = {
         graph: ("popcount", "iter_bits", "Deg3Report", "classify_deg3"),
-        tree: ("cross_sections", "validate_tree", "is_strict", "Cluster"),
+        tree: ("cross_sections", "validate_tree", "is_strict", "Cluster",
+               "first_nonstrict_pair"),
         sequential: ("Partition", "Edge"),
         solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states"),
         solvers.SolveResult: ("witness_text",),

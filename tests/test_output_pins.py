@@ -25,6 +25,8 @@ FILES = {
     "s7.a": "3 1 5 2 4 8 6 7\n",
     "s7.o": "1 5\n1 3\n1 8\n1 2\n1 7\n1 4\n1 6\n",
     "s7-nonstrict.t": "(((((1 ((2 3) 4)) 5) 6) 7) 8)\n",
+    "p4.g": "4 3\n1 2\n2 3\n3 4\n",
+    "c5.g": "5 5\n1 2\n1 5\n2 3\n3 4\n4 5\n",
 }
 
 
@@ -79,6 +81,17 @@ CONVERT = [
 
 EXT = {"tree": "t", "arrangement": "a", "ordering": "o"}
 
+# (graph, direction, beta per anchor, best anchor, best object)
+REDUCE = [
+    ("p4.g", "r2a", [8] * 4, 1, "(((1 2) 3) 4)"),
+    ("p4.g", "a2r", [3] * 4, 1, "1 2 3 4"),
+    ("c5.g", "r2a", [16] * 5, 1, "((((1 5) 4) 3) 2)"),
+    ("c5.g", "a2r", [8] * 5, 1, "1 2 3 4 5"),
+    ("@s7.g", "r2a", [35] + [29] * 7, 2, "((((1 (((2 8) 7) 6)) 5) 4) 3)"),
+    ("@s7.g", "a2r", [22] + [16] * 7, 2, "2 3 4 1 5 6 7 8"),
+]
+DIRECTIONS = {"r2a": "reassembling_to_arrangement", "a2r": "arrangement_to_reassembling"}
+
 
 @pytest.fixture
 def files(tmp_path, monkeypatch):
@@ -96,6 +109,19 @@ def test_eval_output_is_pinned(run_cli, files, obj, expected):
     code, out, err = run_cli("eval", "--graph", FIXTURES / "q3.g", obj[0], _path(obj[1]))
     assert (code, err) == (0, "")
     assert out == json.dumps(expected) + "\n"
+
+
+@pytest.mark.parametrize("graph, direction, betas, best, obj", REDUCE,
+                         ids=[f"{g.lstrip('@')}-{d}" for g, d, *_ in REDUCE])
+def test_reduce_beta_output_is_pinned(run_cli, files, graph, direction, betas, best, obj):
+    code, out, err = run_cli("reduce", _path(graph), "--problem", "beta",
+                             "--direction", direction)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "problem": "beta", "direction": DIRECTIONS[direction],
+        "anchors": [{"w": w, "beta": b} for w, b in enumerate(betas, start=1)],
+        "best": {"w": best, "beta": betas[best - 1], "object": obj},
+        "checks": {"scatter0": True, "balanced": True}}) + "\n"
 
 
 @pytest.mark.parametrize("graph, source, target, text", CONVERT)

@@ -16,9 +16,9 @@ from reasm.reduction import (A2R, R2A, _check_auxiliary_states, _scatter_positio
                              reduce_beta, scatter, unbalance, vc_sequence)
 from reasm.solvers import _states, _twin_classes, exact_arrangement, exact_linear_reassembling
 from reasm.tree import measures
-from reasm.verify import _distinct_aux_orders
+from reasm.verify import BALANCE_BASES
 
-from conftest import connected_atlas
+from conftest import connected_atlas, distinct_aux_orders
 
 
 def test_auxiliary_states_are_counted_from_the_base(monkeypatch):
@@ -103,10 +103,9 @@ def test_vc_sequence_matches_the_arrangement_measure():
 
 
 def test_vc_sequence_rejects_non_permutations():
-    with pytest.raises(ValidationError):
-        vc_sequence(p2_aux(), (1, 2, 3))
-    with pytest.raises(ValidationError):
-        vc_sequence(p2_aux(), (1, 2, 3, 3))
+    for order in ((1, 2, 3), (1, 2, 3, 3), (1, 2, 3, 5), (1, 2, 3, 4, 4)):
+        with pytest.raises(ValidationError, match="not a permutation"):
+            vc_sequence(p2_aux(), order)
 
 
 def test_scatter_and_unbalance():
@@ -122,7 +121,7 @@ def test_scatter_positions_match_their_definition():
     # every order of P4's G_1 up to permuting U: 10! / 6! = 5040
     aux = build_auxiliary(path_graph(4), 1)
     orders = 0
-    for order in _distinct_aux_orders(aux):
+    for order in distinct_aux_orders(aux):
         seq = vc_sequence(aux, order)
         clique = [q for q, v in enumerate(order, start=1) if v > aux.base.n or v == aux.w]
         i, l = clique[0], clique[-1]
@@ -131,6 +130,52 @@ def test_scatter_positions_match_their_definition():
         assert scatter(seq) == (min(gaps[0] - i, l - gaps[-1]) if gaps else 0)
         orders += 1
     assert orders == 5040
+
+
+def _descatter_reference(seq):
+    """The move by list surgery, scored by a full vc_sequence scan; and
+    whether w sits in the clique run the moved vertex crosses."""
+    i, j, k, l = _scatter_positions(seq)
+    order = list(seq.order)
+    if j - i <= l - k:
+        run = order[i - 1:j - 1]
+        order.insert(i - 1, order.pop(j - 1))
+    else:
+        run = order[k:l]
+        order.insert(l - 1, order.pop(k - 1))
+    return vc_sequence(seq.aux, order), seq.aux.w in run
+
+
+def _check_descatter(aux, order, branches):
+    seq = vc_sequence(aux, order)
+    if scatter(seq) == 0:
+        return
+    out = descatter_move(seq)
+    ref, w_in_run = _descatter_reference(seq)
+    assert (out.order, out.beta, out.k_pos) == (ref.order, ref.beta, ref.k_pos), order
+    branches[w_in_run] += 1
+
+
+def test_descatter_delta_matches_a_full_scan():
+    # every scattered order of the suite's auxiliary graphs, then random
+    # orders of two bases of the reduce benchmark (n + p = 15 and 16)
+    branches = [0, 0]
+    for g in BALANCE_BASES:
+        for w in g.vertices:
+            aux = build_auxiliary(g, w)
+            for order in distinct_aux_orders(aux):
+                _check_descatter(aux, order, branches)
+    assert branches == [31580, 9334]  # w outside the run, w inside it
+    rng = random.Random(21)
+    for g in (cycle_graph(5), complete_graph(4)):
+        branches = [0, 0]
+        for w in g.vertices:
+            aux = build_auxiliary(g, w)
+            vs = list(range(1, aux.combined.n + 1))
+            for _ in range(2000 // g.n):
+                rng.shuffle(vs)
+                _check_descatter(aux, vs, branches)
+        assert min(branches) > 100 and sum(branches) > 1500, (g.edges, branches)
 
 
 def test_descatter_strictly_decreases_beta():

@@ -9,9 +9,9 @@ from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph,
 from reasm.sequential import (block_tree, canonical_ordering,
                               chain_to_ordering, format_ordering,
                               parse_ordering, seq_reassemble)
-from reasm.tree import first_nonstrict_pair, parse_tree
+from reasm.tree import parse_tree
 
-from conftest import caterpillar_text, connected_atlas, mask_of
+from conftest import caterpillar_text, connected_atlas, first_nonstrict_pair, mask_of
 
 
 def masks(*groups):

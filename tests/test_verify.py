@@ -1,11 +1,16 @@
+import dataclasses
 import json
 
 import pytest
 
+from reasm import verify
 from reasm.errors import ValidationError
 from reasm.graph import complete_graph, path_graph
-from reasm.reduction import _normal_step, build_auxiliary, normalize_sequence, vc_sequence
+from reasm.reduction import (_aux_sequences, _normal_step, build_auxiliary,
+                             normalize_sequence, vc_sequence)
 from reasm.verify import SUITES, _balance_lemmas, _normal_forms, _Recorder, run_suites
+
+from conftest import distinct_aux_orders
 
 
 def test_suite_names():
@@ -27,6 +32,33 @@ def test_recorder_counts_past_the_detail_cap():
     assert res.checks == 10 and res.failures == 9 and not res.ok
     assert res.detail.endswith("; ...")
     assert res.detail.count(";") == 5
+
+
+def test_failure_labels_keep_their_text(monkeypatch):
+    # labels are formatted only on failure, into the text they always had
+    monkeypatch.setattr(verify, "edge_length", lambda arr, e: 0)
+    assert verify.suite_beta_equals_gamma(0, trials=3).detail == (
+        "beta 33 != gamma 0 on ((1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (2, 3), (2, 4), "
+        "(2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (5, 6), (5, 7)) / (5, 7, 2, 1, 4, 3, 6); "
+        "beta 16 != gamma 0 on ((1, 4), (1, 6), (2, 4), (2, 5), (3, 4), (4, 5), (4, 6)) "
+        "/ (6, 5, 4, 1, 3, 2); beta 4 != gamma 0 on ((1, 2), (1, 3), (1, 4)) / (3, 2, 1, 4)")
+    brute = verify.brute_force_arrangement
+
+    def off_by_one(*args, **kw):
+        res = brute(*args, **kw)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(verify, "brute_force_arrangement", off_by_one)
+    assert verify.suite_dp_vs_brute(0, trials=1).detail.startswith(
+        "free alpha: dp 2 (1, 2, 3, 4, 5) != brute 3 (1, 2, 3, 4, 5) on ((1, 2), (2, 3), "
+        "(2, 5), (3, 4), (4, 5)); alpha at anchor 1: dp (2, (1, 2, 3, 4, 5)), brute "
+        "(3, (1, 2, 3, 4, 5)) on ((1, 2), (2, 3), (2, 5), (3, 4), (4, 5)) (both refuse, "
+        "or agree and w is first); ")
+    monkeypatch.setattr(verify, "unbalance", lambda seq: 1)
+    res = verify.suite_balance_lemmas(0)
+    assert (res.checks, res.failures) == (83468, 42554)
+    assert res.detail == "; ".join(f"normalize misbehaved on {order}" for order in (
+        (1, 2, 3, 4), (2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4), (1, 3, 4, 2))) + "; ..."
 
 
 def test_small_deterministic_run():
@@ -64,3 +96,13 @@ def test_normal_form_table_matches_normalize_sequence(g, orders):
         rec = _Recorder("balance_lemmas")
         _balance_lemmas(rec, aux)
         assert rec.checks > orders and rec.failures == 0, rec.bad
+
+
+@pytest.mark.parametrize("g", [path_graph(3), complete_graph(3), path_graph(4)])
+def test_layout_scoring_matches_vc_sequence(g):
+    # the closed form, per clique layout, against a full scan of each order,
+    # in the order the order-by-order enumeration yields them
+    for w in g.vertices:
+        aux = build_auxiliary(g, w)
+        want = [vc_sequence(aux, order) for order in distinct_aux_orders(aux)]
+        assert list(_aux_sequences(aux)) == want
