@@ -291,15 +291,14 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
     return out
 
 
-def _normal_step(seq: VCSequence) -> Optional[VCSequence]:
-    """The one normalization step: descatter a scattered sequence, else
-    rebalance an unbalanced one; None at a fixpoint."""
+def _normal_step(seq: VCSequence) -> tuple:
+    """(scattered, step) for the one normalization step: descatter a
+    scattered sequence, else rebalance an unbalanced one; step is None at a
+    fixpoint."""
     pos = _scatter_positions(seq)
     if pos is not None:
-        return _descatter(seq, pos)
-    if unbalance(seq) > 0:
-        return rebalance_move(seq)
-    return None
+        return True, _descatter(seq, pos)
+    return False, rebalance_move(seq) if unbalance(seq) > 0 else None
 
 
 def normalize_sequence(seq: VCSequence) -> VCSequence:
@@ -307,7 +306,7 @@ def normalize_sequence(seq: VCSequence) -> VCSequence:
     beta no larger than the input's.  Balanced inputs come back unchanged."""
     guard = 0
     while True:
-        nxt = _normal_step(seq)
+        _, nxt = _normal_step(seq)
         if nxt is None:
             return seq
         seq = nxt

@@ -27,6 +27,15 @@ complement of t.  The witness rule below still scans vertex ids in
 increasing order, and among twins it reaches the smallest unplaced one
 first, so the witnesses are those of the plain layout.
 
+The prefix table is filled in blocks over the lowest digits, the leaf.
+Each block is one call of a straight-line kernel generated for the leaf's
+radices: exec compiles it on first use, and an lru_cache keeps the code
+(never a table) for the rest of the process.  The digits above the leaf
+are folded in ahead by lane-parallel mins.  A kernel spans at most _LEAF
+states, which bounds its source and its compile time; a lowest digit
+larger than that (K_n is one digit of radix n + 1) is cut into blocks of
+about sqrt(size / 4) states, folded into each other like the digits above.
+
 Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
 Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
 cut <= k is a union of components of G - C, where C is its cut, so few
@@ -94,9 +103,11 @@ times the bytes of a DP state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
+import struct
 import sys
 import time
 from array import array
@@ -288,18 +299,55 @@ def _cut_table(g: Graph, st: _States) -> array:
     return cut
 
 
+@functools.lru_cache(maxsize=None)
+def _leaf_kernel(radices: tuple):
+    """The straight-line kernel of a leaf block whose digits have these
+    radices, lowest first.
+
+    kernel(m, c) takes the block's lanes of X (the minima folded in from
+    the digits above, or the sentinel) and of cut, and returns the block's
+    X: in state order, x_lo = c_lo + min(m_lo, x_j for each j in lows[lo]),
+    where lows[lo] are the states of the block one vertex below lo.  Each
+    layout is compiled once per process; its source holds only indices
+    taken from the radices, and since every layout spans at most _LEAF
+    states, the cache holds few of them.
+    """
+    strides = [math.prod(radices[:i]) for i in range(len(radices))]
+    span = math.prod(radices)
+    lines = ["def kernel(m, c):",
+             "    " + "".join(f"m{lo}, " for lo in range(span)) + "= m",
+             "    " + "".join(f"c{lo}, " for lo in range(span)) + "= c"]
+    for lo in range(span):
+        lines.append(f"    t = m{lo}")
+        lines += [f"    if x{lo - h} < t: t = x{lo - h}"
+                  for h, r in zip(strides, radices) if lo // h % r]
+        lines.append(f"    x{lo} = c{lo} + t")
+    lines.append("    return " + "".join(f"x{lo}, " for lo in range(span)))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
 def _prefix_table(cut: array, st: _States) -> array:
     """X[T] = cut[T] + min over v in T of X[T - v], with X[0] = 0: the least
     sum of the cuts of an order of T, T itself included.
 
-    States are filled in increasing order, in leaf blocks spanning the
-    lowest digits (up to _LEAF states, or the lowest digit alone).  Inside
-    a block a loop takes the minimum over the leaf digits nonzero in T.
-    The digits above the leaf are folded in ahead: once the block ending
-    at e is final, e's lowest nonzero digit, of stride s, has its range
-    [e - s, e) final too, and its entries are min-ed into [e, e + s),
+    States are filled in increasing order, in leaf blocks run by one
+    _leaf_kernel call each.  The leaf digits are the lowest ones whose
+    radices multiply to at most _LEAF.  If the lowest digit alone is
+    larger (K_n is one digit of radix n + 1), its range is cut into blocks
+    of span states, the first one short, run by the kernel of one digit of
+    radix span: a short block keeps the first lanes of its result.  Per
+    state, compiling a kernel costs about four times what running a block
+    (a call and a fold) does, so compile and blocks together, about
+    4 span + size / span block runs, are least near span = sqrt(size / 4),
+    capped at _LEAF.  No kernel spans more than _LEAF states.
+
+    Every digit a kernel does not span is folded in ahead: once the block
+    ending at e is final, e's lowest nonzero digit, of stride s, has its
+    range [e - s, e) final too, and its entries are min-ed into [e, e + s),
     which is the same range with one more vertex of that digit.  Every
-    state receives one fold per digit above the leaf that it holds.
+    state receives one fold per such digit that it holds.
 
     X is an array of k-bit lanes from _lanes (its values are at most m n),
     and unfilled states hold the sentinel 2^(k-1) - 1.  A fold is one
@@ -320,25 +368,23 @@ def _prefix_table(cut: array, st: _States) -> array:
         hi = ones << (k - 1)
         return a ^ ((a ^ b) & ((((a | hi) - b) & hi) >> (k - 1)) * full)
 
-    leaf, chunk = _low_span(st, _LEAF), _low_span(st, _CHUNK)
+    period, chunk = _low_span(st, _LEAF), _low_span(st, _CHUNK)
+    span = period if period <= _LEAF else min(_LEAF, math.isqrt(size // 4))
     radix = [(h, len(members) + 1) for h, members in st.digits]
-    lows = [tuple(lo - h for h, r in radix if h < leaf and lo // h % r) for lo in range(leaf)]
-    upper = [(h, r) for h, r in radix if h >= leaf]
+    kernel = _leaf_kernel(tuple(r for h, r in radix if h * r <= span) or (span,))
+    upper = [(h, r) for h, r in radix if h * r > span]
+    # one period of the leaf digits in blocks of span states, the first one
+    # short if span does not divide it, each with the writer of its lanes
+    blocks = [(max(b - span, 0), b, struct.Struct(f"{min(b, span)}{code}").pack_into)
+              for b in reversed(range(period, 0, -span))]
     view = memoryview(x).cast("B")
-    for base in range(0, size, leaf):
-        blk = x[base:base + leaf].tolist()
-        for lo, offs, c in zip(range(leaf), lows, cut[base:base + leaf]):
-            best = blk[lo]
-            for j in offs:
-                v = blk[j]
-                if v < best:
-                    best = v
-            blk[lo] = c + best
-        x[base:base + leaf] = array(code, blk)
-        e = base + leaf
-        if e < size:
-            s = next(h for h, r in upper if e // h % r)
-            _lanewise(view, width, chunk, e, e - s, s, lane_min)
+    for base in range(0, size, period):
+        for a, b, write in blocks:
+            i, j = base + a, base + b
+            write(x, i * width, *kernel(x[i:i + span], cut[i:i + span])[:j - i])
+            if j < size:
+                s = next(h for h, r in upper if j // h % r)
+                _lanewise(view, width, chunk, j, j - s, s, lane_min)
     view.release()
     return x
 

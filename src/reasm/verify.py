@@ -158,9 +158,10 @@ def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
 
 
 def _normal_forms(aux):
-    """Yield (s, t, nf) for every order of _aux_sequences(aux): s the
-    scored order, t its one normalization step (None at a fixpoint) and nf
-    its normal form, which equals normalize_sequence(s).
+    """Yield (s, scattered, t, nf) for every order of _aux_sequences(aux):
+    s the scored order, whether it is scattered, t its one normalization
+    step (None at a fixpoint) and nf its normal form, which equals
+    normalize_sequence(s).
 
     One table per anchor maps each order reached by a move to its normal
     form and the number of moves to it, so a walk from t stops at the first
@@ -171,15 +172,15 @@ def _normal_forms(aux):
     table: dict = {}
     bound = 4 * (aux.base.n + aux.p)
     for s in _aux_sequences(aux):
-        t = _normal_step(s)
+        scattered, t = _normal_step(s)
         if t is None:
-            yield s, None, s
+            yield s, scattered, None, s
             continue
         walk = []  # the orders from t on that the table does not hold yet
         cur = t
         hit = table.get(cur.order)
         while hit is None:
-            nxt = _normal_step(cur)
+            _, nxt = _normal_step(cur)
             if nxt is None:
                 hit = table[cur.order] = (cur, 0)
                 break
@@ -193,7 +194,7 @@ def _normal_forms(aux):
             table[seq.order] = (nf, moves)
         if 1 + len(walk) + depth > bound + nf.beta:
             raise VerificationError(f"normalization did not terminate, at order {nf.order}")
-        yield s, t, nf
+        yield s, scattered, t, nf
 
 
 def _balance_lemmas(rec: _Recorder, aux) -> None:
@@ -203,13 +204,12 @@ def _balance_lemmas(rec: _Recorder, aux) -> None:
     best = None
     argmin = []
     settled: dict = {}  # normal form order -> unscattered and balanced
-    for s, t, nf in _normal_forms(aux):
+    for s, scattered, t, nf in _normal_forms(aux):
         b = s.beta
         if best is None or b < best:
             best, argmin = b, [s]
         elif b == best:
             argmin.append(s)
-        scattered = scatter(s) > 0
         if scattered:  # then t is the descattering move
             rec.expect(t.beta < b, "descatter kept beta at {} on {}", b, s.order)
         ok = settled.get(nf.order)

@@ -1,9 +1,11 @@
 """Shared fixtures: the exhaustive small-graph catalog, vertex masks, an
-independent binary-tree enumerator, a per-mask prefix-cost recurrence, deep caterpillar
-trees, the order-by-order enumeration of an auxiliary graph, the first
-non-strict sibling pair of a tree, a process-pool stand-in and a CLI runner."""
+independent binary-tree enumerator, a per-mask prefix-cost recurrence, the
+prefix table's per-state leaf loop, deep caterpillar trees, the
+order-by-order enumeration of an auxiliary graph, the first non-strict
+sibling pair of a tree, a process-pool stand-in and a CLI runner."""
 
 import itertools
+import math
 from functools import lru_cache
 from pathlib import Path
 
@@ -95,6 +97,26 @@ def prefix_costs(g: Graph, objective: str) -> list:
         cut = g.cut_mask(t)
         x[t] = cut + best if objective == "beta" else max(cut, best)
     return x
+
+
+def leaf_loop(radices: tuple, m, c) -> list:
+    """A leaf block of the prefix table filled one state at a time, the
+    reference for its generated kernels.  m and c are the block's lanes of
+    X (the minima folded in from above, or the sentinel) and of cut, over
+    leaf digits of these radices, lowest first; state lo takes c[lo] plus
+    the least of m[lo] and X one vertex below lo inside the block."""
+    strides = [math.prod(radices[:i]) for i in range(len(radices))]
+    lows = [tuple(lo - h for h, r in zip(strides, radices) if lo // h % r)
+            for lo in range(len(m))]
+    blk = list(m)
+    for lo, offs, cut in zip(range(len(blk)), lows, c):
+        best = blk[lo]
+        for j in offs:
+            v = blk[j]
+            if v < best:
+                best = v
+        blk[lo] = cut + best
+    return blk
 
 
 def caterpillar_text(n: int) -> str:

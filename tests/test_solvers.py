@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -10,12 +12,13 @@ from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
 from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
 from reasm.reduction import build_auxiliary
 from reasm import solvers
-from reasm.solvers import (_States, _cut_table, _lanes, _prefix_table, _states, _twin_classes,
+from reasm.solvers import (_States, _cut_table, _lanes, _leaf_kernel, _prefix_table, _states,
+                           _twin_classes,
                            brute_force_arrangement, dp_limit, exact_arrangement,
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import measures, print_tree
 
-from conftest import FIXTURES, binary_tree_masks, connected_atlas, prefix_costs
+from conftest import FIXTURES, binary_tree_masks, connected_atlas, leaf_loop, prefix_costs
 
 
 def random_connected(rng: random.Random, n: int) -> Graph:
@@ -92,6 +95,13 @@ def test_twin_classes():
     assert _twin_classes(build_auxiliary(path_graph(3), 1).combined) == [(4, 5, 6, 7)]
 
 
+def _complete_multipartite(*parts: int) -> Graph:
+    """Parts of these sizes, in vertex id order, each joined to all others."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    pairs = itertools.combinations(range(len(part)), 2)
+    return Graph(len(part), tuple((u + 1, v + 1) for u, v in pairs if part[u] != part[v]))
+
+
 def _quotient_graphs():
     for g in connected_atlas(7):
         if _twin_classes(g):
@@ -113,8 +123,7 @@ def _quotient_graphs():
     # K_{5,5,5}: three class digits of radix 6, 216 states; the leaf spans
     # the lower two, so folds have stride 36, neither a power of two nor a
     # multiple of the chunk
-    yield Graph(15, tuple((u, v) for u, v in itertools.combinations(range(1, 16), 2)
-                          if (u - 1) // 5 != (v - 1) // 5))
+    yield _complete_multipartite(5, 5, 5)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +148,72 @@ def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code
     g = quotient_tables[-1][0]
     st = _states(g, _twin_classes(g))
     assert _prefix_table(_cut_table(g, st), st).typecode == code
+
+
+def test_prefix_table_in_blocks_of_a_large_lowest_class():
+    # a lowest class above _LEAF runs in blocks of isqrt(size // 4)
+    # states, the first one short: K300 has one period of 301 = 5 + 37 * 8
+    # states, K_{130,2} three of 131 = 5 + 14 * 9 and K_{130,2,2} nine of
+    # 131 = 12 + 7 * 17, with folds of the classes above between them
+    for g in (complete_graph(300), _complete_multipartite(130, 2),
+              _complete_multipartite(130, 2, 2)):
+        st = _states(g, _twin_classes(g))
+        cut = _cut_table(g, st)
+        radix = [(h, len(members) + 1) for h, members in st.digits]
+        assert radix[0][1] > solvers._LEAF
+        want = [0] * st.size
+        for t in range(1, st.size):
+            want[t] = cut[t] + min(want[t - h] for h, r in radix if t // h % r)
+        assert list(_prefix_table(cut, st)) == want
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """The radices of every leaf kernel that _prefix_table asks for, in call
+    order."""
+    calls = []
+    monkeypatch.setattr(solvers, "_leaf_kernel",
+                        lambda radices: calls.append(radices) or _leaf_kernel(radices))
+    return calls
+
+
+def test_leaf_kernels_match_the_leaf_loop(kernel_calls, random_tables, quotient_tables):
+    # every leaf layout of the table fixtures, on random lanes of X and cut
+    # in every lane width, with about one lane of X in four at the sentinel
+    for g, classes, _, _ in random_tables + quotient_tables:
+        st = _states(g, classes)
+        _prefix_table(_cut_table(g, st), st)
+    layouts = set(kernel_calls)
+    assert {(2,), (6, 6), (2,) * 6} <= layouts
+    rng = random.Random(22)
+    for radices in sorted(layouts):
+        kernel, span = _leaf_kernel(radices), math.prod(radices)
+        for code in "BHIQ":
+            sentinel = (1 << 8 * array(code).itemsize - 1) - 1
+            for _ in range(20):
+                m = array(code, [sentinel if rng.random() < 0.25
+                                 else rng.randrange(min(4 * span, sentinel)) for _ in range(span)])
+                c = array(code, [rng.randrange(8) for _ in range(span)])
+                assert list(kernel(memoryview(m), memoryview(c))) == leaf_loop(radices, m, c)
+
+
+def test_kernels_stay_within_the_leaf_bound(kernel_calls):
+    # K300 and K1000 are one digit of radix n + 1, run in blocks of
+    # isqrt((n + 1) // 4) states; S200's leaf is its centre's digit and
+    # K_{5,5,5}'s its lower two classes.  Solved twice each, every layout
+    # compiles once.
+    _leaf_kernel.cache_clear()
+    for g in (complete_graph(300), complete_graph(1000), star_graph(200),
+              _complete_multipartite(5, 5, 5)):
+        for _ in range(2):
+            value = exact_arrangement(g, "beta").value
+            if g.n in (300, 1000):
+                assert value == (g.n ** 3 - g.n) // 6
+    assert sorted(set(kernel_calls)) == [(2,), (6, 6), (8,), (15,)]
+    assert all(math.prod(radices) <= solvers._LEAF for radices in kernel_calls)
+    info = _leaf_kernel.cache_info()
+    assert info.misses == info.currsize == 4
+    assert info.hits == len(kernel_calls) - 4 == 4
 
 
 def test_lanes_keep_the_top_bit_and_a_sentinel_free():
@@ -325,8 +400,7 @@ def test_free_alpha_is_the_prefix_cost_of_v():
 def test_heavy_twin_alpha_pins():
     # values and witnesses of the subset DP that the search replaced; K_n
     # stores its n + 1 prefix sets, one per count of its single class
-    k555 = Graph(15, tuple((u, v) for u, v in itertools.combinations(range(1, 16), 2)
-                           if (u - 1) // 5 != (v - 1) // 5))
+    k555 = _complete_multipartite(5, 5, 5)
     pins = [
         (complete_graph(40), 400, " ".join(map(str, range(1, 41))), 400, 1,
          range(1, 41)),

@@ -7,7 +7,7 @@ from reasm import verify
 from reasm.errors import ValidationError
 from reasm.graph import complete_graph, path_graph
 from reasm.reduction import (_aux_sequences, _normal_step, build_auxiliary,
-                             normalize_sequence, vc_sequence)
+                             normalize_sequence, scatter, vc_sequence)
 from reasm.verify import SUITES, _balance_lemmas, _normal_forms, _Recorder, run_suites
 
 from conftest import distinct_aux_orders
@@ -85,10 +85,11 @@ def test_normal_form_table_matches_normalize_sequence(g, orders):
     for w in g.vertices:
         aux = build_auxiliary(g, w)
         seen = set()
-        for s, t, nf in _normal_forms(aux):
+        for s, scattered, t, nf in _normal_forms(aux):
             ref = vc_sequence(aux, s.order)
-            step = _normal_step(ref)
+            _, step = _normal_step(ref)
             assert s.beta == ref.beta
+            assert scattered == (scatter(ref) > 0)
             assert (None if t is None else t.order) == (None if step is None else step.order)
             assert nf.order == normalize_sequence(ref).order
             seen.add(s.order)
