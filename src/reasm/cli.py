@@ -96,22 +96,29 @@ def _one_of(args: argparse.Namespace, names: tuple) -> str:
     return given[0]
 
 
+def _load_object(args: argparse.Namespace) -> tuple:
+    """(kind, object) for the one of --tree, --arrangement and --ordering
+    given.  The parsers are looked up per call, so a wrapper set on this
+    module's names (perfbench's span recorder) sees each parse."""
+    parsers = {"tree": parse_tree, "arrangement": parse_arrangement,
+               "ordering": parse_ordering}
+    kind = _one_of(args, tuple(parsers))
+    return kind, parsers[kind](_read(getattr(args, kind)))
+
+
 # ---------------------------------------------------------------------------
 # eval
 
 def cmd_eval(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    kind = _one_of(args, ("tree", "arrangement", "ordering"))
+    kind, obj = _load_object(args)
     if kind == "tree":
-        tree = parse_tree(_read(args.tree))
-        out = measures(g, tree).to_json()
-        out["linear"] = tree.is_linear()
+        out = measures(g, obj).to_json()
+        out["linear"] = obj.is_linear()
     elif kind == "arrangement":
-        arr = parse_arrangement(_read(args.arrangement))
-        out = evaluate_arrangement(g, arr).to_json()
+        out = evaluate_arrangement(g, obj).to_json()
     else:
-        ordering = parse_ordering(_read(args.ordering))
-        trace = seq_reassemble(g, ordering)
+        trace = seq_reassemble(g, obj)
         tree = trace.tree()
         out = {
             "steps": [{"merged": [list(vertices_of(a)), list(vertices_of(b))],
@@ -233,13 +240,7 @@ def _convert(g: Graph, kind: str, obj, target: str):
 
 def cmd_convert(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    kind = _one_of(args, ("tree", "arrangement", "ordering"))
-    if kind == "tree":
-        obj = parse_tree(_read(args.tree))
-    elif kind == "arrangement":
-        obj = parse_arrangement(_read(args.arrangement))
-    else:
-        obj = parse_ordering(_read(args.ordering))
+    kind, obj = _load_object(args)
     result = _convert(g, kind, obj, args.to)
     if isinstance(result, (Arrangement, ReassemblyTree)):
         text = format_witness(result) + "\n"

@@ -11,6 +11,10 @@ descattering (pull a base vertex out of the clique block) and rebalancing
 every beta-optimal order of G_w into the shape  U ... U  w  V-{w},  and in
 that shape the restriction to V is an optimal anchored solution of the
 original problem.  Minimizing over all anchors gives the exact optimum.
+One guarded walk, _normalize, is the only normalization loop: it makes the
+moves to a fixpoint and raises past 4 |order| + beta moves.
+normalize_sequence runs it alone; verify's balance_lemmas suite runs it
+with one table per anchor, shared by the walks of all orders of G_w.
 
 An order's beta has a closed form.  Let q_1 < ... < q_n be the positions of
 the base vertices pi_1 ... pi_n and k_1 < ... < k_{p+1} those of U + {w},
@@ -266,6 +270,11 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
         raise ValidationError("rebalance needs an unscattered sequence")
     if unbalance(seq) == 0:
         raise ValidationError("sequence is already balanced")
+    return _rebalance(seq)
+
+
+def _rebalance(seq: VCSequence) -> VCSequence:
+    """rebalance_move on a sequence known to be unscattered and unbalanced."""
     aux = seq.aux
     p = aux.p
     i0 = seq.k_pos[0] - 1
@@ -298,21 +307,41 @@ def _normal_step(seq: VCSequence) -> tuple:
     pos = _scatter_positions(seq)
     if pos is not None:
         return True, _descatter(seq, pos)
-    return False, rebalance_move(seq) if unbalance(seq) > 0 else None
+    return False, _rebalance(seq) if unbalance(seq) > 0 else None
 
 
 def normalize_sequence(seq: VCSequence) -> VCSequence:
     """Descatter then rebalance to a fixpoint: scatter 0, unbalance 0, and
     beta no larger than the input's.  Balanced inputs come back unchanged."""
-    guard = 0
-    while True:
+    return _normalize(seq, {})
+
+
+def _normalize(seq: VCSequence, table: dict, moves: int = 0) -> VCSequence:
+    """The normal form of seq, an order that `moves` moves already reached.
+
+    `table` maps each order a walk reached to its normal form and the
+    number of moves from it to there.  The walk stops at a fixpoint or at
+    the first order in the table, then adds every order it passed.  More
+    than 4 |order| + beta moves in all, with the normal form's beta, raise
+    VerificationError.  beta never rises along a walk, so a walk that
+    passes the bound taken at its start, as a cycle does, stays past it."""
+    limit = 4 * len(seq.order) + seq.beta - moves
+    walk = []
+    hit = table.get(seq.order)
+    while hit is None and len(walk) <= limit:
         _, nxt = _normal_step(seq)
         if nxt is None:
-            return seq
-        seq = nxt
-        guard += 1
-        if guard > 4 * len(seq.order) + seq.beta:
-            raise VerificationError(f"normalization did not terminate, at order {seq.order}")
+            hit = table[seq.order] = (seq, 0)
+        else:
+            walk.append(seq)
+            seq = nxt
+            hit = table.get(seq.order)
+    if hit is None or moves + len(walk) + hit[1] > 4 * len(seq.order) + hit[0].beta:
+        raise VerificationError(f"normalization did not terminate, at order {seq.order}")
+    nf, depth = hit
+    for d, passed in enumerate(reversed(walk), start=depth + 1):
+        table[passed.order] = (nf, d)
+    return nf
 
 
 def _is_right_balanced(seq: VCSequence) -> bool:

@@ -3,10 +3,11 @@
 Each suite bundles a family of invariants that must hold identically on
 every instance: the beta = gamma identity, round trips between the object
 representations, agreement of the exact solvers with brute force, the
-normalization lemmas on auxiliary-graph sequences, and the catalog of
-pinned example values.  A sampled suite draws instances from its seed and
-hands each to a per-instance checker; the acceptance tests run the same
-checkers over exhaustive ranges.  Each suite returns its counts, so the CLI
+normalization lemmas on auxiliary-graph sequences (normalized by
+reduction's one guarded walk), and the catalog of pinned example values.
+A sampled suite draws instances from its seed and hands each to a
+per-instance checker; the acceptance tests run the same checkers over
+exhaustive ranges.  Each suite returns its counts, so the CLI
 can emit one JSON line per suite.
 """
 
@@ -17,11 +18,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ValidationError, VerificationError
+from .errors import ValidationError
 from .graph import Graph, complete_graph, path_graph, qcube3_graph, star_graph
 from .layout import (Arrangement, edge_length, evaluate_arrangement,
                      induce_arrangement, induce_reassembling)
-from .reduction import _aux_sequences, _normal_step, build_auxiliary, scatter, unbalance
+from .reduction import (_aux_sequences, _normal_step, _normalize, build_auxiliary,
+                        scatter, unbalance)
 from .sequential import (SeqTrace, block_tree, canonical_ordering, chain_to_ordering,
                          seq_reassemble)
 from .solvers import (brute_force_arrangement, exact_arrangement,
@@ -161,40 +163,12 @@ def _normal_forms(aux):
     """Yield (s, scattered, t, nf) for every order of _aux_sequences(aux):
     s the scored order, whether it is scattered, t its one normalization
     step (None at a fixpoint) and nf its normal form, which equals
-    normalize_sequence(s).
-
-    One table per anchor maps each order reached by a move to its normal
-    form and the number of moves to it, so a walk from t stops at the first
-    order already in the table; an order no move reached stays out of it.
-    A walk raises VerificationError exactly where normalize_sequence(s)
-    would: after more than 4 |order| + beta moves, beta taken after the
-    last move (beta never rises along a walk)."""
+    normalize_sequence(s).  The walk from t shares one table per anchor,
+    which holds only orders that a move reached."""
     table: dict = {}
-    bound = 4 * (aux.base.n + aux.p)
     for s in _aux_sequences(aux):
         scattered, t = _normal_step(s)
-        if t is None:
-            yield s, scattered, None, s
-            continue
-        walk = []  # the orders from t on that the table does not hold yet
-        cur = t
-        hit = table.get(cur.order)
-        while hit is None:
-            _, nxt = _normal_step(cur)
-            if nxt is None:
-                hit = table[cur.order] = (cur, 0)
-                break
-            walk.append(cur)
-            cur = nxt
-            if 1 + len(walk) > bound + cur.beta:
-                raise VerificationError(f"normalization did not terminate, at order {cur.order}")
-            hit = table.get(cur.order)
-        nf, depth = hit
-        for moves, seq in enumerate(reversed(walk), start=depth + 1):
-            table[seq.order] = (nf, moves)
-        if 1 + len(walk) + depth > bound + nf.beta:
-            raise VerificationError(f"normalization did not terminate, at order {nf.order}")
-        yield s, scattered, t, nf
+        yield s, scattered, t, s if t is None else _normalize(t, table, 1)
 
 
 def _balance_lemmas(rec: _Recorder, aux) -> None:

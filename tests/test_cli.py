@@ -479,12 +479,13 @@ def test_module_entry_point(workdir):
 def test_closed_stdout_exits_cleanly():
     # a reader that stops early, as `| head -c 100` does, ends the run with
     # exit 0 and nothing on stderr
-    proc = subprocess.Popen([sys.executable, "-m", "reasm", "reduce", FIXTURES / "q3.g",
-                             "--problem", "beta"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_module_env())
-    proc.stdout.close()  # before the report is written
-    err = proc.stderr.read().decode()
-    assert (proc.wait(), err) == (0, "")
+    with subprocess.Popen([sys.executable, "-m", "reasm", "reduce", FIXTURES / "q3.g",
+                           "--problem", "beta"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_module_env()) as proc:
+        proc.stdout.close()  # before the report is written
+        err = proc.stderr.read().decode()
+    # leaving the block closed stderr and waited for the process
+    assert (proc.returncode, err) == (0, "")
 
 
 def test_import_loads_no_process_pool():

@@ -68,7 +68,7 @@ def test_unbalanced_normal_form_exits_4(run_cli, monkeypatch):
 
 
 def test_idle_rebalancing_is_caught(monkeypatch):
-    monkeypatch.setattr(reduction, "rebalance_move", lambda seq: seq)
+    monkeypatch.setattr(reduction, "_rebalance", lambda seq: seq)
     aux = build_auxiliary(path_graph(2), 1)
     seq = vc_sequence(aux, (2, 3, 4, 1))
     assert scatter(seq) == 0 and unbalance(seq) > 0
@@ -77,8 +77,8 @@ def test_idle_rebalancing_is_caught(monkeypatch):
 
 
 def test_idle_rebalancing_stops_the_normal_form_table(run_cli, monkeypatch):
-    # balance_lemmas walks through its table, not normalize_sequence
-    monkeypatch.setattr(reduction, "rebalance_move", lambda seq: seq)
+    # balance_lemmas walks with its per-anchor table, normalize_sequence with none
+    monkeypatch.setattr(reduction, "_rebalance", lambda seq: seq)
     code, out, err = run_cli("verify", "--suite", "balance_lemmas")
     assert code == 4 and out == ""
     assert err.startswith("error: normalization did not terminate") and err.count("\n") == 1

@@ -1,9 +1,10 @@
+import collections
 import dataclasses
 import json
 
 import pytest
 
-from reasm import verify
+from reasm import reduction, verify
 from reasm.errors import ValidationError
 from reasm.graph import complete_graph, path_graph
 from reasm.reduction import (_aux_sequences, _normal_step, build_auxiliary,
@@ -107,3 +108,27 @@ def test_layout_scoring_matches_vc_sequence(g):
         aux = build_auxiliary(g, w)
         want = [vc_sequence(aux, order) for order in distinct_aux_orders(aux)]
         assert list(_aux_sequences(aux)) == want
+
+
+def test_balance_lemmas_work_is_pinned(monkeypatch):
+    # one run's checks, moves and steps: a walk that stopped using the
+    # per-anchor table would step far more often
+    counts = collections.Counter()
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(reduction, "_descatter", "descatter")
+    count(reduction, "_rebalance", "rebalance")
+    count(reduction, "_normal_step", "step")
+    count(verify, "_normal_step", "step")  # the first step of each order
+    res = verify.suite_balance_lemmas(0)
+    assert (res.checks, res.failures) == (83592, 0)
+    assert counts["descatter"] + counts["rebalance"] == 62618
+    assert counts == {"descatter": 59394, "rebalance": 3224, "step": 63322}
