@@ -5,8 +5,9 @@ singletons up to the whole vertex set; its alpha measure is the largest
 edge-boundary degree over all clusters and its beta measure is their sum.
 This package evaluates both measures, converts between linear reassemblings
 and linear arrangements, solves small instances exactly (a subset DP for
-beta, a cut-bounded search for alpha, and brute-force references), and runs the auxiliary-graph reductions between
-the two linear beta problems and the degree-3 alpha pipeline.
+beta, a cut-bounded search for alpha, and brute-force references), and runs
+the auxiliary-graph reductions between the two linear beta problems and the
+degree-3 alpha pipeline.
 """
 
 from .errors import LimitError, ReasmError, ValidationError, VerificationError

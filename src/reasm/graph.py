@@ -81,6 +81,19 @@ class Graph:
         """Boundary degree of the vertex set given as a bitmask."""
         return sum((self.adj[v - 1] & ~mask).bit_count() for v in vertices_of(mask))
 
+    def _prefix_cuts(self, order) -> list:
+        """Boundary degree of each prefix of `order`, distinct vertices that
+        the caller has checked: entry i is the cut of order[:i + 1].  Adding
+        v closes its edges into the prefix and opens the rest."""
+        cuts = []
+        prefix = cut = 0
+        for v in order:
+            nbrs = self.adj[v - 1]
+            cut += nbrs.bit_count() - 2 * (nbrs & prefix).bit_count()
+            prefix |= 1 << (v - 1)
+            cuts.append(cut)
+        return cuts
+
     def bridges(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
         """Edges with one endpoint in vertex mask `a` and the other in `b`
         (disjoint masks), in lexicographic order; scans the smaller side."""

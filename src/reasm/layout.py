@@ -73,15 +73,7 @@ def evaluate_arrangement(g: Graph, arr: Arrangement) -> ArrangementReport:
     """All edge cuts plus alpha/beta/gamma; beta and gamma are computed by
     independent routes and must agree."""
     _check_permutation(g, arr)
-    cuts = []
-    prefix = 0
-    cut = 0
-    for v in arr.order:
-        # adding v: edges into the prefix become internal, the rest open up
-        inside = (g.adj[v - 1] & prefix).bit_count()
-        cut += g.degree(v) - 2 * inside
-        prefix |= 1 << (v - 1)
-        cuts.append(cut)
+    cuts = g._prefix_cuts(arr.order)
     beta = sum(cuts)
     pos = {v: i + 1 for i, v in enumerate(arr.order)}
     gamma = sum(abs(pos[u] - pos[v]) for u, v in g.edges)

@@ -4,8 +4,8 @@ linear arrangement, and the degree-3 pipeline for alpha.
 The beta reduction glues a clique onto a chosen anchor w: the auxiliary
 graph G_w adds p = sum of all degrees of G fresh vertices U, joined to w and
 to each other so that U + {w} induces a complete graph on p + 1 vertices.
-Orders of V(G_w) are scored as sequences of per-prefix pairs (r, s) counting
-base-graph and clique edges separately.  Two normalization moves --
+An order of V(G_w) is scored by the closed form below, which counts
+base-graph and clique edges apart.  Two normalization moves --
 descattering (pull a base vertex out of the clique block) and rebalancing
 (put all of V - {w} on one side of w) -- never increase beta, which forces
 every beta-optimal order of G_w into the shape  U ... U  w  V-{w},  and in
@@ -85,10 +85,10 @@ def build_auxiliary(g: Graph, w: int) -> AuxiliaryGraph:
 
 @dataclass(frozen=True)
 class VCSequence:
-    """An order of V(G_w) scored by per-prefix pairs (r, s): r counts
-    base-graph edges crossing the prefix, s counts clique edges.  `beta` is
-    the sum of r + s over all prefixes, and `k_pos` holds the 1-based
-    positions of the clique side U + {w}, ascending."""
+    """An order of V(G_w) scored by the closed form of the module
+    docstring: `beta` is the sum of the cuts of all its prefixes in G_w,
+    and `k_pos` holds the 1-based positions of the clique side U + {w},
+    ascending."""
 
     aux: AuxiliaryGraph
     order: tuple
@@ -107,55 +107,46 @@ def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
     return _score(aux, order)
 
 
+def _clique_term(p: int, k_pos: tuple, end: int) -> int:
+    """sum_c c (p+1-c) (k_{c+1} - k_c) over the clique positions k_pos,
+    with k_{p+2} = end."""
+    ends = k_pos[1:] + (end,)
+    return sum(c * (p + 1 - c) * (b - a) for c, a, b in zip(range(1, p + 2), k_pos, ends))
+
+
 def _score(aux: AuxiliaryGraph, order: tuple) -> VCSequence:
-    """vc_sequence's scan, for orders that a move built from a permutation."""
-    n, p, w = aux.base.n, aux.p, aux.w
-    adj = aux.base.adj
-    k_pos = []
-    prefix = 0
-    r = s = beta = 0
-    for i, v in enumerate(order, start=1):
-        if v <= n:  # only base vertices have base edges
-            nbrs = adj[v - 1]
-            r += nbrs.bit_count() - 2 * (nbrs & prefix).bit_count()
-            prefix |= 1 << (v - 1)
-        if v > n or v == w:
-            s += p - 2 * len(k_pos)  # clique degree p, minus edges closed
-            k_pos.append(i)
-        beta += r + s  # the whole order adds its pair (0, 0)
-    return VCSequence(aux=aux, order=order, beta=beta, k_pos=tuple(k_pos))
+    """vc_sequence's closed form, for orders that a move built from a
+    permutation."""
+    n, w = aux.base.n, aux.w
+    end = len(order) + 1
+    q = [i for i, v in enumerate(order, start=1) if v <= n]
+    k_pos = tuple(i for i, v in enumerate(order, start=1) if v > n or v == w)
+    cuts = aux.base._prefix_cuts([order[i - 1] for i in q])
+    gaps = [b - a for a, b in zip(q, q[1:] + [end])]
+    beta = sum(map(mul, cuts, gaps)) + _clique_term(aux.p, k_pos, end)
+    return VCSequence(aux=aux, order=order, beta=beta, k_pos=k_pos)
 
 
 def _aux_sequences(aux):
     """Every order of the auxiliary vertex set up to permuting U among
     itself (U vertices are interchangeable by symmetry), scored: choose the
     positions of the base vertices, order them, and fill the rest with U
-    ascending.  beta is the closed form of the module docstring: per choice
-    of positions, one clique term for each slot w can take, plus, per base
+    ascending.  beta is _score's closed form taken apart: per choice of
+    positions, one clique term for each slot w can take, plus, per base
     order, the dot product of its prefix cuts with the gaps between base
     positions."""
     g, w, p = aux.base, aux.w, aux.p
     n = g.n
     total = n + p
-    perms = []  # (base order, slot of w, cut after each prefix)
-    for perm in itertools.permutations(g.vertices):
-        cuts = []
-        prefix = cut = 0
-        for v in perm:
-            nbrs = g.adj[v - 1]
-            cut += nbrs.bit_count() - 2 * (nbrs & prefix).bit_count()
-            prefix |= 1 << (v - 1)
-            cuts.append(cut)
-        perms.append((perm, perm.index(w), cuts))
+    perms = [(perm, perm.index(w), g._prefix_cuts(perm))  # (base order, slot of w, cuts)
+             for perm in itertools.permutations(g.vertices)]
     for positions in itertools.combinations(range(1, total + 1), n):
         upos = sorted(set(range(1, total + 1)).difference(positions))
         gaps = [b - a for a, b in zip(positions, positions[1:] + (total + 1,))]
         layouts = []  # per slot of w: clique positions and the clique term
         for q in positions:
             k_pos = tuple(sorted(upos + [q]))
-            ends = k_pos[1:] + (total + 1,)
-            layouts.append((k_pos, sum(c * (p + 1 - c) * (b - a) for c, a, b
-                                       in zip(range(1, p + 2), k_pos, ends))))
+            layouts.append((k_pos, _clique_term(p, k_pos, total + 1)))
         order: list = [0] * total
         for i, u in zip(upos, aux.u_vertices):
             order[i - 1] = u

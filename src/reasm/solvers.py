@@ -613,11 +613,11 @@ def brute_force_arrangement(g: Graph, objective: str,
     _check_objective(objective)
     _check_solvable(g, math.factorial(g.n if anchor is None else g.n - 1), "orders")
     t0 = time.perf_counter()
-    adj = g.adj
-    deg = [a.bit_count() for a in adj]
+    deg = [a.bit_count() for a in g.adj]
     if anchor is not None:
         g._check_vertex(anchor)
     head = () if anchor is None else (anchor,)
+    fold = sum if objective == "beta" else max
     best = None
     count = 0
     for perm in itertools.permutations([v for v in g.vertices if v != anchor]):
@@ -626,16 +626,7 @@ def brute_force_arrangement(g: Graph, objective: str,
             if len(order) < 2 or deg[order[1] - 1] < deg[anchor - 1]:
                 continue
         count += 1
-        prefix = 0
-        cur = 0
-        value = 0
-        for v in order:
-            cur += deg[v - 1] - 2 * (adj[v - 1] & prefix).bit_count()
-            prefix |= 1 << (v - 1)
-            if objective == "beta":
-                value += cur
-            elif cur > value:
-                value = cur
+        value = fold(g._prefix_cuts(order))
         if best is None or value < best[0]:
             best = (value, order)
     if best is None:

@@ -98,6 +98,33 @@ def test_boundary_degree_and_cut_mask():
             assert g.cut_mask(mask_of(block)) == sum((u in b) != (v in b) for u, v in g.edges)
 
 
+def _check_prefix_cuts(g, order):
+    assert g._prefix_cuts(order) == [g.cut_mask(mask_of(order[:i + 1]))
+                                     for i in range(len(order))]
+
+
+def test_prefix_cuts_are_the_cuts_of_the_prefixes():
+    # every order of every connected graph with n <= 5 (31 graphs, 2,679
+    # orders), then random graphs, disconnected ones included
+    orders = 0
+    for g in connected_atlas(5):
+        for order in itertools.permutations(g.vertices):
+            _check_prefix_cuts(g, order)
+            orders += 1
+    assert orders == 2679
+    rng = random.Random(5)
+    disconnected = 0
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        g = Graph(n, tuple(e for e in itertools.combinations(range(1, n + 1), 2)
+                           if rng.random() < 0.2))
+        disconnected += not g.is_connected()
+        order = list(g.vertices)
+        rng.shuffle(order)
+        _check_prefix_cuts(g, order)
+    assert disconnected > 100
+
+
 def test_bridges():
     g = path_graph(4)
     assert g.bridges(mask_of([1, 2]), mask_of([3, 4])) == ((2, 3),)

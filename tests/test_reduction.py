@@ -133,7 +133,7 @@ def test_scatter_positions_match_their_definition():
 
 
 def _descatter_reference(seq):
-    """The move by list surgery, scored by a full vc_sequence scan; and
+    """The move by list surgery, scored by vc_sequence's closed form; and
     whether w sits in the clique run the moved vertex crosses."""
     i, j, k, l = _scatter_positions(seq)
     order = list(seq.order)

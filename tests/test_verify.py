@@ -6,7 +6,8 @@ import pytest
 
 from reasm import reduction, verify
 from reasm.errors import ValidationError
-from reasm.graph import complete_graph, path_graph
+from reasm.graph import Graph, complete_graph, path_graph
+from reasm.layout import Arrangement, evaluate_arrangement
 from reasm.reduction import (_aux_sequences, _normal_step, build_auxiliary,
                              normalize_sequence, scatter, vc_sequence)
 from reasm.verify import SUITES, _balance_lemmas, _normal_forms, _Recorder, run_suites
@@ -62,6 +63,18 @@ def test_failure_labels_keep_their_text(monkeypatch):
         (1, 2, 3, 4), (2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4), (1, 3, 4, 2))) + "; ..."
 
 
+def test_a_wrong_cut_is_recorded_not_raised(monkeypatch, run_cli):
+    # one extra edge in every prefix cut: each check fails with its label,
+    # and the suite still prints its line
+    scan = Graph._prefix_cuts
+    monkeypatch.setattr(Graph, "_prefix_cuts", lambda g, order: [c + 1 for c in scan(g, order)])
+    code, out, _ = run_cli("verify", "--suite=beta_equals_gamma", "--trials", 3)
+    res = json.loads(out)
+    assert code == 4 and (res["checks"], res["failures"]) == (3, 3)
+    assert res["detail"].startswith("beta 40 != gamma 33 on ((1, 2), (1, 3), ")
+    assert res["detail"].count("beta ") == 3
+
+
 def test_small_deterministic_run():
     a = run_suites(["bin_can"], seed=3, trials=10)[0]
     b = run_suites(["bin_can"], seed=3, trials=10)[0]
@@ -70,14 +83,18 @@ def test_small_deterministic_run():
 
 
 def test_sampled_suites_pass_their_default_draws(run_cli):
-    # criterion 7 runs balance_lemmas, the one exhaustive suite
+    # criterion 7 runs balance_lemmas, the one exhaustive suite; only
+    # dp_vs_brute's count follows the draw, 2 (n + 1) checks per graph
     sampled = [name for name in SUITES if name != "balance_lemmas"]
-    for seed in range(4):
+    for seed, dp_vs_brute in enumerate((148, 170, 162, 146)):
         code, out, _ = run_cli("verify", *(f"--suite={name}" for name in sampled),
                                "--seed", seed)
         results = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and all(res["ok"] for res in results), results
+        assert {res["suite"]: res["checks"] for res in results} == {
+            "fixtures": 22, "beta_equals_gamma": 1000, "roundtrips": 900,
+            "bin_can": 600, "dp_vs_brute": dp_vs_brute}
         assert [res["suite"] for res in results] == sampled
-        assert code == 0 and all(res["ok"] and res["checks"] > 0 for res in results), results
 
 
 @pytest.mark.parametrize("g, orders", [(path_graph(3), 210), (complete_graph(3), 504)])
@@ -102,12 +119,15 @@ def test_normal_form_table_matches_normalize_sequence(g, orders):
 
 @pytest.mark.parametrize("g", [path_graph(3), complete_graph(3), path_graph(4)])
 def test_layout_scoring_matches_vc_sequence(g):
-    # the closed form, per clique layout, against a full scan of each order,
-    # in the order the order-by-order enumeration yields them
+    # the closed form taken apart per clique layout, against the closed form
+    # of each order, in the order the order-by-order enumeration yields
+    # them; each beta also against the cuts of the order in G_w
     for w in g.vertices:
         aux = build_auxiliary(g, w)
         want = [vc_sequence(aux, order) for order in distinct_aux_orders(aux)]
         assert list(_aux_sequences(aux)) == want
+        for seq in want:
+            assert seq.beta == evaluate_arrangement(aux.combined, Arrangement(seq.order)).beta
 
 
 def test_balance_lemmas_work_is_pinned(monkeypatch):
