@@ -120,14 +120,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         trace = seq_reassemble(g, obj)
         tree = trace.tree()
+        rep = measures(g, tree)
         out = {
             "steps": [{"merged": [list(vertices_of(a)), list(vertices_of(b))],
                        "bridges": [list(e) for e in step.bridges]}
                       for step in trace.steps
                       for a, b in [step.merged]],
             "tree": print_tree(tree),
-            "measures": {k: v for k, v in measures(g, tree).to_json().items()
-                         if k != "clusters"},
+            "measures": {"alpha": rep.alpha, "beta": rep.beta},
         }
     _emit(out, args.pretty)
     return 0

@@ -250,29 +250,17 @@ def ring_tree_graph(ring_sizes: Iterable[int], path_len: int = 1) -> Graph:
         raise ValidationError("ring sizes must be >= 3")
     if path_len < 1:
         raise ValidationError("path length must be >= 1")
-    edges = []
-    nxt = 1
-
-    def add_ring(size):
-        nonlocal nxt
-        first = nxt
-        ring = list(range(first, first + size))
-        nxt += size
-        for i in range(size):
-            edges.append((ring[i], ring[(i + 1) % size]))
-        return ring
-
-    prev_ring = add_ring(sizes[0])
-    for size in sizes[1:]:
-        tail = prev_ring[-1]
-        for _ in range(path_len - 1):
-            edges.append((tail, nxt))
-            tail = nxt
-            nxt += 1
-        ring = add_ring(size)
-        edges.append((tail, ring[0]))
-        prev_ring = ring
-    return Graph(nxt - 1, tuple(edges))
+    edges, last = [], 0  # last: the highest vertex id so far
+    for size in sizes:
+        # after the first ring, a path from the last vertex: all but its
+        # final edge, then the ring, then the edge that joins the ring
+        first = last + path_len if last else 1
+        edges += [(u, u + 1) for u in range(last, first - 1)]
+        edges += [(first + i, first + (i + 1) % size) for i in range(size)]
+        if last:
+            edges.append((first - 1, first))
+        last = first + size - 1
+    return Graph(last, tuple(edges))
 
 
 def generate(family: str, size: Optional[int] = None, *,

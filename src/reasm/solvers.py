@@ -51,7 +51,10 @@ successors, and the k at which V is admitted is the optimum.
 
 Witnesses of the arrangement engines are the lexicographically least
 orders within the optimum, and after a one-vertex prefix (an anchor w)
-the next vertex v must have deg(v) >= deg(w).  Beta's greedy completion
+the next vertex must be one of _followers(deg, w), the v != w with
+deg(v) >= deg(w).  The anchor check, beta's starts and the brute force
+scan read that list; the alpha search tests the degree inline, in its hot
+scan, and beta's greedy in its first step.  Beta's greedy completion
 appends the smallest unplaced v with spent + X[V - (S + v)] <= budget,
 with spent the sum of the cuts so far.  Alpha walks depth first from the
 start set at the optimum, trying vertices in increasing order: it steps
@@ -61,11 +64,12 @@ first order to reach V is the least one.
 
 Binary reassemblings use a second subset DP, over splits of plain bitmask
 vertex sets (the quotient does not apply to it), where (+) is the sum for
-beta and the maximum for alpha: the best tree on S costs best[S] = cut[S]
-(+) min over splits {S - A, A} of best[S - A] (+) best[A].  Linear trees
-are the ones whose splits peel off one vertex.  Its witness works top down
-from V and splits a cluster S at the first A (largest subset of S minus
-its lowest vertex first) with cut[S] (+) best[S - A] (+) best[A] <= budget.
+beta and the maximum for alpha, picked once per solve for both the fill
+and the witness: the best tree on S costs best[S] = cut[S] (+) min over
+splits {S - A, A} of best[S - A] (+) best[A].  Linear trees are the ones
+whose splits peel off one vertex.  Its witness works top down from V and
+splits a cluster S at the first A (largest subset of S minus its lowest
+vertex first) with cut[S] (+) best[S - A] (+) best[A] <= budget.
 
 Linear reassemblings are solved through arrangements: a linear tree whose
 first cluster is {w, w'} with deg(w) <= deg(w') corresponds to an
@@ -106,6 +110,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import struct
 import sys
@@ -389,19 +394,18 @@ def _prefix_table(cut: array, st: _States) -> array:
     return x
 
 
-def _combine(objective: str, step: int, rest) -> int:
-    return step + rest if objective == "beta" else max(step, rest)
+def _followers(deg, w: int) -> list:
+    """The vertices v != w with deg(v) >= deg(w), ascending: those that may
+    follow w as the second vertex of an order anchored at w."""
+    return [v for v, d in enumerate(deg, start=1) if v != w and d >= deg[w - 1]]
 
 
-def _infeasible_anchor(w: int) -> ValidationError:
-    return ValidationError(f"anchor {w} infeasible: no second vertex of degree >= deg({w})")
-
-
-def _check_anchor(g: Graph, deg: tuple, anchor: Optional[int]) -> None:
+def _check_anchor(g: Graph, deg, anchor: Optional[int]) -> None:
     if anchor is not None:
         g._check_vertex(anchor)
-        if not any(v != anchor and d >= deg[anchor - 1] for v, d in enumerate(deg, start=1)):
-            raise _infeasible_anchor(anchor)
+        if not _followers(deg, anchor):
+            raise ValidationError(
+                f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
 
 
 def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) -> tuple:
@@ -421,13 +425,12 @@ def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False)
     else:
         starts = []  # (value, w, budget): budget is the beta of the arrangement
         for w in g.vertices if anchor is None else [anchor]:
-            dw, sw = st.deg[w - 1], st.stride[w - 1]
+            sw = st.stride[w - 1]
             # x[full - sw - sv] = cut[w + v] + the least sum of the cuts after {w, v}
-            ends = [x[full - sw - sv] for v, (d, sv) in enumerate(zip(st.deg, st.stride), start=1)
-                    if v != w and d >= dw]
+            ends = [x[full - sw - st.stride[v - 1]] for v in _followers(st.deg, w)]
             if ends:
                 budget = cut[sw] + min(ends)
-                starts.append((budget + (2 * g.m - dw if linear else 0), w, budget))
+                starts.append((budget + (2 * g.m - st.deg[w - 1] if linear else 0), w, budget))
         # a single vertex has no feasible anchor: its one-leaf tree costs 0
         value, w, budget = min(starts, default=(0, None, 0))
     # greedy: append the smallest unplaced v with spent + X[V - (S + v)] <= budget,
@@ -579,12 +582,12 @@ def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
     _check_solvable(g, (3 ** g.n + 1) // 2 - (1 << g.n), "splits")
     st = _states(g, ())
     t0 = time.perf_counter()
+    fold = operator.add if objective == "beta" else max
     cut = _cut_table(g, st)
     best = list(cut)
     for s in range(3, len(best)):
         if s & (s - 1):
-            best[s] = _combine(objective, cut[s], min(
-                _combine(objective, best[s ^ a], best[a]) for a in _splits(s)))
+            best[s] = fold(cut[s], min(fold(best[s ^ a], best[a]) for a in _splits(s)))
     # top down: the first split that fits the budget; a beta child must be
     # optimal, an alpha child only has to stay within the parent's budget
     masks = []
@@ -593,8 +596,7 @@ def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
         s, budget = stack.pop()
         masks.append(s)
         for a in _splits(s):
-            if _combine(objective, cut[s],
-                        _combine(objective, best[s ^ a], best[a])) <= budget:
+            if fold(cut[s], fold(best[s ^ a], best[a])) <= budget:
                 for child in (s ^ a, a):
                     stack.append((child, best[child] if objective == "beta" else budget))
                 break
@@ -612,25 +614,20 @@ def brute_force_arrangement(g: Graph, objective: str,
     """Factorial scan over all arrangements (reference implementation)."""
     _check_objective(objective)
     _check_solvable(g, math.factorial(g.n if anchor is None else g.n - 1), "orders")
-    t0 = time.perf_counter()
     deg = [a.bit_count() for a in g.adj]
-    if anchor is not None:
-        g._check_vertex(anchor)
-    head = () if anchor is None else (anchor,)
+    _check_anchor(g, deg, anchor)
+    t0 = time.perf_counter()
+    # anchored, the orders (anchor, v) + rest for each follower v: the
+    # feasible orders, still in lexicographic order
+    heads = [()] if anchor is None else [(anchor, v) for v in _followers(deg, anchor)]
+    orders = (head + rest for head in heads
+              for rest in itertools.permutations([u for u in g.vertices if u not in head]))
     fold = sum if objective == "beta" else max
     best = None
-    count = 0
-    for perm in itertools.permutations([v for v in g.vertices if v != anchor]):
-        order = head + perm
-        if anchor is not None:
-            if len(order) < 2 or deg[order[1] - 1] < deg[anchor - 1]:
-                continue
-        count += 1
+    for count, order in enumerate(orders, start=1):
         value = fold(g._prefix_cuts(order))
         if best is None or value < best[0]:
             best = (value, order)
-    if best is None:
-        raise _infeasible_anchor(anchor)
     millis = int((time.perf_counter() - t0) * 1000)
     return SolveResult(objective, "arrangement", best[0], Arrangement(best[1]),
                        anchor=anchor, stats={"states": count, "millis": millis})

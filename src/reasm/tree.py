@@ -17,6 +17,7 @@ writes the bracket text format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -132,17 +133,16 @@ def measures(g: Graph, tree: ReassemblyTree) -> MeasureReport:
 # normalized text.
 
 def parse_tree(text: str) -> ReassemblyTree:
-    text = " ".join(line for _, line in data_lines(text))
-    # a tree on at most MAX_VERTICES leaves has one '(' per internal cluster;
-    # counted before any token or open pair is made
-    opens = text.count("(")
-    if opens >= MAX_VERTICES:
-        raise LimitError(f"tree file has {opens} opening brackets, limit is {MAX_VERTICES - 1}")
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    """The tree of the text, read a token at a time, so that a refusal comes
+    at the first token at fault, before the rest of the file is split."""
+    # each token is a bracket or a run of anything else
+    tokens = (tok.group() for _, line in data_lines(text)
+              for tok in re.finditer(r"[()]|[^\s()]+", line))
     seen = set()
     masks = []
     open_pairs = []  # per unclosed '(': the child masks read so far
     root = None
+    opens = 0
     for tok in tokens:
         if root is not None:
             raise ValidationError("unbalanced brackets: trailing input")
@@ -154,6 +154,11 @@ def parse_tree(text: str) -> ReassemblyTree:
         elif open_pairs and len(open_pairs[-1]) == 2:
             raise ValidationError("unbalanced brackets: expected ')'")
         elif tok == "(":
+            # a tree on at most MAX_VERTICES leaves has one '(' per internal cluster
+            opens += 1
+            if opens == MAX_VERTICES:
+                raise LimitError(f"tree file has at least {opens} opening brackets, "
+                                 f"limit is {MAX_VERTICES - 1}")
             open_pairs.append([])
             continue
         else:

@@ -200,6 +200,21 @@ def test_solve_hits_resource_limit(run_cli, workdir, monkeypatch):
     g = write(workdir / "p5.g", format_graph(path_graph(5)))
     code, _, err = run_cli("solve", g, "--objective", "beta")
     assert code == 3 and "limit" in err
+    # the alpha search may store 2^(REASM_DP_LIMIT - 5) sets, less than one here
+    code, _, err = run_cli("solve", g, "--objective", "alpha")
+    assert code == 3 and err.rstrip().endswith("sets, limit is 2^-1"), err
+
+
+def test_eval_reports_beta_unequal_gamma(run_cli, workdir, monkeypatch):
+    # beta (the prefix cuts) and gamma (the edge lengths) are independent
+    # routes, so a wrong cut is a failed identity, exit 4
+    scan = graph.Graph._prefix_cuts
+    monkeypatch.setattr(graph.Graph, "_prefix_cuts",
+                        lambda g, order: [c + 1 for c in scan(g, order)])
+    arr = write(workdir / "a.txt", "1 2 3\n")
+    code, _, err = run_cli("eval", "--graph", write(workdir / "p3.g", format_graph(path_graph(3))),
+                           "--arrangement", arr)
+    assert code == 4 and "beta 5 != gamma 2 on arrangement (1, 2, 3)" in err, err
 
 
 @pytest.mark.parametrize("n", [10 ** 9, 10 ** 8])
@@ -260,24 +275,28 @@ def _peak_after_main(*argv) -> tuple:
 def test_oversized_object_file_is_refused(workdir, flag):
     # ids and edge lines are read up to the first past the cap, before any of
     # them becomes an int, a graph file's surplus edge lines are counted, not
-    # stored, and a tree's '(' are counted before any token is made; so each
-    # refusal peaks under 40 MB RSS (an idle `reasm` takes about 21 MB; a
-    # parser that split the whole file first would take about 190 MB).  The
-    # peak is the child's VmHWM, which starts afresh at exec.
-    text, code, message = {
-        "--arrangement": ("10 " * 2_000_000, 3, f"limit is {MAX_VERTICES}"),
-        "--ordering": ("1 2\n" * (MAX_EDGES + 1), 3, f"limit is {MAX_EDGES}"),
-        "--graph": ("2 1\n" + "1 2\n" * MAX_EDGES, 2, f"file has {MAX_EDGES} edge lines"),
-        "--tree": ("(" * 2_000_000, 3, f"limit is {MAX_VERTICES - 1}"),
+    # stored, and a tree is read a token at a time, up to the first at fault
+    # (a surplus '(' or a token after the root); so each refusal peaks under
+    # 40 MB RSS (an idle `reasm` takes about 21 MB; a parser that split the
+    # whole file first would take about 190 MB, or 140 MB for the tree file
+    # with trailing input).  The peak is the child's VmHWM, which starts
+    # afresh at exec.
+    cases = {
+        "--arrangement": [("10 " * 2_000_000, 3, f"limit is {MAX_VERTICES}")],
+        "--ordering": [("1 2\n" * (MAX_EDGES + 1), 3, f"limit is {MAX_EDGES}")],
+        "--graph": [("2 1\n" + "1 2\n" * MAX_EDGES, 2, f"file has {MAX_EDGES} edge lines")],
+        "--tree": [("(" * 2_000_000, 3, f"limit is {MAX_VERTICES - 1}"),
+                   ("(1 2) " + "123 " * 1_500_000, 2, "trailing input")],
     }[flag]
-    big = write(workdir / "big.txt", text)
-    if flag == "--graph":
-        argv = ("--graph", big, "--arrangement", write(workdir / "a.txt", "1 2\n"))
-    else:
-        argv = ("--graph", write(workdir / "p2.g", format_graph(path_graph(2))), flag, big)
-    exit_code, peak_kb, _, err = _peak_after_main("eval", *argv)
-    assert exit_code == code and err.startswith("error:") and message in err
-    assert peak_kb < 40 << 10, peak_kb
+    for text, code, message in cases:
+        big = write(workdir / "big.txt", text)
+        if flag == "--graph":
+            argv = ("--graph", big, "--arrangement", write(workdir / "a.txt", "1 2\n"))
+        else:
+            argv = ("--graph", write(workdir / "p2.g", format_graph(path_graph(2))), flag, big)
+        exit_code, peak_kb, _, err = _peak_after_main("eval", *argv)
+        assert exit_code == code and err.startswith("error:") and message in err, err
+        assert peak_kb < 40 << 10, peak_kb
 
 
 def test_dp_tables_are_compact(workdir):

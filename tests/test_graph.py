@@ -199,6 +199,8 @@ def test_generate_dispatcher():
         generate("path", 3, ring_sizes=(3, 4))
     with pytest.raises(ValidationError, match="ring_tree only"):
         generate("cycle", 5, path_len=2)
+    with pytest.raises(ValidationError, match="at least 3 vertices"):
+        generate("cycle", 2)
 
 
 def test_qcube3_is_the_3_cube():

@@ -111,6 +111,14 @@ def test_chain_to_ordering_rejects_bad_chains():
     bad = (masks({1}, {2}, {3}), masks({1, 3}, {2}), masks({1, 2, 3}))
     with pytest.raises(ValidationError, match=r"no edge between \[1\] and \[3\]"):
         chain_to_ordering(g, bad)
+    # chains of the right length that go wrong elsewhere
+    for bad, message in [
+            ((masks({1, 2}, {3}), masks({1, 2}, {3}), masks({1, 2, 3})), "start with"),
+            ((masks({1}, {2}, {3}), masks({1, 2}, {3}), masks({1, 2}, {3})), "end with"),
+            ((masks({1}, {2}, {3}), masks({1, 2, 3}), masks({1, 2, 3})),
+             "step 1 is not a single merge")]:
+        with pytest.raises(ValidationError, match=message):
+            chain_to_ordering(g, bad)
 
 
 def test_canonical_ordering_of_a_deep_caterpillar():

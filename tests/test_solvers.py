@@ -453,6 +453,28 @@ def test_star_center_anchor_is_infeasible():
     assert exact_linear_reassembling(s7, "beta").anchor == 2
 
 
+def test_brute_force_refuses_an_infeasible_anchor_before_it_enumerates(monkeypatch):
+    # S9's centre has no second vertex of its degree, so no order is feasible
+    def no_enumeration(*args):
+        raise AssertionError("orders enumerated")
+
+    monkeypatch.setattr(itertools, "permutations", no_enumeration)
+    with pytest.raises(ValidationError, match="^anchor 1 infeasible"):
+        brute_force_arrangement(star_graph(8), "beta", anchor=1)
+
+
+def test_alpha_witness_walk_counts_its_dead_sets(monkeypatch):
+    # the search stores 2^4 sets, all that REASM_DP_LIMIT = 9 allows, and
+    # the witness walk's one dead set takes the count past them: 17 in all
+    g = Graph(8, ((1, 2), (1, 6), (1, 8), (2, 3), (3, 4), (3, 7), (4, 5)))
+    monkeypatch.setenv("REASM_DP_LIMIT", "10")
+    assert exact_arrangement(g, "alpha").stats["states"] == 17
+    monkeypatch.setenv("REASM_DP_LIMIT", "9")
+    for solve in (exact_arrangement, exact_linear_reassembling):
+        with pytest.raises(LimitError, match=r"2\^4\.1 sets, limit is 2\^4$"):
+            solve(g, "alpha")
+
+
 def test_linear_optimum_never_beats_binary_optimum():
     for g in (star_graph(5), qcube3_graph(), cycle_graph(6)):
         for objective in ("alpha", "beta"):

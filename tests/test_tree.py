@@ -50,6 +50,8 @@ def test_unordered_children_print_canonically():
     "(1 x)",
     "(0 1)",
     "(1 2) 3",
+    "(1 2 3)",
+    "(1 2",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValidationError):
