@@ -10,9 +10,10 @@ it.  Every failure is a ReasmError: main() prints one `error:` line on
 stderr and exits with the code of its class.  Exit codes: 0 success;
 2 validation error, including a file that cannot be read or written;
 3 resource limit exceeded: an exact solve above 2^REASM_DP_LIMIT states,
-splits or orders, refused before anything is built, or above
-2^(REASM_DP_LIMIT - 5) sets stored by the alpha search, or an input above
-MAX_VERTICES vertices or MAX_EDGES edges, refused before it is built;
+splits or orders, refused before anything is built (the alpha search
+charges 2^5 states per set it stores and refuses the first set past the
+limit), or an input above MAX_VERTICES vertices or MAX_EDGES edges,
+refused before it is built;
 4 verification failure: a failed verify suite, or an identity of the
 paper that failed in any verb.  A reader that closes stdout early ends the
 run with exit 0.

@@ -45,9 +45,9 @@ its cut stays <= k.  Twins are placed in id order, so its sets are the
 count vectors above written as vertex masks.  A set whose successors are
 not all within k waits in a bucket keyed by the least of their cuts above
 k; when nothing within k is left and V is not reached, k rises to the
-smallest waiting cut and the sets of that bucket are scanned again.  Only
-admitted sets are stored, each is scanned once per bound at which it gains
-successors, and the k at which V is admitted is the optimum.
+smallest waiting cut and the sets of that bucket are scanned again.  The
+search stores only the sets it admits, each is scanned once per bound at
+which it gains successors, and the k at which V is admitted is the optimum.
 
 Witnesses of the arrangement engines are the lexicographically least
 orders within the optimum, and after a one-vertex prefix (an anchor w)
@@ -59,8 +59,9 @@ appends the smallest unplaced v with spent + X[V - (S + v)] <= budget,
 with spent the sum of the cuts so far.  Alpha walks depth first from the
 start set at the optimum, trying vertices in increasing order: it steps
 to a successor whose cut is within the bound and that is not known to be
-dead, and records a set none of whose successors leads to V as dead.  The
-first order to reach V is the least one.
+dead, and marks a set none of whose successors leads to V as dead, in the
+search's one table of stored sets.  The first order to reach V is the
+least one.
 
 Binary reassemblings use a second subset DP, over splits of plain bitmask
 vertex sets (the quotient does not apply to it), where (+) is the sum for
@@ -99,10 +100,11 @@ independent reference for small instances.
 Every engine counts what it will enumerate -- states of the prefix table,
 splits (S, A) of the binary DP, or orders of the brute force scan -- and
 refuses more than 2^REASM_DP_LIMIT of them before any table or loop starts.
-The search cannot count its sets ahead, so it counts them as it stores
-them, admitted and dead ones alike, and refuses more than
-2^(REASM_DP_LIMIT - 5): a stored set is a dict or set entry, about 2^5
-times the bytes of a DP state.
+The alpha search cannot count its sets ahead.  It charges 2^5 states for
+each distinct set in its table, admitted or dead (a dict entry is about
+2^5 times the bytes of a DP state), through the same check: once for the
+start set before it starts, then each time the table reaches a power of
+two, so the first set past the limit is the one refused.
 """
 
 from __future__ import annotations
@@ -171,17 +173,13 @@ def _check_objective(objective: str) -> None:
         raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
 
 
-def _too_much(n: int, count: int, unit: str, limit: int) -> LimitError:
-    return LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
-                      f"{unit}, limit is 2^{limit}")
-
-
 def _check_work(n: int, count: int, unit: str) -> None:
     """At most 2^dp_limit() units of work (states, splits or orders) for an
     instance on n vertices; checked before any table or loop starts."""
     limit = dp_limit()
     if count and (count - 1).bit_length() > limit:  # count > 2^limit, for any int limit
-        raise _too_much(n, count, unit, limit)
+        raise LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
+                         f"{unit}, limit is 2^{limit}")
 
 
 def _check_solvable(g: Graph, count: int, unit: str) -> None:
@@ -462,13 +460,11 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
     the maximum degree), and the lexicographically least such order.
     Anchored or linear, a one-vertex prefix w is followed by a vertex of
     degree >= deg(w)."""
-    _check_solvable(g, 0, "sets")
+    # a stored set is a dict entry, about 2^5 times the bytes of a DP state
+    unit = "states (2^5 per set)"
+    _check_solvable(g, 1 << 5, unit)  # the start set
     deg = tuple(a.bit_count() for a in g.adj)
     _check_anchor(g, deg, anchor)
-    limit = dp_limit() - 5
-    cap = 1 << min(limit, 64) if limit >= 0 else 0
-    if not cap:
-        raise _too_much(g.n, 1, "sets", limit)
     before = {}  # vertex -> the bit of the twin placed just before it
     for c in _twin_classes(g):
         c = [v for v in c if v != anchor]
@@ -487,7 +483,10 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
         start, k = 0, (max(deg) + 1) // 2
     else:
         start, k = 1 << (anchor - 1), deg[anchor - 1]
-    seen = {start: 0 if anchor is None else k}  # admitted set -> its cut
+    # every stored set -> its cut, or None once the witness walk finds it
+    # dead; the work is checked each time the table reaches `due` sets, a
+    # power of two, so the first set past the limit is the one refused
+    seen, due = {start: 0 if anchor is None else k}, 1
     # admitted sets to scan for successors of cut <= k; and, by cut, the
     # scanned sets whose least successor above k has that cut (no set above
     # k is admitted yet)
@@ -507,35 +506,38 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
                 if cu < above:
                     above = cu
             elif s | b not in seen:
-                if len(seen) == cap:
-                    raise _too_much(g.n, cap + 1, "sets", limit)
+                if len(seen) == due:
+                    _check_work(g.n, (due + 1) << 5, unit)
+                    due *= 2
                 seen[s | b] = cu
                 todo.append(s | b)
         if above != unset:
             waiting.setdefault(above, []).append(s)
     value = max(k, max(deg)) if linear else k
     # depth first at the value, smallest vertex first: a set none of whose
-    # successors within the value leads to V is dead.  The search above
-    # reached V from start under the same rules, so start never dies.
-    dead = set()
+    # successors within the value leads to V is dead, and is marked so in
+    # seen, stored like an admitted set if the search did not admit it.
+    # The search above reached V from start under the same rules, so start
+    # never dies.
     stack = [(start, seen[start], iter(rows))]  # set, its cut, rows left to try
     while stack[-1][0] != full:
         s, c, left = stack[-1]
         lo = low(s)
         for b, bt, t, a, d in left:
-            if s & bt == t and d >= lo and s | b not in dead:
+            if s & bt == t and d >= lo and seen.get(s | b, 0) is not None:
                 cu = c + d - 2 * (a & s).bit_count()
                 if cu <= value:
                     stack.append((s | b, cu, iter(rows)))
                     break
         else:
-            if len(seen) + len(dead) == cap:
-                raise _too_much(g.n, cap + 1, "sets", limit)
-            dead.add(s)
+            if s not in seen and len(seen) == due:
+                _check_work(g.n, (due + 1) << 5, unit)
+                due *= 2
+            seen[s] = None
             stack.pop()
     order = [] if anchor is None else [anchor]
     order += [(u ^ s).bit_length() for (s, _, _), (u, _, _) in zip(stack, stack[1:])]
-    return value, order, len(seen) + len(dead)
+    return value, order, len(seen)
 
 
 def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:

@@ -200,9 +200,11 @@ def test_solve_hits_resource_limit(run_cli, workdir, monkeypatch):
     g = write(workdir / "p5.g", format_graph(path_graph(5)))
     code, _, err = run_cli("solve", g, "--objective", "beta")
     assert code == 3 and "limit" in err
-    # the alpha search may store 2^(REASM_DP_LIMIT - 5) sets, less than one here
+    # the alpha search charges 2^5 states per stored set, so it refuses its
+    # start set, and names the limit the user set
     code, _, err = run_cli("solve", g, "--objective", "alpha")
-    assert code == 3 and err.rstrip().endswith("sets, limit is 2^-1"), err
+    assert code == 3 and err.rstrip().endswith(
+        "2^5.0 states (2^5 per set), limit is 2^4"), err
 
 
 def test_eval_reports_beta_unequal_gamma(run_cli, workdir, monkeypatch):

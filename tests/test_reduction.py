@@ -317,20 +317,26 @@ def test_reduce_alpha_classifies_by_cut_vertices():
 
 
 def test_alpha_search_refuses_above_its_set_cap(monkeypatch, run_cli, tmp_path):
-    # the alpha search stores at most 2^(REASM_DP_LIMIT - 5) sets, 32 at a
-    # limit of 10, and refuses the first set past them: K_31 stores its 32
-    # prefix sets, and K_32's 33rd is refused
+    # the alpha search charges 2^5 states per stored set, so a limit of 2^10
+    # holds 32 sets, and it refuses the first set past them: K_31 stores
+    # its 32 prefix sets, and K_32's 33rd is refused
     monkeypatch.setenv("REASM_DP_LIMIT", "10")
     refused = []
-    too_much = solvers._too_much
-    monkeypatch.setattr(solvers, "_too_much",
-                        lambda n, count, unit, limit: refused.append(count)
-                        or too_much(n, count, unit, limit))
+    check_work = solvers._check_work
+
+    def recording_check(n, count, unit):
+        try:
+            check_work(n, count, unit)
+        except LimitError:
+            refused.append(count)
+            raise
+
+    monkeypatch.setattr(solvers, "_check_work", recording_check)
     assert exact_arrangement(complete_graph(31), "alpha").stats["states"] == 32
-    with pytest.raises(LimitError, match=r"^instance has 32 vertices and 2\^5\.0 sets, "
-                                         r"limit is 2\^5$") as exc:
+    with pytest.raises(LimitError, match=r"^instance has 32 vertices and 2\^10\.0 states "
+                                         r"\(2\^5 per set\), limit is 2\^10$") as exc:
         exact_arrangement(complete_graph(32), "alpha")
-    assert exc.value.exit_code == 3 and refused == [33]
+    assert exc.value.exit_code == 3 and refused == [33 << 5]
     # q3 needs 35 sets in each of its solves, so every alpha verb refuses it,
     # and a solve writes no witness file; a ring tree's 10 sets fit
     q3, rt = tmp_path / "q3.g", tmp_path / "rt34.g"
@@ -343,9 +349,10 @@ def test_alpha_search_refuses_above_its_set_cap(monkeypatch, run_cli, tmp_path):
                  ("reduce", q3, "--problem", "alpha")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (3, ""), argv
-        assert err.startswith("error: instance has 8 vertices and 2^5.0 sets, limit is 2^5")
+        assert err.startswith("error: instance has 8 vertices and 2^10.0 states "
+                              "(2^5 per set), limit is 2^10")
     assert not witness.exists()
-    assert refused == [33] * 4
+    assert refused == [33 << 5] * 4
     code, out, _ = run_cli("reduce", rt, "--problem", "alpha")
     assert code == 0 and (json.loads(out)["branch"], json.loads(out)["value"]) == (
         "all_deg3_cut", 2)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -464,15 +465,18 @@ def test_brute_force_refuses_an_infeasible_anchor_before_it_enumerates(monkeypat
 
 
 def test_alpha_witness_walk_counts_its_dead_sets(monkeypatch):
-    # the search stores 2^4 sets, all that REASM_DP_LIMIT = 9 allows, and
-    # the witness walk's one dead set takes the count past them: 17 in all
+    # REASM_DP_LIMIT = 9 allows 2^4 stored sets at 2^5 states each.  Free,
+    # the search stores 2^4 sets and the walk's one dead set is one of them,
+    # so the solve fits; the linear walk runs at max degree 3, above the
+    # cutwidth 2, and its dead set is a 17th
     g = Graph(8, ((1, 2), (1, 6), (1, 8), (2, 3), (3, 4), (3, 7), (4, 5)))
     monkeypatch.setenv("REASM_DP_LIMIT", "10")
-    assert exact_arrangement(g, "alpha").stats["states"] == 17
+    assert exact_arrangement(g, "alpha").stats["states"] == 16
+    assert exact_linear_reassembling(g, "alpha").stats["states"] == 17
     monkeypatch.setenv("REASM_DP_LIMIT", "9")
-    for solve in (exact_arrangement, exact_linear_reassembling):
-        with pytest.raises(LimitError, match=r"2\^4\.1 sets, limit is 2\^4$"):
-            solve(g, "alpha")
+    assert exact_arrangement(g, "alpha").stats["states"] == 16
+    with pytest.raises(LimitError, match=r"2\^9\.1 states \(2\^5 per set\), limit is 2\^9$"):
+        exact_linear_reassembling(g, "alpha")
 
 
 def test_linear_optimum_never_beats_binary_optimum():
@@ -529,6 +533,8 @@ def test_binary_witness_pins():
 
 
 ENGINES = {"dp": (exact_arrangement, "states"),
+           "alpha": (lambda g, objective, anchor: exact_arrangement(g, "alpha", anchor),
+                     "states (2^5 per set)"),
            "binary": (lambda g, objective, anchor: exact_binary_reassembling(g, objective),
                       "splits"),
            "brute": (brute_force_arrangement, "orders")}
@@ -536,14 +542,20 @@ ENGINES = {"dp": (exact_arrangement, "states"),
 
 @pytest.mark.parametrize("engine, limit, admitted, refused", [
     # P7 has 2^7 states and P8 2^8; P25 needs 2^25
-    ("dp", 7, [(7, None, 6)], [(8, None)]),
-    ("dp", None, [], [(25, None)]),
+    ("dp", 7, [(path_graph(7), None, 6)], [(path_graph(8), None)]),
+    ("dp", None, [], [(path_graph(25), None)]),
+    # the alpha search charges 2^5 states per stored set: K_n stores its
+    # n + 1 prefix sets, so K_31 fits 2^10 and K_32's 33rd set is refused;
+    # at 2^4 not even the start set of P5 is stored
+    ("alpha", 10, [(complete_graph(31), None, 240)], [(complete_graph(32), None)]),
+    ("alpha", 4, [], [(path_graph(5), None)]),
     # P5 takes 90 splits and P6 301; P9 takes 2^13.2, P15 2^22.8, P16 2^24.4
-    ("binary", 7, [(5, None, 11)], [(6, None)]),
-    ("binary", None, [(9, None, 23)], [(16, None)]),
+    ("binary", 7, [(path_graph(5), None, 11)], [(path_graph(6), None)]),
+    ("binary", None, [(path_graph(9), None, 23)], [(path_graph(16), None)]),
     # P5 takes 5! = 120 orders and P6 6! = 720; anchored, P6 takes 5! = 120
-    ("brute", 7, [(5, None, 4), (6, 1, 5)], [(6, None)]),
-], ids=["states-7", "states-default", "splits-7", "splits-default", "orders-7"])
+    ("brute", 7, [(path_graph(5), None, 4), (path_graph(6), 1, 5)], [(path_graph(6), None)]),
+], ids=["states-7", "states-default", "alpha-10", "alpha-4", "splits-7", "splits-default",
+        "orders-7"])
 def test_limits(monkeypatch, engine, limit, admitted, refused):
     # one limit, 2^REASM_DP_LIMIT (None: the default), on what each engine
     # enumerates
@@ -551,13 +563,14 @@ def test_limits(monkeypatch, engine, limit, admitted, refused):
     monkeypatch.delenv("REASM_DP_LIMIT", raising=False)
     if limit is not None:
         monkeypatch.setenv("REASM_DP_LIMIT", str(limit))
-    for n, anchor, value in admitted:
-        assert solve(path_graph(n), "beta", anchor=anchor).value == value
+    for g, anchor, value in admitted:
+        assert solve(g, "beta", anchor=anchor).value == value
     monkeypatch.setattr("reasm.solvers._cut_table", None)  # must not be called
-    for n, anchor in refused:
-        with pytest.raises(LimitError, match=rf"^instance has {n} vertices and "
-                                             rf"2\^[0-9.]+ {unit}, limit is 2\^{limit or 24}$"):
-            solve(path_graph(n), "beta", anchor=anchor)
+    for g, anchor in refused:
+        with pytest.raises(LimitError, match=rf"^instance has {g.n} vertices and "
+                                             rf"2\^[0-9.]+ {re.escape(unit)}, "
+                                             rf"limit is 2\^{limit or 24}$"):
+            solve(g, "beta", anchor=anchor)
 
 
 def test_binary_dp_on_fifteen_twin_free_vertices():
