@@ -175,7 +175,8 @@ def _check_objective(objective: str) -> None:
 
 def _check_work(n: int, count: int, unit: str) -> None:
     """At most 2^dp_limit() units of work (states, splits or orders) for an
-    instance on n vertices; checked before any table or loop starts."""
+    instance on n vertices.  The other engines check before they start; the
+    alpha search checks each time its table reaches a power of two."""
     limit = dp_limit()
     if count and (count - 1).bit_length() > limit:  # count > 2^limit, for any int limit
         raise LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
@@ -461,8 +462,9 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
     Anchored or linear, a one-vertex prefix w is followed by a vertex of
     degree >= deg(w)."""
     # a stored set is a dict entry, about 2^5 times the bytes of a DP state
-    unit = "states (2^5 per set)"
-    _check_solvable(g, 1 << 5, unit)  # the start set
+    per_set = 5
+    unit = f"states (2^{per_set} per set)"
+    _check_solvable(g, 1 << per_set, unit)  # the start set
     deg = tuple(a.bit_count() for a in g.adj)
     _check_anchor(g, deg, anchor)
     before = {}  # vertex -> the bit of the twin placed just before it
@@ -484,9 +486,9 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
     else:
         start, k = 1 << (anchor - 1), deg[anchor - 1]
     # every stored set -> its cut, or None once the witness walk finds it
-    # dead; the work is checked each time the table reaches `due` sets, a
-    # power of two, so the first set past the limit is the one refused
-    seen, due = {start: 0 if anchor is None else k}, 1
+    # dead; the work is checked before a set is stored into a table whose
+    # size is a power of two, so the first set past the limit is refused
+    seen = {start: 0 if anchor is None else k}
     # admitted sets to scan for successors of cut <= k; and, by cut, the
     # scanned sets whose least successor above k has that cut (no set above
     # k is admitted yet)
@@ -506,9 +508,8 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
                 if cu < above:
                     above = cu
             elif s | b not in seen:
-                if len(seen) == due:
-                    _check_work(g.n, (due + 1) << 5, unit)
-                    due *= 2
+                if not len(seen) & (len(seen) - 1):
+                    _check_work(g.n, (len(seen) + 1) << per_set, unit)
                 seen[s | b] = cu
                 todo.append(s | b)
         if above != unset:
@@ -524,15 +525,14 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
         s, c, left = stack[-1]
         lo = low(s)
         for b, bt, t, a, d in left:
-            if s & bt == t and d >= lo and seen.get(s | b, 0) is not None:
+            if s & bt == t and d >= lo:
                 cu = c + d - 2 * (a & s).bit_count()
-                if cu <= value:
+                if cu <= value and seen.get(s | b, 0) is not None:
                     stack.append((s | b, cu, iter(rows)))
                     break
         else:
-            if s not in seen and len(seen) == due:
-                _check_work(g.n, (due + 1) << 5, unit)
-                due *= 2
+            if s not in seen and not len(seen) & (len(seen) - 1):
+                _check_work(g.n, (len(seen) + 1) << per_set, unit)
             seen[s] = None
             stack.pop()
     order = [] if anchor is None else [anchor]
