@@ -27,6 +27,15 @@ complement of t.  The witness rule below still scans vertex ids in
 increasing order, and among twins it reaches the smallest unplaced one
 first, so the witnesses are those of the plain layout.
 
+An anchored solve (w first) reads the tables only at V - t for placed sets
+t that hold w.  These are sets without w, and their entries depend only on
+other sets without w, so its layout leaves w out: w has no digit and
+stride 0, its class keeps its other members (a class of two leaves a
+vertex without a twin), and the states are the sets of V - w, 2^(n-1) of
+them for a twin-free graph.  The largest index is then V - w and a set t
+holding w has the index of t - w, so the largest index minus t's is still
+V - t.  Every cut is read at a complement, cut[V - t] = cut[t].
+
 The prefix table is filled in blocks over the lowest digits, the leaf.
 Each block is one call of a straight-line kernel generated for the leaf's
 radices: exec compiles it on first use, and an lru_cache keeps the code
@@ -81,11 +90,12 @@ arrangement anchored at w (w first, second vertex of no smaller degree), and
 
 so minimizing over feasible anchors is exact.  Each objective solves the
 free, anchored and linear problems in one call, (g, anchor, linear) ->
-(value, order, states).  The beta call, _prefix_search, fills both tables
-and starts from X[V] when free; otherwise from the least (value, w), over
-the anchor or, for a free linear tree, over every feasible w, with
+(value, order, states).  The beta call, _prefix_search, fills both tables,
+over V - w when anchored at w, and starts from X[V] when free; otherwise
+from the least (value, w), over the anchor or, for a free linear tree,
+over every feasible w, with
 
-    value = cut[w] + min over v != w, deg(v) >= deg(w) of X[V - {w, v}]
+    value = cut[V - w] + min over v != w, deg(v) >= deg(w) of X[V - {w, v}]
 
 plus 2m - deg(w) for a linear tree.  Its greedy completion then runs from
 the empty prefix or from w, within the beta of that arrangement.  For
@@ -179,7 +189,9 @@ def _check_work(n: int, count: int, unit: str) -> None:
     alpha search checks each time its table reaches a power of two."""
     limit = dp_limit()
     if count and (count - 1).bit_length() > limit:  # count > 2^limit, for any int limit
-        raise LimitError(f"instance has {n} vertices and 2^{math.log2(count):.1f} "
+        # rounded up, so a refused count never reads as the limit itself
+        power = math.ceil(10 * math.log2(count)) / 10
+        raise LimitError(f"instance has {n} vertices and 2^{power:.1f} "
                          f"{unit}, limit is 2^{limit}")
 
 
@@ -213,10 +225,13 @@ class _States(NamedTuple):
     only.  Each entry (stride, members) of `digits` is one digit of radix
     |members| + 1, in ascending stride: first every vertex without a twin,
     a class of one, in id order (strides 1, 2, 4, ..., so a twin-free graph
-    keeps the plain bitmask layout), then each class of `classes`.  Placing
-    vertex v adds stride[v - 1]; the state holding every vertex is size - 1,
-    and the complement of state t is size - 1 - t.  deg[v - 1] is the
-    degree of v, read by the anchor and witness loops.
+    with no vertex skipped keeps the plain bitmask layout), then each class
+    of `classes`.  Placing vertex v adds stride[v - 1]; the state holding
+    every vertex is size - 1, and the complement of state t is
+    size - 1 - t.  A skipped vertex (an anchor) has no digit and stride 0,
+    so the states are the sets without it, and size - 1 is V minus it.
+    deg[v - 1] is the degree of v in the whole graph, read by the anchor
+    and witness loops.
     """
 
     stride: tuple
@@ -225,8 +240,12 @@ class _States(NamedTuple):
     size: int
 
 
-def _states(g: Graph, classes) -> _States:
-    grouped = {v for c in classes for v in c}
+def _states(g: Graph, classes, skip: Optional[int] = None) -> _States:
+    """The layout of g's states over the twin classes `classes`, with no
+    digit for `skip`: its class keeps the other members if two or more
+    remain, and a lone remaining member is a vertex without a twin."""
+    classes = [c for c in (tuple(v for v in c if v != skip) for c in classes) if len(c) > 1]
+    grouped = {v for c in classes for v in c} | {skip}
     stride = [0] * g.n
     digits = []
     step = 1
@@ -412,8 +431,11 @@ def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False)
     `anchor`, or of a linear tree (`linear`): the optimum read off the
     prefix table, and the lexicographically least order within it.
     Anchored or linear, the first vertex w is followed by a vertex of
-    degree >= deg(w)."""
-    st = _states(g, _twin_classes(g))
+    degree >= deg(w).  Anchored, the tables leave the anchor out: they
+    hold only the sets without it, the ones read, 2^(n-1) states for a
+    twin-free graph.  Every cut is read at a complement, cut[V - t], which
+    is cut[t] in either layout."""
+    st = _states(g, _twin_classes(g), skip=anchor)
     _check_solvable(g, st.size, "states")
     _check_anchor(g, st.deg, anchor)
     cut = _cut_table(g, st)
@@ -425,19 +447,21 @@ def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False)
         starts = []  # (value, w, budget): budget is the beta of the arrangement
         for w in g.vertices if anchor is None else [anchor]:
             sw = st.stride[w - 1]
-            # x[full - sw - sv] = cut[w + v] + the least sum of the cuts after {w, v}
+            # x[full - sw - sv] = cut[w + v] + the least sum of the cuts after {w, v};
+            # anchored, sw = 0 and full is V - w
             ends = [x[full - sw - st.stride[v - 1]] for v in _followers(st.deg, w)]
             if ends:
-                budget = cut[sw] + min(ends)
+                budget = cut[full - sw] + min(ends)
                 starts.append((budget + (2 * g.m - st.deg[w - 1] if linear else 0), w, budget))
         # a single vertex has no feasible anchor: its one-leaf tree costs 0
         value, w, budget = min(starts, default=(0, None, 0))
     # greedy: append the smallest unplaced v with spent + X[V - (S + v)] <= budget,
-    # where spent is the sum of the cuts so far; after w, deg(v) >= deg(w)
+    # where spent is the sum of the cuts so far, each read at its complement;
+    # after w, deg(v) >= deg(w)
     order = [] if w is None else [w]
     rest = [v for v in g.vertices if v != w]
     t, low = (0, 0) if w is None else (st.stride[w - 1], st.deg[w - 1])
-    spent = cut[t]
+    spent = cut[full - t]
     while rest:
         for v in rest:
             u = t + st.stride[v - 1]
@@ -450,7 +474,7 @@ def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False)
                 f"(n = {g.n}, m = {g.m}, anchor {anchor}, linear {linear})")
         rest.remove(v)
         order.append(v)
-        t, spent, low = u, spent + cut[u], 0
+        t, spent, low = u, spent + cut[full - u], 0
     return value, order, len(x)
 
 

@@ -41,10 +41,10 @@ def test_beta_reduction_is_refused_before_building(monkeypatch):
     # K_{1,2}: anchor 1 has 2 * 3 * 5 = 30 states, anchor 2 has 2^3 * 5 = 40
     star = star_graph(2)
     for direction in (R2A, A2R):
-        with pytest.raises(LimitError, match=r"^instance has 7 vertices and 2\^4.9 states"):
+        with pytest.raises(LimitError, match=r"^instance has 7 vertices and 2\^5.0 states"):
             reduce_beta(star, direction)
     monkeypatch.setenv("REASM_DP_LIMIT", "5")
-    with pytest.raises(LimitError, match=r"and 2\^5.3 states, limit is 2\^5$"):
+    with pytest.raises(LimitError, match=r"and 2\^5.4 states, limit is 2\^5$"):
         reduce_beta(star, R2A)
 
 
@@ -333,7 +333,7 @@ def test_alpha_search_refuses_above_its_set_cap(monkeypatch, run_cli, tmp_path):
 
     monkeypatch.setattr(solvers, "_check_work", recording_check)
     assert exact_arrangement(complete_graph(31), "alpha").stats["states"] == 32
-    with pytest.raises(LimitError, match=r"^instance has 32 vertices and 2\^10\.0 states "
+    with pytest.raises(LimitError, match=r"^instance has 32 vertices and 2\^10\.1 states "
                                          r"\(2\^5 per set\), limit is 2\^10$") as exc:
         exact_arrangement(complete_graph(32), "alpha")
     assert exc.value.exit_code == 3 and refused == [33 << 5]
@@ -349,7 +349,7 @@ def test_alpha_search_refuses_above_its_set_cap(monkeypatch, run_cli, tmp_path):
                  ("reduce", q3, "--problem", "alpha")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (3, ""), argv
-        assert err.startswith("error: instance has 8 vertices and 2^10.0 states "
+        assert err.startswith("error: instance has 8 vertices and 2^10.1 states "
                               "(2^5 per set), limit is 2^10")
     assert not witness.exists()
     assert refused == [33 << 5] * 4

@@ -87,6 +87,33 @@ def test_prefix_table_at_a_complement_is_cut_plus_best_completion():
             assert x[full ^ t] == cut[t] + min(sum(c) for c in after)
 
 
+def test_anchored_table_is_the_full_table_without_the_anchor(atlas6):
+    # an anchored solve reads X and cut only at sets without its anchor w,
+    # so its layout leaves w out: every set without w has the entries of the
+    # full layout.  K5, S6 and K_{3,3} put w in a class of 3 or more, C4 in
+    # a class of 2, whose other member is left without a twin.  (A single
+    # vertex has no feasible anchor, so no anchored table.)
+    twinned = (complete_graph(5), star_graph(6), _complete_multipartite(3, 3), cycle_graph(4))
+    for g in atlas6[1:] + twinned:
+        classes = _twin_classes(g)
+        st = _states(g, classes)
+        cut = _cut_table(g, st)
+        x = _prefix_table(cut, st)
+        for w in g.vertices:
+            anchored = _states(g, classes, skip=w)
+            assert anchored.stride[w - 1] == 0
+            if not classes:
+                assert anchored.size == 1 << (g.n - 1)
+            sets = [t for t in range(1 << g.n) if not t >> (w - 1) & 1]
+            index = [sum(anchored.stride[v - 1] for v in vertices_of(t)) for t in sets]
+            assert set(index) == set(range(anchored.size))
+            full = [sum(st.stride[v - 1] for v in vertices_of(t)) for t in sets]
+            cut_w = _cut_table(g, anchored)
+            x_w = _prefix_table(cut_w, anchored)
+            assert [cut_w[i] for i in index] == [cut[i] for i in full], (g, w)
+            assert [x_w[i] for i in index] == [x[i] for i in full], (g, w)
+
+
 def test_twin_classes():
     assert _twin_classes(qcube3_graph()) == []
     assert _twin_classes(star_graph(3)) == [(2, 3, 4)]  # false twins
@@ -269,6 +296,12 @@ def test_state_counts():
                       (path_graph(5), 2 ** 5)):
         for solve in (exact_arrangement, exact_linear_reassembling):
             assert solve(g, "beta").stats["states"] == states
+    # anchored, the anchor has no digit: P8 and q3 fill 2^7 states, S7
+    # anchored at a leaf keeps a class of 6 leaves, K8 a class of 7
+    for g, w, states in ((path_graph(8), 1, 2 ** 7), (s7, 2, 14), (k8, 1, 8),
+                         (q3, 1, 2 ** 7), (aux, 2, 2 ** 7 * 25)):
+        for solve in (exact_arrangement, exact_linear_reassembling):
+            assert solve(g, "beta", anchor=w).stats["states"] == states
 
 
 def test_dp_limit_counts_states(monkeypatch):
@@ -279,6 +312,23 @@ def test_dp_limit_counts_states(monkeypatch):
     # 25 twin-free vertices need 2^25 states: refused before any table
     with pytest.raises(LimitError, match="limit is 2\\^24"):
         exact_arrangement(path_graph(25), "beta")
+
+    # anchored, they need 2^24: admitted, the solve goes on to its cut table
+    class Admitted(Exception):
+        pass
+
+    def admitted(g, st):
+        raise Admitted(st.size)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_cut_table", admitted)
+        with pytest.raises(Admitted, match=f"^{2 ** 24}$"):
+            exact_arrangement(path_graph(25), "beta", anchor=1)
+    # a refusal names the count of the table it would fill
+    monkeypatch.setenv("REASM_DP_LIMIT", "7")
+    with pytest.raises(LimitError, match=r"^instance has 8 vertices and 2\^8\.0 states, "
+                                         r"limit is 2\^7$"):
+        exact_arrangement(path_graph(8), "beta")
     monkeypatch.setenv("REASM_DP_LIMIT", "4")
     assert exact_linear_reassembling(star_graph(7), "beta").stats["states"] == 16
     with pytest.raises(LimitError):
@@ -544,6 +594,8 @@ ENGINES = {"dp": (exact_arrangement, "states"),
     # P7 has 2^7 states and P8 2^8; P25 needs 2^25
     ("dp", 7, [(path_graph(7), None, 6)], [(path_graph(8), None)]),
     ("dp", None, [], [(path_graph(25), None)]),
+    # anchored, P8 fills 2^7 states
+    ("dp", 7, [(path_graph(8), 1, 7)], [(path_graph(8), None)]),
     # the alpha search charges 2^5 states per stored set: K_n stores its
     # n + 1 prefix sets, so K_31 fits 2^10 and K_32's 33rd set is refused;
     # at 2^4 not even the start set of P5 is stored
@@ -554,7 +606,7 @@ ENGINES = {"dp": (exact_arrangement, "states"),
     ("binary", None, [(path_graph(9), None, 23)], [(path_graph(16), None)]),
     # P5 takes 5! = 120 orders and P6 6! = 720; anchored, P6 takes 5! = 120
     ("brute", 7, [(path_graph(5), None, 4), (path_graph(6), 1, 5)], [(path_graph(6), None)]),
-], ids=["states-7", "states-default", "alpha-10", "alpha-4", "splits-7", "splits-default",
+], ids=["states-7", "states-default", "anchored-7", "alpha-10", "alpha-4", "splits-7", "splits-default",
         "orders-7"])
 def test_limits(monkeypatch, engine, limit, admitted, refused):
     # one limit, 2^REASM_DP_LIMIT (None: the default), on what each engine
