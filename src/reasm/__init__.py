@@ -14,15 +14,13 @@ from .errors import LimitError, ReasmError, ValidationError, VerificationError
 from .graph import (Graph, complete_graph, cycle_graph, format_graph,
                     generate, parse_graph, path_graph, qcube3_graph,
                     ring_tree_graph, star_graph)
-from .layout import (Arrangement, ArrangementReport, edge_length,
-                     evaluate_arrangement, format_arrangement,
-                     induce_arrangement, induce_reassembling,
-                     parse_arrangement)
+from .layout import (Arrangement, ArrangementReport, evaluate_arrangement,
+                     format_arrangement, induce_arrangement,
+                     induce_reassembling, parse_arrangement)
 from .reduction import (A2R, R2A, AlphaReductionReport, AuxiliaryGraph,
                         ReductionReport, VCSequence, build_auxiliary,
-                        descatter_move, normalize_sequence, rebalance_move,
-                        reduce_alpha, reduce_beta, scatter, unbalance,
-                        vc_sequence)
+                        normalize_sequence, reduce_alpha, reduce_beta,
+                        scatter, unbalance, vc_sequence)
 from .sequential import (MergeStep, SeqTrace, block_tree, canonical_ordering,
                          chain_to_ordering, format_ordering, parse_ordering,
                          seq_reassemble)
@@ -39,14 +37,13 @@ __all__ = [
     "SolveResult", "VCSequence", "ValidationError", "VerificationError",
     "block_tree", "brute_force_arrangement", "build_auxiliary",
     "canonical_ordering", "chain_to_ordering", "complete_graph",
-    "cycle_graph", "descatter_move", "edge_length",
-    "evaluate_arrangement", "exact_arrangement", "exact_binary_reassembling",
+    "cycle_graph", "evaluate_arrangement", "exact_arrangement", "exact_binary_reassembling",
     "exact_linear_reassembling", "format_arrangement", "format_graph",
     "format_ordering", "generate",
     "induce_arrangement", "induce_reassembling", "measures",
     "normalize_sequence", "parse_arrangement", "parse_graph",
     "parse_ordering", "parse_tree", "path_graph", "print_tree",
-    "qcube3_graph", "rebalance_move", "reduce_alpha", "reduce_beta",
+    "qcube3_graph", "reduce_alpha", "reduce_beta",
     "ring_tree_graph", "scatter", "seq_reassemble", "star_graph",
     "unbalance", "vc_sequence",
 ]

@@ -26,7 +26,7 @@ from .tree import ReassemblyTree, _check_ground, print_tree
 
 @dataclass(frozen=True)
 class Arrangement:
-    """Immutable vertex order; position(v) is 1-based."""
+    """Immutable vertex order."""
 
     order: tuple[int, ...]
 
@@ -36,12 +36,6 @@ class Arrangement:
             raise ValidationError("arrangement repeats a vertex")
         if not self.order:
             raise ValidationError("empty arrangement")
-
-    def position(self, v: int) -> int:
-        try:
-            return self.order.index(v) + 1
-        except ValueError:
-            raise ValidationError(f"vertex {v} not in arrangement") from None
 
     def reversed(self) -> "Arrangement":
         return Arrangement(tuple(reversed(self.order)))
@@ -64,9 +58,11 @@ def _check_permutation(g: Graph, arr: Arrangement) -> None:
         raise ValidationError("arrangement is not a permutation of the graph's vertices")
 
 
-def edge_length(arr: Arrangement, edge: tuple[int, int]) -> int:
-    u, v = edge
-    return abs(arr.position(u) - arr.position(v))
+def _gamma(g: Graph, order) -> int:
+    """The total edge length of g laid out in `order`, a permutation of its
+    vertices."""
+    pos = {v: i for i, v in enumerate(order)}
+    return sum(abs(pos[u] - pos[v]) for u, v in g.edges)
 
 
 def evaluate_arrangement(g: Graph, arr: Arrangement) -> ArrangementReport:
@@ -75,8 +71,7 @@ def evaluate_arrangement(g: Graph, arr: Arrangement) -> ArrangementReport:
     _check_permutation(g, arr)
     cuts = g._prefix_cuts(arr.order)
     beta = sum(cuts)
-    pos = {v: i + 1 for i, v in enumerate(arr.order)}
-    gamma = sum(abs(pos[u] - pos[v]) for u, v in g.edges)
+    gamma = _gamma(g, arr.order)
     if beta != gamma:
         raise VerificationError(f"beta {beta} != gamma {gamma} on arrangement {arr.order}")
     return ArrangementReport(cuts=tuple(cuts), alpha=max(cuts), beta=beta, gamma=gamma)
@@ -94,7 +89,7 @@ def induce_arrangement(g: Graph, tree: ReassemblyTree) -> Arrangement:
         raise ValidationError("tree is not linear")
     if g.n == 1:
         return Arrangement((1,))
-    chain = tree.linear_chain()
+    chain = tree.clusters[tree.n:]
     a, b = vertices_of(chain[0])
     if (g.degree(b), b) < (g.degree(a), a):
         a, b = b, a

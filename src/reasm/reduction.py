@@ -11,8 +11,10 @@ descattering (pull a base vertex out of the clique block) and rebalancing
 every beta-optimal order of G_w into the shape  U ... U  w  V-{w},  and in
 that shape the restriction to V is an optimal anchored solution of the
 original problem.  Minimizing over all anchors gives the exact optimum.
-One guarded walk, _normalize, is the only normalization loop: it makes the
-moves to a fixpoint and raises past 4 |order| + beta moves.
+_normal_step makes one move, _descatter on a scattered order, else
+_rebalance on an unbalanced one, and every caller reaches the moves
+through it.  One guarded walk, _normalize, is the only normalization loop:
+it makes the moves to a fixpoint and raises past 4 |order| + beta moves.
 normalize_sequence runs it alone; verify's balance_lemmas suite runs it
 with one table per anchor, shared by the walks of all orders of G_w.
 
@@ -94,9 +96,6 @@ class VCSequence:
     order: tuple
     beta: int
     k_pos: tuple
-
-    def reversed(self) -> "VCSequence":
-        return _score(self.aux, self.order[::-1])
 
 
 def vc_sequence(aux: AuxiliaryGraph, order) -> VCSequence:
@@ -197,18 +196,11 @@ def unbalance(seq: VCSequence) -> int:
     return min((n - 1 - a_left) + b_left, a_left + (p - b_left))
 
 
-def descatter_move(seq: VCSequence) -> VCSequence:
-    """Pull the blocking base vertex across the nearer outer clique run
-    (left on ties).  Strictly decreases beta."""
-    pos = _scatter_positions(seq)
-    if pos is None:
-        raise ValidationError("sequence is not scattered")
-    return _descatter(seq, pos)
-
-
 def _descatter(seq: VCSequence, pos: tuple) -> VCSequence:
-    """descatter_move at the scatter positions `pos` of seq, scored by the
-    delta in the module docstring."""
+    """The descattering move at the scatter positions `pos` of seq: pull
+    the blocking base vertex across the nearer outer clique run (left on
+    ties), scored by the delta in the module docstring.  Strictly
+    decreases beta."""
     i, j, k, l = pos
     aux, order, k_pos = seq.aux, seq.order, seq.k_pos
     if j - i <= l - k:
@@ -246,7 +238,7 @@ def _descatter(seq: VCSequence, pos: tuple) -> VCSequence:
     return VCSequence(aux=aux, order=moved, beta=beta, k_pos=k_pos)
 
 
-def rebalance_move(seq: VCSequence) -> VCSequence:
+def _rebalance(seq: VCSequence) -> VCSequence:
     """One rebalancing step on an unscattered, unbalanced sequence.
 
     Split the order into the base vertices left of the clique block, the
@@ -257,15 +249,6 @@ def rebalance_move(seq: VCSequence) -> VCSequence:
     and the right side then moves before the block, as for k = 0.  beta
     never increases.
     """
-    if scatter(seq) != 0:
-        raise ValidationError("rebalance needs an unscattered sequence")
-    if unbalance(seq) == 0:
-        raise ValidationError("sequence is already balanced")
-    return _rebalance(seq)
-
-
-def _rebalance(seq: VCSequence) -> VCSequence:
-    """rebalance_move on a sequence known to be unscattered and unbalanced."""
     aux = seq.aux
     p = aux.p
     i0 = seq.k_pos[0] - 1
@@ -373,7 +356,7 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     balanced = unbalance(s) == 0
     s = normalize_sequence(s)
     if not _is_right_balanced(s):
-        s = s.reversed()
+        s = _score(aux, s.order[::-1])
     if not _is_right_balanced(s):
         raise VerificationError(f"anchor {w}: normalized order {s.order} does not "
                                 f"have the shape U ... U w V-{{w}}")
@@ -392,13 +375,13 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
 
 def _check_auxiliary_states(g: Graph) -> None:
     """Refuse, before any G_w is built, the first anchor whose DP would
-    refuse G_w.  G_w's twin classes are G's without w (a class left with
-    one member dissolves) plus the clique U, one class of p members."""
+    refuse G_w.  G_w's twin classes are G's without w plus the clique U,
+    one class of p members, and w has no twin: its states are those of G's
+    layout anchored at w, times 2 for w and p + 1 for U."""
     classes = _twin_classes(g)
     p = 2 * g.m
     for w in g.vertices:
-        kept = [c for c in ([v for v in c if v != w] for c in classes) if len(c) > 1]
-        _check_work(g.n + p, _states(g, kept).size * (p + 1), "states")
+        _check_work(g.n + p, _states(g, classes, skip=w).size * 2 * (p + 1), "states")
 
 
 def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:

@@ -50,13 +50,15 @@ Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
 cut <= k is a union of components of G - C, where C is its cut, so few
 sets qualify.  The cut-bounded search grows prefix sets one vertex at a
 time, cut(S + v) = cut(S) + deg(v) - 2 |N(v) & S|, and keeps a set while
-its cut stays <= k.  Twins are placed in id order, so its sets are the
-count vectors above written as vertex masks.  A set whose successors are
-not all within k waits in a bucket keyed by the least of their cuts above
-k; when nothing within k is left and V is not reached, k rises to the
-smallest waiting cut and the sets of that bucket are scanned again.  The
-search stores only the sets it admits, each is scanned once per bound at
-which it gains successors, and the k at which V is admitted is the optimum.
+its cut stays <= k.  Twins are placed in id order, class by class as the
+digits of the same layout list them (anchored, without the anchor), so
+its sets are the count vectors above written as vertex masks.  A set
+whose successors are not all within k waits in a bucket keyed by the
+least of their cuts above k; when nothing within k is left and V is not
+reached, k rises to the smallest waiting cut and the sets of that bucket
+are scanned again.  The search stores only the sets it admits, each is
+scanned once per bound at which it gains successors, and the k at which V
+is admitted is the optimum.
 
 Witnesses of the arrangement engines are the lexicographically least
 orders within the optimum, and after a one-vertex prefix (an anchor w)
@@ -109,12 +111,14 @@ independent reference for small instances.
 
 Every engine counts what it will enumerate -- states of the prefix table,
 splits (S, A) of the binary DP, or orders of the brute force scan -- and
-refuses more than 2^REASM_DP_LIMIT of them before any table or loop starts.
-The alpha search cannot count its sets ahead.  It charges 2^5 states for
-each distinct set in its table, admitted or dead (a dict entry is about
-2^5 times the bytes of a DP state), through the same check: once for the
-start set before it starts, then each time the table reaches a power of
-two, so the first set past the limit is the one refused.
+refuses more than 2^REASM_DP_LIMIT of them before any table or loop starts,
+once it has found the graph connected and the anchor, if any, feasible:
+one check, _check_solvable, does all three in that order.  The alpha
+search cannot count its sets ahead.  It charges 2^5 states for each
+distinct set in its table, admitted or dead (a dict entry is about 2^5
+times the bytes of a DP state), through the same check: once for the
+start set before it starts, then each time the table reaches a power
+of two, so the first set past the limit is the one refused.
 """
 
 from __future__ import annotations
@@ -164,6 +168,10 @@ def dp_limit() -> int:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """An optimum and its witness.  stats["states"] is the work the engine
+    counted and stats["millis"] the time from the solver's entry, its
+    checks included."""
+
     objective: str  # "alpha" | "beta"
     mode: str  # "arrangement" | "linear_reassembling" | "binary_reassembling"
     value: int
@@ -195,10 +203,16 @@ def _check_work(n: int, count: int, unit: str) -> None:
                          f"{unit}, limit is 2^{limit}")
 
 
-def _check_solvable(g: Graph, count: int, unit: str) -> None:
-    """A connected graph whose solver enumerates at most 2^dp_limit() units."""
+def _check_solvable(g: Graph, count: int, unit: str, anchor: Optional[int] = None) -> None:
+    """A connected graph, a feasible anchor if any, and at most
+    2^dp_limit() units for the solver to enumerate, checked in that order."""
     if not g.is_connected():
         raise ValidationError("optimizers need a connected graph")
+    if anchor is not None:
+        g._check_vertex(anchor)
+        if not _followers([a.bit_count() for a in g.adj], anchor):
+            raise ValidationError(
+                f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
     _check_work(g.n, count, unit)
 
 
@@ -261,7 +275,7 @@ def _low_span(st: _States, cap: int) -> int:
     """States spanned by the lowest digits whose radices multiply to at most
     `cap`, the lowest digit always included: the stride of the next digit
     up, or size."""
-    tops = [h * (len(members) + 1) for h, members in st.digits]
+    tops = [h * (len(members) + 1) for h, members in st.digits] or [st.size]
     return max([t for t in tops if t <= cap], default=tops[0])
 
 
@@ -418,14 +432,6 @@ def _followers(deg, w: int) -> list:
     return [v for v, d in enumerate(deg, start=1) if v != w and d >= deg[w - 1]]
 
 
-def _check_anchor(g: Graph, deg, anchor: Optional[int]) -> None:
-    if anchor is not None:
-        g._check_vertex(anchor)
-        if not _followers(deg, anchor):
-            raise ValidationError(
-                f"anchor {anchor} infeasible: no second vertex of degree >= deg({anchor})")
-
-
 def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) -> tuple:
     """(value, order, states) of a beta arrangement, free or anchored at
     `anchor`, or of a linear tree (`linear`): the optimum read off the
@@ -436,8 +442,7 @@ def _prefix_search(g: Graph, anchor: Optional[int] = None, linear: bool = False)
     twin-free graph.  Every cut is read at a complement, cut[V - t], which
     is cut[t] in either layout."""
     st = _states(g, _twin_classes(g), skip=anchor)
-    _check_solvable(g, st.size, "states")
-    _check_anchor(g, st.deg, anchor)
+    _check_solvable(g, st.size, "states", anchor)
     cut = _cut_table(g, st)
     x = _prefix_table(cut, st)
     full = st.size - 1
@@ -488,12 +493,11 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
     # a stored set is a dict entry, about 2^5 times the bytes of a DP state
     per_set = 5
     unit = f"states (2^{per_set} per set)"
-    _check_solvable(g, 1 << per_set, unit)  # the start set
-    deg = tuple(a.bit_count() for a in g.adj)
-    _check_anchor(g, deg, anchor)
+    _check_solvable(g, 1 << per_set, unit, anchor)  # the start set
+    st = _states(g, _twin_classes(g), skip=anchor)
+    deg = st.deg
     before = {}  # vertex -> the bit of the twin placed just before it
-    for c in _twin_classes(g):
-        c = [v for v in c if v != anchor]
+    for _, c in st.digits:
         before.update((v, 1 << (u - 1)) for u, v in zip(c, c[1:]))
     # one row per vertex: its bit; its bit and the twin's, of which a set
     # may hold only the twin's; its neighbours; its degree
@@ -602,12 +606,12 @@ def _splits(s: int):
 
 def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
     """Optimal binary reassembling by subset DP over splits."""
+    t0 = time.perf_counter()
     _check_objective(objective)
     # _splits yields 2^(k-1) - 1 pairs for each of the C(n, k) sets S of
     # size k >= 2: (3^n + 1) / 2 - 2^n in all
     _check_solvable(g, (3 ** g.n + 1) // 2 - (1 << g.n), "splits")
     st = _states(g, ())
-    t0 = time.perf_counter()
     fold = operator.add if objective == "beta" else max
     cut = _cut_table(g, st)
     best = list(cut)
@@ -638,11 +642,10 @@ def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
 def brute_force_arrangement(g: Graph, objective: str,
                             anchor: Optional[int] = None) -> SolveResult:
     """Factorial scan over all arrangements (reference implementation)."""
-    _check_objective(objective)
-    _check_solvable(g, math.factorial(g.n if anchor is None else g.n - 1), "orders")
-    deg = [a.bit_count() for a in g.adj]
-    _check_anchor(g, deg, anchor)
     t0 = time.perf_counter()
+    _check_objective(objective)
+    _check_solvable(g, math.factorial(g.n if anchor is None else g.n - 1), "orders", anchor)
+    deg = [a.bit_count() for a in g.adj]
     # anchored, the orders (anchor, v) + rest for each follower v: the
     # feasible orders, still in lexicographic order
     heads = [()] if anchor is None else [(anchor, v) for v in _followers(deg, anchor)]

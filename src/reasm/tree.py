@@ -93,12 +93,6 @@ class ReassemblyTree:
         chain = self.clusters[self.n:]
         return all(a & b == a for a, b in zip(chain, chain[1:]))
 
-    def linear_chain(self) -> tuple[int, ...]:
-        """The nested non-singleton clusters X1 c X2 c ... c V of a linear tree."""
-        if not self.is_linear():
-            raise ValidationError("tree is not linear")
-        return self.clusters[self.n:]
-
 
 @dataclass(frozen=True)
 class MeasureReport:

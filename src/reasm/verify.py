@@ -1,7 +1,8 @@
 """Self-check suites behind the `verify` command.
 
 Each suite bundles a family of invariants that must hold identically on
-every instance: the beta = gamma identity, round trips between the object
+every instance: the beta = gamma identity (gamma summed by layout._gamma,
+which evaluate_arrangement also calls), round trips between the object
 representations, agreement of the exact solvers with brute force, the
 normalization lemmas on auxiliary-graph sequences (normalized by
 reduction's one guarded walk), and the catalog of pinned example values.
@@ -20,7 +21,7 @@ from typing import Callable, Optional
 
 from .errors import ValidationError
 from .graph import Graph, complete_graph, path_graph, qcube3_graph, star_graph
-from .layout import (Arrangement, edge_length, evaluate_arrangement,
+from .layout import (Arrangement, _gamma, evaluate_arrangement,
                      induce_arrangement, induce_reassembling)
 from .reduction import (_aux_sequences, _normal_step, _normalize, build_auxiliary,
                         scatter, unbalance)
@@ -88,7 +89,7 @@ def _random_arrangement(rng: random.Random, g: Graph) -> Arrangement:
 def _beta_equals_gamma(rec: _Recorder, g: Graph, arr: Arrangement) -> None:
     """beta (the sum of the prefix cuts) equals gamma (the total edge length)."""
     beta = sum(g._prefix_cuts(arr.order))
-    gamma = sum(edge_length(arr, e) for e in g.edges)
+    gamma = _gamma(g, arr.order)
     rec.expect(beta == gamma, "beta {} != gamma {} on {} / {}", beta, gamma, g.edges, arr.order)
 
 

@@ -517,6 +517,20 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+@pytest.mark.parametrize("engine", ["dp", "brute"])
+@pytest.mark.parametrize("objective", ["alpha", "beta"])
+def test_an_anchor_outside_the_graph_is_refused_before_the_work(run_cli, tmp_path,
+                                                                objective, engine):
+    # P30's 2^30 beta states and 29! anchored orders are past the default
+    # limit, yet every engine refuses the anchor first, with exit 2
+    g = tmp_path / "p30.g"
+    assert run_cli("gen", "--family", "path", "--size", 30, "--out", g)[0] == 0
+    code, out, err = run_cli("solve", g, "--objective", objective, "--anchor", 99,
+                             "--engine", engine, "--witness-out", tmp_path / "p30.w")
+    assert (code, out) == (2, "")
+    assert "vertex 99 outside 1..30" in err
+
+
 def test_public_names():
     for name in reasm.__all__:
         assert getattr(reasm, name) is not None
@@ -525,15 +539,19 @@ def test_public_names():
         tree: ("cross_sections", "validate_tree", "is_strict", "Cluster",
                "first_nonstrict_pair"),
         sequential: ("Partition", "Edge"),
-        solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states"),
+        solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states",
+                  "_check_anchor"),
         solvers.SolveResult: ("witness_text",),
-        reduction: ("ProcessPoolExecutor",),
+        reduction: ("ProcessPoolExecutor", "descatter_move", "rebalance_move"),
+        reduction.VCSequence: ("reversed",),
         layout: ("is_anchored_arrangement", "is_anchored_reassembling",
-                 "restrict_arrangement", "restrict_tree"),
+                 "restrict_arrangement", "restrict_tree", "edge_length"),
+        layout.Arrangement: ("position",),
         tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",
                               "height", "height_of", "subtree", "_lookup",
                               "_parent", "_heights", "_trusted", "_from_masks",
-                              "_init_from", "cluster_masks", "_sorted_masks", "vertices"),
+                              "_init_from", "cluster_masks", "_sorted_masks", "vertices",
+                              "linear_chain"),
         graph.Graph: ("boundary_degree", "_check_block", "cut_vertices"),
     }
     for home, names in removed.items():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from reasm.errors import ValidationError
-from reasm.graph import complete_graph, path_graph, star_graph
-from reasm.layout import (Arrangement, edge_length, evaluate_arrangement,
+from reasm.graph import Graph, complete_graph, path_graph, star_graph
+from reasm.layout import (Arrangement, _gamma, evaluate_arrangement,
                           format_arrangement, induce_arrangement,
                           induce_reassembling, parse_arrangement)
 from reasm.tree import measures, parse_tree
@@ -15,14 +15,11 @@ from conftest import connected_atlas
 def test_arrangement_basics():
     arr = Arrangement((3, 1, 2))
     assert len(arr.order) == 3
-    assert arr.position(3) == 1 and arr.position(2) == 3
     assert arr.reversed() == Arrangement((2, 1, 3))
     with pytest.raises(ValidationError):
         Arrangement((1, 1, 2))
     with pytest.raises(ValidationError):
         Arrangement(())
-    with pytest.raises(ValidationError):
-        arr.position(9)
 
 
 def test_parse_format_roundtrip():
@@ -53,9 +50,11 @@ def test_evaluate_rejects_non_permutations():
 
 
 def test_edge_length():
-    arr = Arrangement((2, 3, 1))
-    assert edge_length(arr, (2, 1)) == 2
-    assert edge_length(arr, (3, 1)) == 1
+    # gamma is the sum of the edge lengths
+    order = (2, 3, 1)
+    assert _gamma(Graph(3, ((1, 2),)), order) == 2
+    assert _gamma(Graph(3, ((1, 3),)), order) == 1
+    assert _gamma(Graph(3, ((1, 2), (1, 3))), order) == 3
 
 
 def test_induce_arrangement_first_pair_rule():

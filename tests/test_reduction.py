@@ -10,10 +10,9 @@ from reasm import solvers
 from reasm.graph import (Graph, complete_graph, cycle_graph, format_graph, path_graph,
                          qcube3_graph, ring_tree_graph, star_graph)
 from reasm.layout import Arrangement, evaluate_arrangement
-from reasm.reduction import (A2R, R2A, _check_auxiliary_states, _scatter_positions,
-                             build_auxiliary, descatter_move,
-                             normalize_sequence, rebalance_move, reduce_alpha,
-                             reduce_beta, scatter, unbalance, vc_sequence)
+from reasm.reduction import (A2R, R2A, _check_auxiliary_states, _normal_step,
+                             _scatter_positions, build_auxiliary, normalize_sequence,
+                             reduce_alpha, reduce_beta, scatter, unbalance, vc_sequence)
 from reasm.solvers import _states, _twin_classes, exact_arrangement, exact_linear_reassembling
 from reasm.tree import measures
 from reasm.verify import BALANCE_BASES
@@ -77,7 +76,7 @@ def test_vc_sequence_worked_example():
     seq = vc_sequence(aux, (3, 4, 1, 2))
     assert seq.beta == 5
     assert scatter(seq) == 0 and unbalance(seq) == 0
-    assert seq.reversed().beta == 5
+    assert vc_sequence(aux, seq.order[::-1]).beta == 5
 
 
 def _oracle_cases():
@@ -148,9 +147,9 @@ def _descatter_reference(seq):
 
 def _check_descatter(aux, order, branches):
     seq = vc_sequence(aux, order)
-    if scatter(seq) == 0:
+    scattered, out = _normal_step(seq)
+    if not scattered:
         return
-    out = descatter_move(seq)
     ref, w_in_run = _descatter_reference(seq)
     assert (out.order, out.beta, out.k_pos) == (ref.order, ref.beta, ref.k_pos), order
     branches[w_in_run] += 1
@@ -181,18 +180,9 @@ def test_descatter_delta_matches_a_full_scan():
 def test_descatter_strictly_decreases_beta():
     aux = p2_aux()
     seq = vc_sequence(aux, (3, 2, 4, 1))
-    out = descatter_move(seq)
-    assert out.beta == 7 < seq.beta == 8
-    with pytest.raises(ValidationError):
-        descatter_move(out)  # no longer scattered
-
-
-def test_rebalance_preconditions():
-    aux = p2_aux()
-    with pytest.raises(ValidationError, match="scattered"):
-        rebalance_move(vc_sequence(aux, (3, 2, 4, 1)))
-    with pytest.raises(ValidationError, match="already balanced"):
-        rebalance_move(vc_sequence(aux, (3, 4, 1, 2)))
+    scattered, out = _normal_step(seq)
+    assert scattered and out.beta == 7 < seq.beta == 8
+    assert scatter(out) == 0
 
 
 @pytest.mark.parametrize("g, w, order, expected, betas", [
@@ -204,8 +194,8 @@ def test_rebalance_preconditions():
 ])
 def test_rebalance_move_branches(g, w, order, expected, betas):
     seq = vc_sequence(build_auxiliary(g, w), order)
-    out = rebalance_move(seq)
-    assert out.order == expected
+    scattered, out = _normal_step(seq)
+    assert not scattered and out.order == expected
     assert (seq.beta, out.beta) == betas
 
 

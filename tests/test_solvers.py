@@ -114,6 +114,15 @@ def test_anchored_table_is_the_full_table_without_the_anchor(atlas6):
             assert [x_w[i] for i in index] == [x[i] for i in full], (g, w)
 
 
+def test_a_layout_with_no_digits():
+    # K1 anchored at its one vertex: no digit, one state, the empty set
+    g = Graph(1, ())
+    st = _states(g, (), skip=1)
+    assert (st.digits, st.size) == ((), 1)
+    cut = _cut_table(g, st)
+    assert list(cut) == [0] and list(_prefix_table(cut, st)) == [0]
+
+
 def test_twin_classes():
     assert _twin_classes(qcube3_graph()) == []
     assert _twin_classes(star_graph(3)) == [(2, 3, 4)]  # false twins
@@ -651,6 +660,25 @@ def test_rejects_bad_inputs():
         exact_arrangement(Graph(3, ((1, 2),)), "beta")  # disconnected
     with pytest.raises(ValidationError):
         exact_arrangement(path_graph(4), "beta", anchor=9)
+
+
+def test_millis_count_from_the_solver_entry(monkeypatch):
+    # a clock that only the precondition check moves, by 1 s: every engine
+    # reports that second, so each starts its clock before its checks
+    now = [0.0]
+    check = solvers._check_solvable
+
+    def slow_check(*args):
+        now[0] += 1.0
+        check(*args)
+
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(solvers, "_check_solvable", slow_check)
+    g = cycle_graph(5)
+    for solve in (exact_arrangement, exact_linear_reassembling, exact_binary_reassembling,
+                  brute_force_arrangement):
+        for objective in ("alpha", "beta"):
+            assert solve(g, objective).stats["millis"] >= 1000, (solve, objective)
 
 
 def test_result_json_shape():

@@ -22,7 +22,7 @@ def test_deep_caterpillar_roundtrip():
     # deeper than Python's default recursion limit
     text = caterpillar_text(1100)
     tree = parse_tree(text)
-    assert len(tree.linear_chain()) == 1099
+    assert tree.is_linear() and len(tree.clusters) - tree.n == 1099
     assert print_tree(tree) == text
     assert ReassemblyTree(tree.clusters) == tree
 
@@ -127,11 +127,8 @@ def test_measures_rejects_wrong_ground_set():
 def test_linearity():
     chain = parse_tree(CHAIN8)
     assert chain.is_linear()
-    assert chain.linear_chain() == tuple((1 << k) - 1 for k in range(2, 9))
-    bushy = parse_tree(B1)
-    assert not bushy.is_linear()
-    with pytest.raises(ValidationError):
-        bushy.linear_chain()
+    assert chain.clusters[chain.n:] == tuple((1 << k) - 1 for k in range(2, 9))
+    assert not parse_tree(B1).is_linear()
     assert parse_tree("(1 2)").is_linear()
 
 

@@ -38,7 +38,7 @@ def test_recorder_counts_past_the_detail_cap():
 
 def test_failure_labels_keep_their_text(monkeypatch):
     # labels are formatted only on failure, into the text they always had
-    monkeypatch.setattr(verify, "edge_length", lambda arr, e: 0)
+    monkeypatch.setattr(verify, "_gamma", lambda g, order: 0)
     assert verify.suite_beta_equals_gamma(0, trials=3).detail == (
         "beta 33 != gamma 0 on ((1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (2, 3), (2, 4), "
         "(2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (5, 6), (5, 7)) / (5, 7, 2, 1, 4, 3, 6); "
