@@ -11,12 +11,14 @@ descattering (pull a base vertex out of the clique block) and rebalancing
 every beta-optimal order of G_w into the shape  U ... U  w  V-{w},  and in
 that shape the restriction to V is an optimal anchored solution of the
 original problem.  Minimizing over all anchors gives the exact optimum.
-_normal_step makes one move, _descatter on a scattered order, else
-_rebalance on an unbalanced one, and every caller reaches the moves
-through it.  One guarded walk, _normalize, is the only normalization loop:
-it makes the moves to a fixpoint and raises past 4 |order| + beta moves.
-normalize_sequence runs it alone; verify's balance_lemmas suite runs it
-with one table per anchor, shared by the walks of all orders of G_w.
+_normal_step makes one move: _descatter on a scattered order, else
+_rebalance on an unbalanced one.  One guarded walk, _normalize, is the
+only normalization loop: it makes the moves to a fixpoint and raises past
+4 |order| + beta moves.  normalize_sequence runs it alone.  verify's
+balance_lemmas suite runs it only from the unscattered orders of G_w, with
+one table per anchor: a descattering move lowers the clique span by one,
+so the suite makes one _descatter move per scattered order and takes the
+normal form of the order it reached, already found at the lower span.
 
 An order's beta has a closed form.  Let q_1 < ... < q_n be the positions of
 the base vertices pi_1 ... pi_n and k_1 < ... < k_{p+1} those of U + {w},
@@ -44,8 +46,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from operator import mul
-from typing import Optional
+from operator import itemgetter, mul
+from typing import NamedTuple, Optional
 
 from .errors import ValidationError, VerificationError
 from .graph import Graph
@@ -85,8 +87,7 @@ def build_auxiliary(g: Graph, w: int) -> AuxiliaryGraph:
     return AuxiliaryGraph(base=g, w=w, p=p, combined=Graph(g.n + p, tuple(edges)))
 
 
-@dataclass(frozen=True)
-class VCSequence:
+class VCSequence(NamedTuple):
     """An order of V(G_w) scored by the closed form of the module
     docstring: `beta` is the sum of the cuts of all its prefixes in G_w,
     and `k_pos` holds the 1-based positions of the clique side U + {w},
@@ -123,37 +124,61 @@ def _score(aux: AuxiliaryGraph, order: tuple) -> VCSequence:
     cuts = aux.base._prefix_cuts([order[i - 1] for i in q])
     gaps = [b - a for a, b in zip(q, q[1:] + [end])]
     beta = sum(map(mul, cuts, gaps)) + _clique_term(aux.p, k_pos, end)
-    return VCSequence(aux=aux, order=order, beta=beta, k_pos=k_pos)
+    return VCSequence(aux, order, beta, k_pos)
+
+
+def _aux_layouts(aux) -> tuple:
+    """(perms, rows): the parts _aux_sequences scores its orders from.
+    perms holds (perm, slot of w, prefix cuts) per base order, in
+    itertools.permutations order; rows holds, per choice of base positions
+    in itertools.combinations order, (positions, gaps between them, a
+    function that lays perm + U out as the order, and per slot of w the
+    clique layout: its clique positions and clique term)."""
+    g, p = aux.base, aux.p
+    n, total = g.n, g.n + p
+    perms = [(perm, perm.index(aux.w), g._prefix_cuts(perm))
+             for perm in itertools.permutations(g.vertices)]
+    rows = []
+    for positions in itertools.combinations(range(1, total + 1), n):
+        upos = sorted(set(range(1, total + 1)).difference(positions))
+        gaps = [b - a for a, b in zip(positions, positions[1:] + (total + 1,))]
+        source = [0] * total  # index into perm + U of each position's vertex
+        for slot, i in enumerate(positions):
+            source[i - 1] = slot
+        for u, i in enumerate(upos, start=n):
+            source[i - 1] = u
+        # itemgetter of one index returns the item, not a 1-tuple
+        place = itemgetter(*source) if total > 1 else tuple
+        layouts = []
+        for q in positions:
+            k_pos = tuple(sorted(upos + [q]))
+            layouts.append((k_pos, _clique_term(p, k_pos, total + 1)))
+        rows.append((positions, gaps, place, layouts))
+    return perms, rows
+
+
+def _row_sequences(aux, row, perms):
+    """The scored orders with the base positions of `row`, one per base
+    order of `perms`, in that order."""
+    _, gaps, place, layouts = row
+    us = tuple(aux.u_vertices)
+    for perm, slot, cuts in perms:
+        k_pos, clique = layouts[slot]
+        yield VCSequence(aux, place(perm + us), clique + sum(map(mul, cuts, gaps)), k_pos)
 
 
 def _aux_sequences(aux):
     """Every order of the auxiliary vertex set up to permuting U among
     itself (U vertices are interchangeable by symmetry), scored: choose the
     positions of the base vertices, order them, and fill the rest with U
-    ascending.  beta is _score's closed form taken apart: per choice of
+    ascending.  The order at row c and base order r has enumeration index
+    c n! + r.  beta is _score's closed form taken apart: per choice of
     positions, one clique term for each slot w can take, plus, per base
     order, the dot product of its prefix cuts with the gaps between base
     positions."""
-    g, w, p = aux.base, aux.w, aux.p
-    n = g.n
-    total = n + p
-    perms = [(perm, perm.index(w), g._prefix_cuts(perm))  # (base order, slot of w, cuts)
-             for perm in itertools.permutations(g.vertices)]
-    for positions in itertools.combinations(range(1, total + 1), n):
-        upos = sorted(set(range(1, total + 1)).difference(positions))
-        gaps = [b - a for a, b in zip(positions, positions[1:] + (total + 1,))]
-        layouts = []  # per slot of w: clique positions and the clique term
-        for q in positions:
-            k_pos = tuple(sorted(upos + [q]))
-            layouts.append((k_pos, _clique_term(p, k_pos, total + 1)))
-        order: list = [0] * total
-        for i, u in zip(upos, aux.u_vertices):
-            order[i - 1] = u
-        for perm, slot, cuts in perms:
-            for i, v in zip(positions, perm):
-                order[i - 1] = v
-            k_pos, clique = layouts[slot]
-            yield VCSequence(aux, tuple(order), clique + sum(map(mul, cuts, gaps)), k_pos)
+    perms, rows = _aux_layouts(aux)
+    for row in rows:
+        yield from _row_sequences(aux, row, perms)
 
 
 def _scatter_positions(seq: VCSequence):
@@ -202,7 +227,7 @@ def _descatter(seq: VCSequence, pos: tuple) -> VCSequence:
     ties), scored by the delta in the module docstring.  Strictly
     decreases beta."""
     i, j, k, l = pos
-    aux, order, k_pos = seq.aux, seq.order, seq.k_pos
+    aux, order, beta, k_pos = seq
     if j - i <= l - k:
         t = j - i
         v = order[j - 1]
@@ -232,10 +257,10 @@ def _descatter(seq: VCSequence, pos: tuple) -> VCSequence:
         delta = (o + 1) * g_v - g_w + (t - 1 - o) * g_vw
     else:
         delta = t * g_v
-    beta = seq.beta + delta - t * (aux.p + 1 - t)
-    if beta >= seq.beta:
-        raise VerificationError(f"descattering {seq.order} left beta {seq.beta} at {beta}")
-    return VCSequence(aux=aux, order=moved, beta=beta, k_pos=k_pos)
+    moved_beta = beta + delta - t * (aux.p + 1 - t)
+    if moved_beta >= beta:
+        raise VerificationError(f"descattering {order} left beta {beta} at {moved_beta}")
+    return VCSequence(aux, moved, moved_beta, k_pos)
 
 
 def _rebalance(seq: VCSequence) -> VCSequence:
@@ -295,7 +320,9 @@ def _normalize(seq: VCSequence, table: dict, moves: int = 0) -> VCSequence:
 
     `table` maps each order a walk reached to its normal form and the
     number of moves from it to there.  The walk stops at a fixpoint or at
-    the first order in the table, then adds every order it passed.  More
+    the first order in the table, then adds every order it passed.
+    verify's balance_lemmas shares one table among the walks from the
+    unscattered orders of an anchor, which rebalance only.  More
     than 4 |order| + beta moves in all, with the normal form's beta, raise
     VerificationError.  beta never rises along a walk, so a walk that
     passes the bound taken at its start, as a cycle does, stays past it."""

@@ -4,8 +4,9 @@ Each suite bundles a family of invariants that must hold identically on
 every instance: the beta = gamma identity (gamma summed by layout._gamma,
 which evaluate_arrangement also calls), round trips between the object
 representations, agreement of the exact solvers with brute force, the
-normalization lemmas on auxiliary-graph sequences (normalized by
-reduction's one guarded walk), and the catalog of pinned example values.
+normalization lemmas on auxiliary-graph sequences (each scattered order
+descattered once, the others walked by reduction's one guarded walk), and
+the catalog of pinned example values.
 A sampled suite draws instances from its seed and hands each to a
 per-instance checker; the acceptance tests run the same checkers over
 exhaustive ranges.  Each suite returns its counts, so the CLI
@@ -17,14 +18,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, VerificationError
 from .graph import Graph, complete_graph, path_graph, qcube3_graph, star_graph
 from .layout import (Arrangement, _gamma, evaluate_arrangement,
                      induce_arrangement, induce_reassembling)
-from .reduction import (_aux_sequences, _normal_step, _normalize, build_auxiliary,
-                        scatter, unbalance)
+from . import reduction
+from .reduction import (_aux_layouts, _normal_step, _normalize, _row_sequences,
+                        _scatter_positions, build_auxiliary, scatter, unbalance)
 from .sequential import (SeqTrace, block_tree, canonical_ordering, chain_to_ordering,
                          seq_reassemble)
 from .solvers import (brute_force_arrangement, exact_arrangement,
@@ -163,12 +166,54 @@ def _normal_forms(aux):
     """Yield (s, scattered, t, nf) for every order of _aux_sequences(aux):
     s the scored order, whether it is scattered, t its one normalization
     step (None at a fixpoint) and nf its normal form, which equals
-    normalize_sequence(s).  The walk from t shares one table per anchor,
-    which holds only orders that a move reached."""
+    normalize_sequence(s).
+
+    A descattering move lowers the clique span (the last position of
+    U + {w} minus the first) by one, so the clique layouts are visited in
+    increasing span.  A scattered order makes its one move, to the base
+    positions its layout predicts, and takes the normal form recorded at
+    its target's enumeration index; a target with none raises.  Only the
+    unscattered orders (span p) walk, through _normalize and one table per
+    anchor, which holds only orders that a rebalancing move reached."""
+    perms, rows = _aux_layouts(aux)
+    size = len(perms)
+    rank = {perm: r for r, (perm, _, _) in enumerate(perms)}
+    row_start = {row[0]: c * size for c, row in enumerate(rows)}  # positions -> index
+    by_slot = [([r for r, x in enumerate(perms) if x[1] == slot],
+                [x for x in perms if x[1] == slot]) for slot in range(aux.base.n)]
+    nfs: list = [None] * (len(rows) * size)  # normal form by enumeration index
     table: dict = {}
-    for s in _aux_sequences(aux):
-        scattered, t = _normal_step(s)
-        yield s, scattered, t, s if t is None else _normalize(t, table, 1)
+    descatter = reduction._descatter
+    for _, c, slot in sorted((k_pos[-1] - k_pos[0], c, slot)
+                             for c, (_, _, _, layouts) in enumerate(rows)
+                             for slot, (k_pos, _) in enumerate(layouts)):
+        ranks, slot_perms = by_slot[slot]
+        start = c * size
+        seqs = _row_sequences(aux, rows[c], slot_perms)
+        head = next(seqs)
+        pos = _scatter_positions(head)
+        if pos is not None:
+            # v, the blocking base vertex, lands at the run's far end, and w
+            # shifts by one toward v's old place if it is in the run
+            positions = rows[c][0]
+            i, j, k, l = pos
+            src, dst, lo, hi, shift = (j, i, i, j - 1, 1) if j - i <= l - k else (k, l, k + 1, l, -1)
+            moved = tuple(sorted(dst if x == src else x + shift if lo <= x <= hi else x
+                                 for x in positions))
+            at, pick = row_start[moved], itemgetter(*(x - 1 for x in moved))
+        for r, s in zip(ranks, itertools.chain((head,), seqs)):
+            if pos is None:
+                scattered, t = _normal_step(s)
+                nf = s if t is None else _normalize(t, table, 1)
+            else:
+                scattered, t = True, descatter(s, pos)
+                r_t = rank.get(pick(t.order))
+                nf = None if r_t is None else nfs[at + r_t]
+                if nf is None:
+                    raise VerificationError(f"descattering {s.order} gave {t.order}, "
+                                            f"which has no normal form recorded")
+            nfs[start + r] = nf
+            yield s, scattered, t, nf
 
 
 def _balance_lemmas(rec: _Recorder, aux) -> None:
@@ -205,8 +250,10 @@ def suite_balance_lemmas(seed: int, trials: Optional[int] = None) -> SuiteResult
     have at most 10 vertices: all beta-minimal orders are unscattered and
     balanced; descattering strictly decreases beta on every scattered
     order; normalization never increases beta and is idempotent.  Orders
-    are scored one clique layout at a time, moves by their delta, and each
-    order is normalized through a per-anchor table."""
+    are scored one clique layout at a time, in increasing clique span; a
+    scattered order makes one descattering move, scored by its delta, and
+    takes the normal form of the order it reached, so only the unscattered
+    orders walk, through a per-anchor table."""
     del seed, trials  # exhaustive, nothing to sample
     rec = _Recorder("balance_lemmas")
     for g in BALANCE_BASES:

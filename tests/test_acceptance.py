@@ -144,8 +144,16 @@ def test_criterion_07_balance_lemmas_exhaustive():
     res = run_suites(["balance_lemmas"])[0]
     assert res.ok, res.detail
     assert res.checks == 83592
+    # the 12-vertex auxiliary graphs of C4 and of the paw, at every anchor
+    paw = Graph(4, ((1, 2), (2, 3), (1, 3), (3, 4)))
+    for g, checks in ((cycle_graph(4), 94256), (paw, 94240)):
+        rec = verify._Recorder("balance_lemmas")
+        for w in g.vertices:
+            verify._balance_lemmas(rec, build_auxiliary(g, w))
+        assert (rec.checks, rec.failures) == (checks, 0), rec.bad
     verdict(7, f"balance lemmas hold on every order of every auxiliary "
-               f"graph with at most 10 vertices ({res.checks} checks)")
+               f"graph with at most 10 vertices ({res.checks} checks), "
+               f"and of those of C4 and the paw")
 
 
 def test_criterion_08_beta_reduction_end_to_end():

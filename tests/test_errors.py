@@ -84,6 +84,16 @@ def test_idle_rebalancing_stops_the_normal_form_table(run_cli, monkeypatch):
     assert err.startswith("error: normalization did not terminate") and err.count("\n") == 1
 
 
+def test_a_move_that_keeps_the_span_stops_the_suite(run_cli, monkeypatch):
+    # the scattered order's target is then itself, which has no normal form
+    # yet: the suite names the order, it does not read a missing record
+    monkeypatch.setattr(reduction, "_descatter", lambda seq, pos: seq)
+    code, out, err = run_cli("verify", "--suite", "balance_lemmas")
+    assert code == 4 and out == ""
+    assert err == ("error: descattering (1, 2, 3, 4) gave (1, 2, 3, 4), "
+                   "which has no normal form recorded\n")
+
+
 def test_inconsistent_prefix_table_exits_4(run_cli, monkeypatch, tmp_path):
     real = solvers._prefix_table
 
