@@ -36,14 +36,21 @@ them for a twin-free graph.  The largest index is then V - w and a set t
 holding w has the index of t - w, so the largest index minus t's is still
 V - t.  Every cut is read at a complement, cut[V - t] = cut[t].
 
-The prefix table is filled in blocks over the lowest digits, the leaf.
-Each block is one call of a straight-line kernel generated for the leaf's
-radices: exec compiles it on first use, and an lru_cache keeps the code
-(never a table) for the rest of the process.  The digits above the leaf
-are folded in ahead by lane-parallel mins.  A kernel spans at most _LEAF
-states, which bounds its source and its compile time; a lowest digit
-larger than that (K_n is one digit of radix n + 1) is cut into blocks of
-about sqrt(size / 4) states, folded into each other like the digits above.
+The prefix table is filled in groups of blocks over the lowest digits,
+the leaf.  Each block is one call of a straight-line kernel generated for
+the leaf's radices and the number of earlier blocks it carries: exec
+compiles it on first use, and an lru_cache keeps the code (never a table)
+for the rest of the process.  In a table of _GROUPED states or more, a
+group is the leaf and up to two radix-2 digits right above it; a block
+holding such a digit takes the result of the block one vertex below it as
+a carry and compares it lane by lane, so only the digits above a group are
+folded in ahead, by lane-parallel mins.
+A kernel spans at most _LEAF states, whatever its group spans, which
+bounds its source, its compile time and the memory its compile leaves
+behind; a lowest digit larger than that (K_n is one digit of radix n + 1)
+is cut into blocks of about sqrt(size / 4) states, folded into each other
+like the digits above.  Both tables are anonymous mappings from _MAPPED
+bytes up, returned to the system when the solve drops them.
 
 Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
 Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
@@ -126,6 +133,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import mmap
 import operator
 import os
 import struct
@@ -147,6 +155,10 @@ DEFAULT_DP_LIMIT = 24
 # their temporary ints
 _LEAF = 1 << 6
 _CHUNK = 1 << 13
+# the fewest prefix-table states that run grouped leaf blocks, and the
+# fewest bytes of a table kept off the heap
+_GROUPED = 1 << 18
+_MAPPED = 1 << 17
 
 
 def _lanes(bound: int) -> str:
@@ -279,6 +291,12 @@ def _low_span(st: _States, cap: int) -> int:
     return max([t for t in tops if t <= cap], default=tops[0])
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(width: int, lanes: int) -> int:
+    """An int with a 1 in each of `lanes` lanes of `width` bytes."""
+    return int.from_bytes((1).to_bytes(width, sys.byteorder) * lanes, sys.byteorder)
+
+
 def _lanewise(view: memoryview, width: int, chunk: int, dst: int, src: int, count: int,
               op) -> None:
     """Lanes [dst, dst + count) of `view` become op(j, a, b, ones), chunk by
@@ -287,7 +305,7 @@ def _lanewise(view: memoryview, width: int, chunk: int, dst: int, src: int, coun
     order = sys.byteorder
     lanes = min(count, chunk)
     n = lanes * width
-    ones = int.from_bytes((1).to_bytes(width, order) * lanes, order)
+    ones = _ones(width, lanes)
     for j in range(0, count, lanes):
         i, o = (dst + j) * width, (src + j) * width
         a = int.from_bytes(view[i:i + n], order)
@@ -295,8 +313,33 @@ def _lanewise(view: memoryview, width: int, chunk: int, dst: int, src: int, coun
         view[i:i + n] = op(j, a, b, ones).to_bytes(n, order)
 
 
-def _cut_table(g: Graph, st: _States) -> array:
-    """Boundary degree of every state, in lanes of _lanes(m).
+def _table(code: str, size: int, fill: int) -> memoryview:
+    """`size` lanes of the array code `code`, each holding `fill`, as a
+    memoryview cast to that code.
+
+    A table of at least _MAPPED bytes is an anonymous mapping, returned to
+    the system as soon as its last view is gone; on the heap, a freed table
+    of that size can stay resident, and the tables of consecutive solves
+    pile up there.  The mapping starts zeroed and is filled by doubling, so
+    no temporary as large as the table is made.  A smaller table is an
+    array: making and filling a mapping of a few hundred to a few thousand
+    lanes took 20-35 us against about 1 us for the array, a large share of
+    a small table's whole fill."""
+    width = struct.calcsize(code)
+    if size * width < _MAPPED:
+        return memoryview(array(code, [fill]) * size)
+    raw = memoryview(mmap.mmap(-1, size * width))
+    if fill:
+        raw[:width] = fill.to_bytes(width, sys.byteorder)
+        done = width
+        while done < len(raw):
+            raw[done:2 * done] = raw[:min(done, len(raw) - done)]
+            done *= 2
+    return raw.cast(code)
+
+
+def _cut_table(g: Graph, st: _States) -> memoryview:
+    """Boundary degree of every state, a _table in lanes of _lanes(m).
 
     Filled by doubling, one digit at a time from the lowest: with h the
     digit's stride and v its first member, the states holding c of its
@@ -312,10 +355,10 @@ def _cut_table(g: Graph, st: _States) -> array:
     above them.  No lane under- or overflows, since every result is a cut,
     at most m.
     """
-    cut = array(_lanes(g.m), [0]) * st.size
+    cut = _table(_lanes(g.m), st.size, 0)
     width, order = cut.itemsize, sys.byteorder
     chunk = _low_span(st, _CHUNK)
-    view = memoryview(cut).cast("B")
+    view = cut.cast("B")
     for h, members in st.digits:
         v = members[0]
         a = g.adj[v - 1]
@@ -337,25 +380,33 @@ def _cut_table(g: Graph, st: _States) -> array:
 
 
 @functools.lru_cache(maxsize=None)
-def _leaf_kernel(radices: tuple):
+def _leaf_kernel(radices: tuple, carries: int):
     """The straight-line kernel of a leaf block whose digits have these
-    radices, lowest first.
+    radices, lowest first, taking `carries` earlier blocks' results.
 
-    kernel(m, c) takes the block's lanes of X (the minima folded in from
-    the digits above, or the sentinel) and of cut, and returns the block's
-    X: in state order, x_lo = c_lo + min(m_lo, x_j for each j in lows[lo]),
-    where lows[lo] are the states of the block one vertex below lo.  Each
-    layout is compiled once per process; its source holds only indices
+    kernel(m, c, done) takes the block's lanes of X (the minima folded in
+    from the digits above, or the sentinel) and of cut, and the results of
+    the blocks of its group run before it, and returns the block's X: in
+    state order, x_lo = c_lo + min(m_lo, y_lo for each carry y, x_j for each
+    j in lows[lo]), where lows[lo] are the states of the block one vertex
+    below lo.  A group's block q carries blocks q - 1 and q - 2 where q
+    holds those digits: with one carry q is 1 or 2 and its carry is
+    done[0]; the one block with two, q = 3, carries done[2] and done[1].
+    Each key is compiled once per process; its source holds only indices
     taken from the radices, and since every layout spans at most _LEAF
-    states, the cache holds few of them.
+    states and takes at most two carries, the cache holds few of them.
     """
     strides = [math.prod(radices[:i]) for i in range(len(radices))]
     span = math.prod(radices)
-    lines = ["def kernel(m, c):",
-             "    " + "".join(f"m{lo}, " for lo in range(span)) + "= m",
-             "    " + "".join(f"c{lo}, " for lo in range(span)) + "= c"]
+    # locals m0, m1, ... unpacked from m, c0, ... from c, and y0, ... and
+    # z0, ... from the carried blocks
+    carried = dict(zip("yz", [(), ("done[0]",), ("done[2]", "done[1]")][carries]))
+    lines = ["def kernel(m, c, done):"]
+    lines += ["    " + "".join(f"{name}{lo}, " for lo in range(span)) + f"= {value}"
+              for name, value in ({"m": "m", "c": "c"} | carried).items()]
     for lo in range(span):
         lines.append(f"    t = m{lo}")
+        lines += [f"    if {y}{lo} < t: t = {y}{lo}" for y in carried]
         lines += [f"    if x{lo - h} < t: t = x{lo - h}"
                   for h, r in zip(strides, radices) if lo // h % r]
         lines.append(f"    x{lo} = c{lo} + t")
@@ -365,29 +416,48 @@ def _leaf_kernel(radices: tuple):
     return namespace["kernel"]
 
 
-def _prefix_table(cut: array, st: _States) -> array:
+def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     """X[T] = cut[T] + min over v in T of X[T - v], with X[0] = 0: the least
     sum of the cuts of an order of T, T itself included.
 
-    States are filled in increasing order, in leaf blocks run by one
-    _leaf_kernel call each.  The leaf digits are the lowest ones whose
-    radices multiply to at most _LEAF.  If the lowest digit alone is
-    larger (K_n is one digit of radix n + 1), its range is cut into blocks
-    of span states, the first one short, run by the kernel of one digit of
-    radix span: a short block keeps the first lanes of its result.  Per
-    state, compiling a kernel costs about four times what running a block
-    (a call and a fold) does, so compile and blocks together, about
-    4 span + size / span block runs, are least near span = sqrt(size / 4),
-    capped at _LEAF.  No kernel spans more than _LEAF states.
+    States are filled in increasing order, in groups of leaf blocks.  The
+    leaf digits are the lowest ones whose radices multiply to at most
+    _LEAF, and each block over them is one _leaf_kernel call.  A group is
+    the leaf and the radix-2 digits right above it, at most two (strides 64
+    and 128 on a twin-free graph): its blocks q = 0, 1, 2, 3 run in order,
+    and block q takes as carries the results of blocks q - 1 and q - 2
+    where q holds those digits, so those digits are compared inside the
+    kernels and never folded.  A group reads its lanes of X and of cut with
+    one struct.unpack_from each, and each block writes its X with one
+    pack_into.  Grouping compiles two more kernels, about 11 ms in all in
+    a fresh process, and saves about 35 ns a state (measured on twin-free
+    tables of 2^12 to 2^17 states), so a one-shot solve earns the compiles
+    back from about _GROUPED states: a smaller table, or a layout with no
+    radix-2 digit right above the leaf, runs groups of one block through
+    the same loop.
 
-    Every digit a kernel does not span is folded in ahead: once the block
-    ending at e is final, e's lowest nonzero digit, of stride s, has its
-    range [e - s, e) final too, and its entries are min-ed into [e, e + s),
-    which is the same range with one more vertex of that digit.  Every
-    state receives one fold per such digit that it holds.
+    No kernel spans more than _LEAF states, whatever its group spans.  A
+    compile needs memory in proportion to the kernel's source, and much of
+    it stays resident for the process: a 256-state kernel over a whole
+    group ran faster, but its compile alone left about 4 MB, against 0.5
+    MB for the two 64-state kernels with carries.  If the lowest digit
+    alone is larger than _LEAF (K_n is one digit of radix n + 1), its range
+    is cut into groups of one block of span states, the first one short,
+    run by the kernel of one digit of radix span: a short block keeps the
+    first lanes of its result.  Per state, compiling a kernel costs about
+    four times what running a block (a call and a fold) does, so compile
+    and blocks together, about 4 span + size / span block runs, are least
+    near span = sqrt(size / 4), capped at _LEAF.
 
-    X is an array of k-bit lanes from _lanes (its values are at most m n),
-    and unfilled states hold the sentinel 2^(k-1) - 1.  A fold is one
+    Every digit above a group is folded in ahead: once the group ending at
+    e is final, e's lowest nonzero digit, of stride s, has its range
+    [e - s, e) final too, and its entries are min-ed into [e, e + s), which
+    is the same range with one more vertex of that digit.  Every state
+    receives one fold per such digit that it holds.
+
+    X is a _table of k-bit lanes from _lanes (its values are at most m n),
+    so like the cut table it is off the heap from _MAPPED bytes up, and
+    unfilled states hold the sentinel 2^(k-1) - 1.  A fold is one
     lane-parallel min per chunk, read as two ints a (the destination) and
     b (the source): with hi the top bit of every lane, (a | hi) - b keeps
     hi in exactly the lanes where a >= b, and no borrow crosses a lane
@@ -396,9 +466,9 @@ def _prefix_table(cut: array, st: _States) -> array:
     """
     size = len(cut)
     code = _lanes(sum(st.deg) // 2 * len(st.deg))
-    width = array(code).itemsize
+    width = struct.calcsize(code)
     k, full = 8 * width, (1 << 8 * width) - 1
-    x = array(code, [(1 << (k - 1)) - 1]) * size
+    x = _table(code, size, (1 << (k - 1)) - 1)
     x[0] = 0
 
     def lane_min(j, a, b, ones):
@@ -406,19 +476,42 @@ def _prefix_table(cut: array, st: _States) -> array:
         return a ^ ((a ^ b) & ((((a | hi) - b) & hi) >> (k - 1)) * full)
 
     period, chunk = _low_span(st, _LEAF), _low_span(st, _CHUNK)
-    span = period if period <= _LEAF else min(_LEAF, math.isqrt(size // 4))
     radix = [(h, len(members) + 1) for h, members in st.digits]
-    kernel = _leaf_kernel(tuple(r for h, r in radix if h * r <= span) or (span,))
-    upper = [(h, r) for h, r in radix if h * r > span]
-    # one period of the leaf digits in blocks of span states, the first one
-    # short if span does not divide it, each with the writer of its lanes
-    blocks = [(max(b - span, 0), b, struct.Struct(f"{min(b, span)}{code}").pack_into)
-              for b in reversed(range(period, 0, -span))]
-    view = memoryview(x).cast("B")
-    for base in range(0, size, period):
-        for a, b, write in blocks:
+    grouped = 0
+    if period <= _LEAF:
+        # the leaf digits, then up to two radix-2 digits in each group
+        span = period
+        leaf = tuple(r for h, r in radix if h * r <= span)
+        upper = [(h, r) for h, r in radix if h * r > span]
+        if size >= _GROUPED:
+            grouped = len(list(itertools.takewhile(lambda d: d[1] == 2, upper[:2])))
+            upper = upper[grouped:]
+        tile = span << grouped
+        groups = [(0, tile)]
+    else:
+        # one period of the lowest digit in groups of one block, the first
+        # one short if span does not divide it
+        span = min(_LEAF, math.isqrt(size // 4))
+        leaf, upper, tile = (span,), radix, period
+        groups = [(max(b - span, 0), b) for b in reversed(range(period, 0, -span))]
+    read_x = struct.Struct(f"{span << grouped}{code}").unpack_from
+    read_cut = struct.Struct(f"{span << grouped}{cut.format}").unpack_from
+    # block q of a group: its first lane and its kernel, which carries the
+    # blocks q - 1 and q - 2 where q holds those digits
+    plan = [(q * span, _leaf_kernel(leaf, q.bit_count())) for q in range(1 << grouped)]
+    # each group's blocks, each with the writer of its lanes inside the group
+    groups = [(a, b, [(o, kernel, struct.Struct(f"{min(span, b - a - o)}{code}").pack_into)
+                      for o, kernel in plan]) for a, b in groups]
+    view = x.cast("B")
+    for base in range(0, size, tile):
+        for a, b, blocks in groups:
             i, j = base + a, base + b
-            write(x, i * width, *kernel(x[i:i + span], cut[i:i + span])[:j - i])
+            m, c = read_x(x, i * width), read_cut(cut, i * cut.itemsize)
+            done = []
+            for o, kernel, write in blocks:
+                y = kernel(m[o:o + span], c[o:o + span], done)
+                write(x, (i + o) * width, *y[:j - i - o])
+                done.append(y)
             if j < size:
                 s = next(h for h, r in upper if j // h % r)
                 _lanewise(view, width, chunk, j, j - s, s, lane_min)

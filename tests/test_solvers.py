@@ -1,9 +1,15 @@
+import ast
 import itertools
 import math
+import mmap
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -176,15 +182,17 @@ def test_quotient_tables_match_per_mask_tables(quotient_tables):
 
 @pytest.mark.parametrize("code", ["I", "Q"])
 def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code):
-    # the lane folds and the lane-parallel cut fill are exact in every lane width
+    # the lane folds and the lane-parallel cut fill are exact in every lane
+    # width, with the twin-free tables from n = 12 up in groups of blocks
     monkeypatch.setattr(solvers, "_lanes", lambda bound: code)
+    monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
     for g, _, cuts, costs in random_tables:
         _assert_tables_match(g, (), cuts, costs)
     for g, classes, cuts, costs in quotient_tables:
         _assert_tables_match(g, classes, cuts, costs)
     g = quotient_tables[-1][0]
     st = _states(g, _twin_classes(g))
-    assert _prefix_table(_cut_table(g, st), st).typecode == code
+    assert _prefix_table(_cut_table(g, st), st).format == code
 
 
 def test_prefix_table_in_blocks_of_a_large_lowest_class():
@@ -204,53 +212,184 @@ def test_prefix_table_in_blocks_of_a_large_lowest_class():
         assert list(_prefix_table(cut, st)) == want
 
 
+def _twin_free(rng: random.Random, n: int) -> Graph:
+    """The first random_connected graph on n vertices without twins."""
+    while True:
+        g = random_connected(rng, n)
+        if not _twin_classes(g):
+            return g
+
+
+def test_grouped_tables_match_the_per_mask_recurrence(monkeypatch, kernel_calls):
+    # twin-free tables of _GROUPED states or more run groups of four 64-state
+    # blocks, which take no carry, one or two; the floor is lowered to 2^12
+    # here so that the per-mask recurrence can check them.  At n = 16 and
+    # 17 the top folds span four and eight 2^13 chunks
+    monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
+    rng = random.Random(30)
+    for n in (12, 14, 16, 17):
+        g = _twin_free(rng, n)
+        del kernel_calls[:]
+        costs = prefix_costs(g, "beta")
+        _assert_tables_match(g, (), [g.cut_mask(t) for t in range(1 << n)], costs)
+        assert {carries for _, carries in kernel_calls} == {0, 1, 2}
+        if n == 16:
+            anchored = g, costs
+    # every anchor of the 16-vertex graph: 2^15 states, the sets without the
+    # anchor w, whose index drops w's bit; the top fold spans two chunks
+    g, costs = anchored
+    for w in g.vertices:
+        st = _states(g, (), skip=w)
+        x = _prefix_table(_cut_table(g, st), st)
+        low = (1 << (w - 1)) - 1
+        sets = [t for t in range(1 << g.n) if not t >> (w - 1) & 1]
+        assert [x[t & low | t >> 1 & ~low] for t in sets] == [costs[t] for t in sets], w
+
+
+def _with_pairs(base: Graph, hosts) -> Graph:
+    """`base` with a pair of false twins hung on each vertex of `hosts`, the
+    pairs numbered after base's vertices in host order."""
+    n = base.n
+    return Graph(n + 2 * len(hosts), base.edges + tuple(
+        (v, n + 2 * i + j) for i, v in enumerate(hosts) for j in (1, 2)))
+
+
+def test_grouping_stops_at_a_twin_class(monkeypatch, kernel_calls):
+    # the twin classes take the digits above the vertices without a twin.
+    # C6 with four pairs has a class right above its 6-bit leaf and runs
+    # groups of one block; C7 with four pairs groups one radix-2 digit and
+    # C8 with three pairs two, with folds of the classes' strides (neither
+    # powers of two nor multiples of a group) above them.  The floor is
+    # lowered to 2^12 as above
+    monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
+    for base, hosts, carries in ((cycle_graph(6), (1, 2, 3, 4), {0}),
+                                 (cycle_graph(7), (1, 2, 3, 4), {0, 1}),
+                                 (cycle_graph(8), (1, 2, 3), {0, 1, 2})):
+        g = _with_pairs(base, hosts)
+        classes = _twin_classes(g)
+        assert [len(c) for c in classes] == [2] * len(hosts)
+        del kernel_calls[:]
+        st = _assert_tables_match(g, classes, [g.cut_mask(t) for t in range(1 << g.n)],
+                                  prefix_costs(g, "beta"))
+        assert st.size >= solvers._GROUPED
+        assert {c for _, c in kernel_calls} == carries, g
+
+
+_RESIDENT_AFTER_SOLVES = """
+import ast, os, sys
+from reasm.graph import Graph
+from reasm.solvers import exact_arrangement, exact_linear_reassembling
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+g = Graph(18, ast.literal_eval(sys.argv[1]))
+levels = []
+for solve, anchor in ((exact_arrangement, None), (exact_linear_reassembling, None),
+                      (exact_arrangement, 1)):
+    solve(g, "beta", anchor)
+    levels.append(rss())
+print(levels)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+def test_consecutive_beta_solves_leave_no_tables_resident():
+    # a twin-free 18-vertex graph: free and linear, 2^18-state tables of
+    # 256 KiB (cut) and 512 KiB (X); anchored, half that.  Each is mapped
+    # off the heap and unmapped when its solve returns, so current RSS
+    # after the first solve (kernels compiled) is where it stays.  A fresh
+    # process, since a heap that earlier work has grown can hide tables
+    # left resident on it
+    g = _twin_free(random.Random(18), 18)
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _RESIDENT_AFTER_SOLVES, repr(g.edges)],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    levels = ast.literal_eval(out.stdout)
+    assert all(abs(level - levels[0]) <= 2 ** 19 for level in levels), levels
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
-    """The radices of every leaf kernel that _prefix_table asks for, in call
-    order."""
+    """The keys (radices, carries) of every leaf kernel that _prefix_table
+    asks for, in call order."""
     calls = []
     monkeypatch.setattr(solvers, "_leaf_kernel",
-                        lambda radices: calls.append(radices) or _leaf_kernel(radices))
+                        lambda *key: calls.append(key) or _leaf_kernel(*key))
     return calls
 
 
-def test_leaf_kernels_match_the_leaf_loop(kernel_calls, random_tables, quotient_tables):
-    # every leaf layout of the table fixtures, on random lanes of X and cut
-    # in every lane width, with about one lane of X in four at the sentinel
+def test_leaf_kernels_match_the_leaf_loop(monkeypatch, kernel_calls, random_tables,
+                                          quotient_tables):
+    # every leaf layout of the table fixtures, with no carry, one or two
+    # (the grouping floor lowered to 2^12), on random lanes of X, cut and
+    # the carries in every lane width, with about one lane of X and of each
+    # carry in four at the sentinel
+    monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
     for g, classes, _, _ in random_tables + quotient_tables:
         st = _states(g, classes)
         _prefix_table(_cut_table(g, st), st)
-    layouts = set(kernel_calls)
+    layouts = {radices for radices, _ in kernel_calls}
     assert {(2,), (6, 6), (2,) * 6} <= layouts
+    assert {((2,) * 6, carries) for carries in (0, 1, 2)} <= set(kernel_calls)
     rng = random.Random(22)
     for radices in sorted(layouts):
-        kernel, span = _leaf_kernel(radices), math.prod(radices)
+        span = math.prod(radices)
         for code in "BHIQ":
             sentinel = (1 << 8 * array(code).itemsize - 1) - 1
-            for _ in range(20):
-                m = array(code, [sentinel if rng.random() < 0.25
-                                 else rng.randrange(min(4 * span, sentinel)) for _ in range(span)])
-                c = array(code, [rng.randrange(8) for _ in range(span)])
-                assert list(kernel(memoryview(m), memoryview(c))) == leaf_loop(radices, m, c)
+
+            def lanes():
+                return array(code, [sentinel if rng.random() < 0.25
+                                    else rng.randrange(min(4 * span, sentinel))
+                                    for _ in range(span)])
+            for carries in (0, 1, 2):
+                kernel = _leaf_kernel(radices, carries)
+                for _ in range(10):
+                    # the group's earlier blocks: block 0, then blocks 1 and 2
+                    done = [tuple(lanes()) for _ in range(2 * carries - 1)]
+                    ys = [done[0]] if carries == 1 else done[:0:-1]
+                    m, c = lanes(), array(code, [rng.randrange(8) for _ in range(span)])
+                    assert (list(kernel(tuple(m), tuple(c), done))
+                            == leaf_loop(radices, m, c, *ys))
 
 
 def test_kernels_stay_within_the_leaf_bound(kernel_calls):
     # K300 and K1000 are one digit of radix n + 1, run in blocks of
     # isqrt((n + 1) // 4) states; S200's leaf is its centre's digit and
-    # K_{5,5,5}'s its lower two classes.  Solved twice each, every layout
-    # compiles once.
+    # K_{5,5,5}'s its lower two classes.  These tables, and P17's 2^17
+    # states, are under _GROUPED states and run groups of one block.  P18's
+    # 2^18 states run groups of four 64-state blocks, which take no carry,
+    # one or two.  Solved twice each, every key compiles once.
     _leaf_kernel.cache_clear()
     for g in (complete_graph(300), complete_graph(1000), star_graph(200),
-              _complete_multipartite(5, 5, 5)):
+              _complete_multipartite(5, 5, 5), path_graph(17), path_graph(18)):
         for _ in range(2):
             value = exact_arrangement(g, "beta").value
             if g.n in (300, 1000):
                 assert value == (g.n ** 3 - g.n) // 6
-    assert sorted(set(kernel_calls)) == [(2,), (6, 6), (8,), (15,)]
-    assert all(math.prod(radices) <= solvers._LEAF for radices in kernel_calls)
+    assert sorted(set(kernel_calls)) == [((2,), 0), ((2,) * 6, 0), ((2,) * 6, 1),
+                                         ((2,) * 6, 2), ((6, 6), 0), ((8,), 0), ((15,), 0)]
+    assert all(math.prod(radices) <= solvers._LEAF for radices, _ in kernel_calls)
     info = _leaf_kernel.cache_info()
-    assert info.misses == info.currsize == 4
-    assert info.hits == len(kernel_calls) - 4 == 4
+    assert info.misses == info.currsize == 7
+    assert info.hits == len(kernel_calls) - 7 == 11
+
+
+def test_tables_below_and_from_the_mapping_floor():
+    # under _MAPPED bytes a table is an array, from there an anonymous
+    # mapping filled by doubling, the last copy cut short when the byte
+    # count is no power of two; either way a view in the lane code
+    for code in "BHIQ":
+        width = array(code).itemsize
+        fill = (1 << 8 * width - 1) - 1
+        for size in (1, solvers._MAPPED // width - 1, solvers._MAPPED // width,
+                     3 * solvers._MAPPED // width + 5):
+            t = solvers._table(code, size, fill)
+            assert (t.format, len(t)) == (code, size)
+            assert isinstance(t.obj, mmap.mmap) == (size * width >= solvers._MAPPED)
+            assert t.tolist() == [fill] * size
 
 
 def test_lanes_keep_the_top_bit_and_a_sentinel_free():
@@ -282,8 +421,10 @@ def test_cut_table_needs_little_beyond_itself():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the table itself is mapped, outside the traced heap: what is traced
+    # is the fill's temporaries
     assert cut.itemsize == 1
-    assert peak < 1.25 * len(cut), peak
+    assert peak < 0.25 * len(cut), peak
 
 
 def test_complete_graph_in_wide_lanes():
@@ -291,7 +432,7 @@ def test_complete_graph_in_wide_lanes():
     # m = 44850, so its cut and prefix tables take 32-bit lanes
     g = complete_graph(300)
     st = _states(g, _twin_classes(g))
-    assert _cut_table(g, st).typecode == "I"
+    assert _cut_table(g, st).format == "I"
     res = exact_arrangement(g, "beta")
     assert res.value == (300 ** 3 - 300) // 6 == 4499950
     assert res.stats["states"] == 301
