@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="beta only: which problem is reduced to which")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers, one auxiliary graph each "
-                        "(at most one per vertex and one per CPU)")
+                        "(at most one per vertex and one per usable CPU)")
     p.set_defaults(fn=cmd_reduce)
 
     p = _sub(sub, "verify", help="run invariant suites")

@@ -416,7 +416,9 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     per anchor; the winner is the (beta, anchor) lexicographic minimum.
 
     `jobs` caps the worker processes, which are also at most one per anchor
-    and one per CPU: the pool starts all of its workers at once."""
+    and one per CPU the process may use (its affinity mask, which taskset
+    and cpusets narrow, where the platform has one): the pool starts all of
+    its workers at once."""
     if direction not in (R2A, A2R):
         raise ValidationError(f"direction must be {R2A!r} or {A2R!r}")
     if jobs < 1:
@@ -424,7 +426,8 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     if not g.is_connected():
         raise ValidationError("beta reduction needs a connected graph")
     _check_auxiliary_states(g)
-    workers = min(jobs, g.n, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, g.n, cpus or 1)
     args = (_solve_anchor, itertools.repeat(g), g.vertices, itertools.repeat(direction))
     # both maps keep the order of g.vertices, so rows are in anchor order
     if workers > 1:

@@ -43,14 +43,15 @@ compiles it on first use, and an lru_cache keeps the code (never a table)
 for the rest of the process.  In a table of _GROUPED states or more, a
 group is the leaf and up to two radix-2 digits right above it; a block
 holding such a digit takes the result of the block one vertex below it as
-a carry and compares it lane by lane, so only the digits above a group are
-folded in ahead, by lane-parallel mins.
-A kernel spans at most _LEAF states, whatever its group spans, which
-bounds its source, its compile time and the memory its compile leaves
-behind; a lowest digit larger than that (K_n is one digit of radix n + 1)
-is cut into blocks of about sqrt(size / 4) states, folded into each other
-like the digits above.  Both tables are anonymous mappings from _MAPPED
-bytes up, returned to the system when the solve drops them.
+a carry and compares it lane by lane.  A group pulls the digits above
+it: its kernels start from the lane-parallel min of the final rows one
+vertex below it in each such digit it holds.  A kernel spans at most
+_LEAF states, whatever its group spans, which bounds its source, its
+compile time and the memory its compile leaves behind; a lowest digit
+larger than that (K_n is one digit of radix n + 1) is cut into blocks of
+about sqrt(size / 4) states, pulled like the digits above.  Both tables
+are anonymous mappings from _MAPPED bytes up, returned to the system when
+the solve drops them.
 
 Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
 Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
@@ -151,7 +152,7 @@ from .tree import ReassemblyTree
 DEFAULT_DP_LIMIT = 24
 
 # caps on the states spanned by the lowest digits: the prefix table's leaf
-# block, and the chunk of the lane-parallel fills and folds, which bounds
+# block, and the chunk of the cut table's lane-parallel fills, which bounds
 # their temporary ints
 _LEAF = 1 << 6
 _CHUNK = 1 << 13
@@ -384,7 +385,7 @@ def _leaf_kernel(radices: tuple, carries: int):
     """The straight-line kernel of a leaf block whose digits have these
     radices, lowest first, taking `carries` earlier blocks' results.
 
-    kernel(m, c, done) takes the block's lanes of X (the minima folded in
+    kernel(m, c, done) takes the block's lanes of X (the minima pulled
     from the digits above, or the sentinel) and of cut, and the results of
     the blocks of its group run before it, and returns the block's X: in
     state order, x_lo = c_lo + min(m_lo, y_lo for each carry y, x_j for each
@@ -427,14 +428,13 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     and 128 on a twin-free graph): its blocks q = 0, 1, 2, 3 run in order,
     and block q takes as carries the results of blocks q - 1 and q - 2
     where q holds those digits, so those digits are compared inside the
-    kernels and never folded.  A group reads its lanes of X and of cut with
-    one struct.unpack_from each, and each block writes its X with one
-    pack_into.  Grouping compiles two more kernels, about 11 ms in all in
-    a fresh process, and saves about 35 ns a state (measured on twin-free
-    tables of 2^12 to 2^17 states), so a one-shot solve earns the compiles
-    back from about _GROUPED states: a smaller table, or a layout with no
-    radix-2 digit right above the leaf, runs groups of one block through
-    the same loop.
+    kernels, never pulled.  A group reads its lanes of cut with one
+    struct.unpack_from, and each block writes its X with one pack_into.
+    Grouping compiles two more kernels, about 6 ms in a fresh process, and
+    saves about 30 ns a state (15-50 ns on twin-free tables of 2^12 to
+    2^18 states), so a one-shot solve earns them back from about _GROUPED
+    states: a smaller table, or a layout with no radix-2 digit right above
+    the leaf, runs groups of one block through the same loop.
 
     No kernel spans more than _LEAF states, whatever its group spans.  A
     compile needs memory in proportion to the kernel's source, and much of
@@ -445,37 +445,31 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     is cut into groups of one block of span states, the first one short,
     run by the kernel of one digit of radix span: a short block keeps the
     first lanes of its result.  Per state, compiling a kernel costs about
-    four times what running a block (a call and a fold) does, so compile
+    four times what running a block (a call and a pull) does, so compile
     and blocks together, about 4 span + size / span block runs, are least
     near span = sqrt(size / 4), capped at _LEAF.
 
-    Every digit above a group is folded in ahead: once the group ending at
-    e is final, e's lowest nonzero digit, of stride s, has its range
-    [e - s, e) final too, and its entries are min-ed into [e, e + s), which
-    is the same range with one more vertex of that digit.  Every state
-    receives one fold per such digit that it holds.
+    Every digit above a group is pulled: for each such digit, of stride h,
+    that its first state i holds, the L lanes of X from i - h (L being the
+    lanes a group reads) hold its states less one vertex of that digit, all
+    final, and their lane-wise min is the kernels' m (the first group reads
+    its own lanes).  A lowest digit cut into blocks pulls alike: the L lanes
+    from i - 1 hold the final X one state below the block, then sentinels.
 
     X is a _table of k-bit lanes from _lanes (its values are at most m n),
-    so like the cut table it is off the heap from _MAPPED bytes up, and
-    unfilled states hold the sentinel 2^(k-1) - 1.  A fold is one
-    lane-parallel min per chunk, read as two ints a (the destination) and
-    b (the source): with hi the top bit of every lane, (a | hi) - b keeps
-    hi in exactly the lanes where a >= b, and no borrow crosses a lane
-    since a, b < 2^(k-1); spread to full lanes, that mask picks b there
-    and a elsewhere.
+    off the heap from _MAPPED bytes up like cut, and unfilled states hold
+    the sentinel 2^(k-1) - 1.  The min of rows a and b: with hi the top
+    bit of every lane, t = ((a | hi) - b) & hi has hi in exactly the lanes
+    where a >= b (no borrow crosses a lane, as a, b < 2^(k-1)), and
+    t - (t >> (k - 1)) fills the bits below it, picking b there.
     """
     size = len(cut)
     code = _lanes(sum(st.deg) // 2 * len(st.deg))
-    width = struct.calcsize(code)
-    k, full = 8 * width, (1 << 8 * width) - 1
+    width, order = struct.calcsize(code), sys.byteorder
+    k = 8 * width
     x = _table(code, size, (1 << (k - 1)) - 1)
     x[0] = 0
-
-    def lane_min(j, a, b, ones):
-        hi = ones << (k - 1)
-        return a ^ ((a ^ b) & ((((a | hi) - b) & hi) >> (k - 1)) * full)
-
-    period, chunk = _low_span(st, _LEAF), _low_span(st, _CHUNK)
+    period = _low_span(st, _LEAF)
     radix = [(h, len(members) + 1) for h, members in st.digits]
     grouped = 0
     if period <= _LEAF:
@@ -494,28 +488,34 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
         span = min(_LEAF, math.isqrt(size // 4))
         leaf, upper, tile = (span,), radix, period
         groups = [(max(b - span, 0), b) for b in reversed(range(period, 0, -span))]
-    read_x = struct.Struct(f"{span << grouped}{code}").unpack_from
-    read_cut = struct.Struct(f"{span << grouped}{cut.format}").unpack_from
+    # a group reads (and pulls) span << grouped lanes from its first state
+    lanes = span << grouped
+    hi = _ones(width, lanes) << (k - 1)
+    read_m = struct.Struct(f"{lanes}{code}").unpack
+    read_cut = struct.Struct(f"{lanes}{cut.format}").unpack_from
     # block q of a group: its first lane and its kernel, which carries the
     # blocks q - 1 and q - 2 where q holds those digits
     plan = [(q * span, _leaf_kernel(leaf, q.bit_count())) for q in range(1 << grouped)]
     # each group's blocks, each with the writer of its lanes inside the group
     groups = [(a, b, [(o, kernel, struct.Struct(f"{min(span, b - a - o)}{code}").pack_into)
                       for o, kernel in plan]) for a, b in groups]
-    view = x.cast("B")
     for base in range(0, size, tile):
         for a, b, blocks in groups:
             i, j = base + a, base + b
-            m, c = read_x(x, i * width), read_cut(cut, i * cut.itemsize)
+            # X one vertex below the group in each digit above it that i holds
+            rows = ([int.from_bytes(x[i - h:i - h + lanes], order) for h, r in upper if i // h % r]
+                    or [int.from_bytes(x[i:i + lanes], order)])
+            m = rows.pop()
+            for y in rows:
+                t = ((m | hi) - y) & hi
+                m ^= (m ^ y) & (t - (t >> (k - 1)))
+            m = read_m(m.to_bytes(lanes * width, order))
+            c = read_cut(cut, i * cut.itemsize)
             done = []
             for o, kernel, write in blocks:
                 y = kernel(m[o:o + span], c[o:o + span], done)
                 write(x, (i + o) * width, *y[:j - i - o])
                 done.append(y)
-            if j < size:
-                s = next(h for h, r in upper if j // h % r)
-                _lanewise(view, width, chunk, j, j - s, s, lane_min)
-    view.release()
     return x
 
 

@@ -102,11 +102,11 @@ def prefix_costs(g: Graph, objective: str) -> list:
 def leaf_loop(radices: tuple, m, c, *carries) -> list:
     """A leaf block of the prefix table filled one state at a time, the
     reference for its generated kernels.  m and c are the block's lanes of
-    X (the minima folded in from above, or the sentinel) and of cut, over
-    leaf digits of these radices, lowest first, and each carry is the X of
-    a block one vertex below this one; state lo takes c[lo] plus the least
-    of m[lo], each carry's lane lo and X one vertex below lo inside the
-    block."""
+    X (the minima pulled from the rows below, or the sentinel) and of cut,
+    over leaf digits of these radices, lowest first, and each carry is the
+    X of a block one vertex below this one; state lo takes c[lo] plus the
+    least of m[lo], each carry's lane lo and X one vertex below lo inside
+    the block."""
     strides = [math.prod(radices[:i]) for i in range(len(radices))]
     lows = [tuple(lo - h for h, r in zip(strides, radices) if lo // h % r)
             for lo in range(len(m))]

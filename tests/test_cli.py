@@ -322,6 +322,51 @@ def test_dp_tables_are_compact(workdir):
     assert peaks[1] - peaks[0] < 8 << 10, peaks
 
 
+# solves the graph file argv[1] free, anchored at 1 and as a linear tree, and
+# prints the three beta values and the process's peak RSS in KB
+RING_TREE_SOLVES = """import sys
+from reasm.graph import parse_graph
+from reasm.solvers import exact_arrangement, exact_linear_reassembling
+g = parse_graph(open(sys.argv[1]).read())
+print(exact_arrangement(g, "beta").value, exact_arrangement(g, "beta", 1).value,
+      exact_linear_reassembling(g, "beta").value,
+      next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_beta_solves_of_a_twin_free_20_vertex_ring_tree(run_cli, workdir):
+    # the chain of four 5-rings (n = 20, m = 23) has no twins, so each free
+    # solve fills a 2^20-state prefix table through the grouped leaf kernels
+    # and the pulls above them, and each anchored one a 2^19-state table
+    # without the anchor; the free witness's cuts sum to its value.  One
+    # child process runs the free, anchored and linear solves back to back,
+    # at a peak of about 20 MB; 2^20-entry lists for the two tables alone
+    # take about 40 MB, so tables that fell back to lists would go over the
+    # cap of 40 MB.  The peak is the child's VmHWM, which starts afresh at
+    # exec (its ru_maxrss would count the forking test process).  Tables left
+    # resident from solve to solve are checked in test_solvers.py, at 0.5 MB
+    code, _, _ = run_cli("gen", "--family", "ring_tree", "--ring-sizes", "5,5,5,5",
+                         "--out", workdir / "rt20.g")
+    assert code == 0
+    proc = subprocess.run([sys.executable, "-c", RING_TREE_SOLVES, "rt20.g"],
+                          capture_output=True, text=True, check=True, env=_module_env())
+    *got, peak_kb = map(int, proc.stdout.split())
+    assert got == [35, 35, 79] and peak_kb <= 40 << 10, proc.stdout
+    for name, value, anchor, states, argv in (
+            ("free", 35, None, 1 << 20, ()),
+            ("anchored", 35, 1, 1 << 19, ("--anchor", "1")),
+            ("linear", 79, 1, 1 << 20, ("--mode", "linear")),
+            ("linear-anchored", 79, 1, 1 << 19, ("--mode", "linear", "--anchor", "1"))):
+        code, out, _ = run_cli("solve", "rt20.g", "--objective", "beta",
+                               "--witness-out", f"rt20-{name}.w", *argv)
+        r = json.loads(out)
+        assert (code, r["value"], r["anchor"], r["stats"]["states"]) == (
+            0, value, anchor, states), name
+    code, out, _ = run_cli("eval", "--graph", "rt20.g", "--arrangement", "rt20-free.w")
+    assert code == 0 and json.loads(out)["beta"] == 35
+
+
 def test_long_trace_keeps_only_its_merges(workdir):
     # a trace stores its n - 1 merges, not the n partitions of its chain
     # (about n^2 / 2 block masks, 50 million for this path), so the block
@@ -378,6 +423,8 @@ def test_reduce_beta_cli(run_cli, workdir):
 
 
 def test_reduce_jobs_are_bounded(run_cli, workdir, pool_sizes, monkeypatch):
+    monkeypatch.setattr("reasm.reduction.os.sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 64)
     g = write(workdir / "p3.g", format_graph(path_graph(3)))
     for jobs in ("0", "-1"):
@@ -387,6 +434,24 @@ def test_reduce_jobs_are_bounded(run_cli, workdir, pool_sizes, monkeypatch):
     code, out, _ = run_cli("reduce", g, "--problem", "beta", "--jobs", "100000")
     assert code == 0 and json.loads(out)["best"]["beta"] == 5
     assert pool_sizes == [3]  # one worker per anchor
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_reduce_on_one_usable_cpu_starts_no_pool(run_cli, workdir, pool_sizes, monkeypatch,
+                                                 affinity):
+    # taskset or a cpuset leaves the process one CPU of the machine's 64; a
+    # platform without affinity masks falls back to the CPU count
+    if affinity:
+        monkeypatch.setattr("reasm.reduction.os.sched_getaffinity", lambda pid: {5},
+                            raising=False)
+        monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr("reasm.reduction.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 1)
+    g = write(workdir / "p3.g", format_graph(path_graph(3)))
+    code, out, _ = run_cli("reduce", g, "--problem", "beta", "--jobs", "8")
+    assert code == 0 and json.loads(out)["best"]["beta"] == 5
+    assert pool_sizes == []
 
 
 def test_reduce_alpha_cli(run_cli):

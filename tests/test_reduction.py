@@ -240,6 +240,13 @@ def test_reduce_beta_parallel_matches_serial():
     (1, 64, []),
 ])
 def test_reduce_beta_bounds_workers(monkeypatch, pool_sizes, jobs, cpus, sizes):
+    # the usable CPUs are the affinity mask's; a platform without one falls
+    # back to the CPU count, which may be unknown
+    if cpus is None:
+        monkeypatch.delattr("reasm.reduction.os.sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr("reasm.reduction.os.sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: cpus)
     g = cycle_graph(4)
     assert reduce_beta(g, R2A, jobs=jobs).to_json() == reduce_beta(g, R2A).to_json()

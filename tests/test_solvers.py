@@ -51,8 +51,9 @@ def _per_mask_tables(g: Graph) -> tuple:
 
 @pytest.fixture(scope="module")
 def random_tables() -> list:
-    # n runs below, at and above the 64-mask leaf block, where folding
-    # starts, and up to n = 15, whose top fold spans two 2^13 chunks
+    # n runs below, at and above the 64-mask leaf block, where pulling
+    # starts, and up to n = 15, whose top digit's cut fill spans two 2^13
+    # chunks
     rng = random.Random(14)
     return [_per_mask_tables(random_connected(rng, n)) for n in range(1, 16)]
 
@@ -155,16 +156,16 @@ def _quotient_graphs():
         for w in anchors:
             yield build_auxiliary(base, w).combined
     # a pair of true twins above 14 singleton bits: the pair's digit has
-    # stride 2^14, so its folds and cut fill span two 2^13 chunks
+    # stride 2^14, so its cut fill spans two 2^13 chunks
     g = random_connected(random.Random(0), 14)
     yield Graph(16, g.edges + ((1, 15), (1, 16), (15, 16)))
     # a path on 10 singleton bits with a pair of false twins hung on each of
     # 1, 2 and 3: the pair digits have strides 1024, 3072 and 9216, and a
-    # fold of stride 9216 ends inside a 2^13 chunk
+    # block holding both members of a pair pulls the row holding one
     p = path_graph(10)
     yield Graph(16, p.edges + tuple((v, 9 + 2 * v + j) for v in (1, 2, 3) for j in (0, 1)))
     # K_{5,5,5}: three class digits of radix 6, 216 states; the leaf spans
-    # the lower two, so folds have stride 36, neither a power of two nor a
+    # the lower two, so pulls have stride 36, neither a power of two nor a
     # multiple of the chunk
     yield _complete_multipartite(5, 5, 5)
 
@@ -182,7 +183,7 @@ def test_quotient_tables_match_per_mask_tables(quotient_tables):
 
 @pytest.mark.parametrize("code", ["I", "Q"])
 def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code):
-    # the lane folds and the lane-parallel cut fill are exact in every lane
+    # the lane-parallel pulls and cut fill are exact in every lane
     # width, with the twin-free tables from n = 12 up in groups of blocks
     monkeypatch.setattr(solvers, "_lanes", lambda bound: code)
     monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
@@ -199,7 +200,8 @@ def test_prefix_table_in_blocks_of_a_large_lowest_class():
     # a lowest class above _LEAF runs in blocks of isqrt(size // 4)
     # states, the first one short: K300 has one period of 301 = 5 + 37 * 8
     # states, K_{130,2} three of 131 = 5 + 14 * 9 and K_{130,2,2} nine of
-    # 131 = 12 + 7 * 17, with folds of the classes above between them
+    # 131 = 12 + 7 * 17, each block pulling from the one below it and from
+    # the classes above
     for g in (complete_graph(300), _complete_multipartite(130, 2),
               _complete_multipartite(130, 2, 2)):
         st = _states(g, _twin_classes(g))
@@ -224,7 +226,7 @@ def test_grouped_tables_match_the_per_mask_recurrence(monkeypatch, kernel_calls)
     # twin-free tables of _GROUPED states or more run groups of four 64-state
     # blocks, which take no carry, one or two; the floor is lowered to 2^12
     # here so that the per-mask recurrence can check them.  At n = 16 and
-    # 17 the top folds span four and eight 2^13 chunks
+    # 17 the top digits' cut fills span four and eight 2^13 chunks
     monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
     rng = random.Random(30)
     for n in (12, 14, 16, 17):
@@ -236,7 +238,7 @@ def test_grouped_tables_match_the_per_mask_recurrence(monkeypatch, kernel_calls)
         if n == 16:
             anchored = g, costs
     # every anchor of the 16-vertex graph: 2^15 states, the sets without the
-    # anchor w, whose index drops w's bit; the top fold spans two chunks
+    # anchor w, whose index drops w's bit; the top cut fill spans two chunks
     g, costs = anchored
     for w in g.vertices:
         st = _states(g, (), skip=w)
@@ -258,7 +260,7 @@ def test_grouping_stops_at_a_twin_class(monkeypatch, kernel_calls):
     # the twin classes take the digits above the vertices without a twin.
     # C6 with four pairs has a class right above its 6-bit leaf and runs
     # groups of one block; C7 with four pairs groups one radix-2 digit and
-    # C8 with three pairs two, with folds of the classes' strides (neither
+    # C8 with three pairs two, with pulls of the classes' strides (neither
     # powers of two nor multiples of a group) above them.  The floor is
     # lowered to 2^12 as above
     monkeypatch.setattr(solvers, "_GROUPED", 1 << 12)
