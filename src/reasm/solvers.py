@@ -502,13 +502,13 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     for base in range(0, size, tile):
         for a, b, blocks in groups:
             i, j = base + a, base + b
-            # X one vertex below the group in each digit above it that i holds
+            # X one vertex below in each digit above the group that i holds, or i's own
             rows = ([int.from_bytes(x[i - h:i - h + lanes], order) for h, r in upper if i // h % r]
                     or [int.from_bytes(x[i:i + lanes], order)])
             m = rows.pop()
-            for y in rows:
-                t = ((m | hi) - y) & hi
-                m ^= (m ^ y) & (t - (t >> (k - 1)))
+            for row in rows:
+                t = ((m | hi) - row) & hi
+                m ^= (m ^ row) & (t - (t >> (k - 1)))
             m = read_m(m.to_bytes(lanes * width, order))
             c = read_cut(cut, i * cut.itemsize)
             done = []
