@@ -9,11 +9,12 @@ recursive tree plus random extra edges, drawn again while any vertex has a
 twin, so the beta tables have 2^n states free and 2^(n - 1) anchored.  It
 solves each graph twice, free and anchored at a vertex of least degree
 (the smallest such id), in --runs fresh child processes each, one at a
-time.  A child imports reasm from --src (default: this checkout's src),
-times `solvers.exact_arrangement(g, "beta", anchor)` and, inside it, the
-calls of `_cut_table` and `_prefix_table`, so the wall time of a run
-includes the compiles of the leaf kernels, as a one-shot solve pays them.
-The child's peak RSS is its ru_maxrss, read by the parent from os.wait4;
+time, in rounds that run every solve once.  A child imports reasm from
+--src (default: this checkout's src), times
+`solvers.exact_arrangement(g, "beta", anchor)` and, inside it, the calls
+of `_cut_table` and `_prefix_table`, so the wall time of a run includes
+the compiles of the leaf kernels, as a one-shot solve pays them.  The
+child's peak RSS is its ru_maxrss, read by the parent from os.wait4;
 Linux counts in it the spawning process's peak as of the exec, which this
 script keeps below an idle reasm import.
 
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     src = args.src.resolve()
     sha, dirty = checkout(src)
     rng = random.Random(SEED)
-    rows = []
+    solves = []  # (n, edges, mode, anchor or 0)
     for n in args.sizes:
         edges = instance(rng, n)
         deg = [0] * (n + 1)
@@ -149,21 +150,26 @@ def main(argv=None) -> int:
             deg[u] += 1
             deg[v] += 1
         least = min(range(1, n + 1), key=lambda v: (deg[v], v))
-        for mode, anchor in (("free", 0), ("anchored", least)):
-            runs = [run_child(str(src), n, edges, anchor) for _ in range(args.runs)]
-            if len({(r["value"], r["states"]) for r in runs}) != 1:
-                sys.exit(f"n = {n} {mode}: runs disagree: {runs}")
-            med = {key: round(statistics.median(r[key] for r in runs), 1)
-                   for key in ("wall_ms", "cut_ms", "prefix_ms", "peak_rss_mb")}
-            row = {"n": n, "m": len(edges), "mode": mode, "anchor": anchor or None,
-                   "value": runs[0]["value"], "states": runs[0]["states"],
-                   "wall_ms": med["wall_ms"],
-                   "wall_ms_runs": [round(r["wall_ms"], 1) for r in runs],
-                   "cut_ms": med["cut_ms"], "prefix_ms": med["prefix_ms"],
-                   "peak_rss_mb": med["peak_rss_mb"],
-                   "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in runs]}
-            rows.append(row)
-            print(json.dumps(row), file=sys.stderr, flush=True)
+        solves += [(n, edges, "free", 0), (n, edges, "anchored", least)]
+    # round by round, every solve once a round: a spell of load on a shared
+    # machine then falls on one run of each solve, which the median drops
+    runs = [[] for _ in solves]
+    for _ in range(args.runs):
+        for got, (n, edges, _, anchor) in zip(runs, solves):
+            got.append(run_child(str(src), n, edges, anchor))
+    rows = []
+    for got, (n, edges, mode, anchor) in zip(runs, solves):
+        if len({(r["value"], r["states"]) for r in got}) != 1:
+            sys.exit(f"n = {n} {mode}: runs disagree: {got}")
+        med = {key: round(statistics.median(r[key] for r in got), 1)
+               for key in ("wall_ms", "cut_ms", "prefix_ms", "peak_rss_mb")}
+        rows.append({"n": n, "m": len(edges), "mode": mode, "anchor": anchor or None,
+                     "value": got[0]["value"], "states": got[0]["states"],
+                     "wall_ms": med["wall_ms"],
+                     "wall_ms_runs": [round(r["wall_ms"], 1) for r in got],
+                     "cut_ms": med["cut_ms"], "prefix_ms": med["prefix_ms"],
+                     "peak_rss_mb": med["peak_rss_mb"],
+                     "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in got]})
     report = {"git": sha, "dirty": dirty, "python": platform.python_version(),
               "nproc": os.cpu_count(), "seed": SEED, "runs": args.runs, "instances": rows}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
