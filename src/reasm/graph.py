@@ -270,11 +270,13 @@ def generate(family: str, size: Optional[int] = None, *,
 
     complete/star/path/cycle take `size` (for star: the number of leaves);
     qcube3 takes no parameters; ring_tree takes `ring_sizes` and `path_len`
-    (None means 1), which no other family accepts.
+    (None means 1), which no other family accepts, and no size.
     """
     if family != "ring_tree" and (ring_sizes is not None or path_len is not None):
         raise ValidationError(f"ring sizes and path length are for ring_tree only, "
                               f"not {family!r}")
+    if family in ("qcube3", "ring_tree") and size is not None:
+        raise ValidationError(f"{family} takes no size")
     if family == "qcube3":
         return qcube3_graph()
     if family == "ring_tree":

@@ -37,9 +37,6 @@ class Arrangement:
         if not self.order:
             raise ValidationError("empty arrangement")
 
-    def reversed(self) -> "Arrangement":
-        return Arrangement(tuple(reversed(self.order)))
-
 
 @dataclass(frozen=True)
 class ArrangementReport:

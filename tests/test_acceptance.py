@@ -182,14 +182,14 @@ def test_criterion_08_beta_reduction_end_to_end():
 
 def test_criterion_09_alpha_reduction_end_to_end():
     cases = [
-        (qcube3_graph(), "noncut_deg3"),
-        (complete_graph(4), "noncut_deg3"),
-        (ring_tree_graph((3, 4)), "all_deg3_cut"),
-        (ring_tree_graph((3, 3), path_len=3), "all_deg3_cut"),
+        (qcube3_graph(), "noncut_deg3", 5),
+        (complete_graph(4), "noncut_deg3", 4),
+        (ring_tree_graph((3, 4)), "all_deg3_cut", 2),
+        (ring_tree_graph((3, 3), path_len=3), "all_deg3_cut", 2),
     ]
-    for g, branch in cases:
+    for g, branch, value in cases:
         rep = reduce_alpha(g)
-        assert rep.branch == branch
+        assert (rep.branch, rep.value) == (branch, value)
         assert rep.value == exact_arrangement(g, "alpha").value
         assert evaluate_arrangement(g, rep.witness).alpha == rep.value
         if g.n <= 10:

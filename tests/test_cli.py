@@ -195,6 +195,33 @@ def test_solve_rejects(run_cli, workdir, extra):
     assert code == 2 and err.startswith("error:")
 
 
+# S7's centre 1 has no second vertex of degree >= 7, so it is no anchor for
+# either engine: (graph, flags, (value, anchor) or the exit code)
+BETA_SOLVES = [
+    ("s7", (), (16, None)),
+    ("s7", ("--anchor", "2"), (16, 2)),
+    ("s7", ("--mode", "linear"), (29, 2)),
+    ("q3", ("--mode", "linear"), (49, 1)),
+    ("k8", ("--mode", "linear"), (133, 1)),
+    ("s7", ("--engine", "brute"), (16, None)),
+    ("s7", ("--anchor", "1"), 2),
+    ("s7", ("--anchor", "1", "--engine", "brute"), 2),
+]
+
+
+@pytest.mark.parametrize("name, flags, want", BETA_SOLVES,
+                         ids=["-".join([name] + [f.lstrip("-") for f in flags])
+                              for name, flags, _ in BETA_SOLVES])
+def test_beta_solves_in_every_arrangement_mode(run_cli, workdir, name, flags, want):
+    code, out, err = run_cli("solve", FIXTURES / f"{name}.g", "--objective", "beta",
+                             "--witness-out", "beta.w", *flags)
+    if want == 2:
+        assert (code, out) == (2, "") and "infeasible" in err, err
+    else:
+        r = json.loads(out)
+        assert (code, r["value"], r["anchor"]) == (0, *want)
+
+
 def test_solve_hits_resource_limit(run_cli, workdir, monkeypatch):
     monkeypatch.setenv("REASM_DP_LIMIT", "4")
     g = write(workdir / "p5.g", format_graph(path_graph(5)))
@@ -508,6 +535,10 @@ def test_gen_cli(run_cli, workdir):
     assert (code, out) == (2, "") and err.startswith("error: ring sizes and path length "
                                                      "are for ring_tree only")
     assert err.count("\n") == 1
+    # and --size for qcube3 and ring_tree, which take none
+    for argv in (("--family", "qcube3"), ("--family", "ring_tree", "--ring-sizes", "3,4")):
+        code, out, err = run_cli("gen", *argv, "--size", "3")
+        assert (code, out, err) == (2, "", f"error: {argv[1]} takes no size\n")
 
 
 def test_convert_cli(run_cli, workdir):
@@ -562,13 +593,15 @@ def test_module_entry_point(workdir):
     assert json.loads(proc.stdout)["m"] == 4
 
 
-def test_closed_stdout_exits_cleanly():
-    # a reader that stops early, as `| head -c 100` does, ends the run with
-    # exit 0 and nothing on stderr
+@pytest.mark.parametrize("first", [0, 1], ids=["at-once", "after-one-byte"])
+def test_closed_stdout_exits_cleanly(first):
+    # a reader that stops early, at once or after one byte as `| head -c 1`
+    # does, ends the run with exit 0 and nothing on stderr
     with subprocess.Popen([sys.executable, "-m", "reasm", "reduce", FIXTURES / "q3.g",
                            "--problem", "beta"], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, env=_module_env()) as proc:
-        proc.stdout.close()  # before the report is written
+        proc.stdout.read(first)  # 0 returns at once, before the report is written
+        proc.stdout.close()
         err = proc.stderr.read().decode()
     # leaving the block closed stderr and waited for the process
     assert (proc.returncode, err) == (0, "")
@@ -611,7 +644,7 @@ def test_public_names():
         reduction.VCSequence: ("reversed",),
         layout: ("is_anchored_arrangement", "is_anchored_reassembling",
                  "restrict_arrangement", "restrict_tree", "edge_length"),
-        layout.Arrangement: ("position",),
+        layout.Arrangement: ("position", "reversed"),
         tree.ReassemblyTree: ("sibling", "parent", "children", "path_to_root",
                               "height", "height_of", "subtree", "_lookup",
                               "_parent", "_heights", "_trusted", "_from_masks",

@@ -194,7 +194,7 @@ def test_generate_dispatcher():
     with pytest.raises(ValidationError):
         generate("grid", 4)
     with pytest.raises(ValidationError):
-        generate("ring_tree", 5)  # ring sizes missing
+        generate("ring_tree")  # ring sizes missing
     with pytest.raises(ValidationError, match="ring_tree only"):
         generate("path", 3, ring_sizes=(3, 4))
     with pytest.raises(ValidationError, match="ring_tree only"):

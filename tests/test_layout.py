@@ -15,7 +15,6 @@ from conftest import connected_atlas
 def test_arrangement_basics():
     arr = Arrangement((3, 1, 2))
     assert len(arr.order) == 3
-    assert arr.reversed() == Arrangement((2, 1, 3))
     with pytest.raises(ValidationError):
         Arrangement((1, 1, 2))
     with pytest.raises(ValidationError):
@@ -79,7 +78,7 @@ def test_tree_beta_under_reversal():
     g = star_graph(3)
     arr = Arrangement((2, 1, 3, 4))
     fwd = measures(g, induce_reassembling(g, arr)).beta
-    rev = measures(g, induce_reassembling(g, arr.reversed())).beta
+    rev = measures(g, induce_reassembling(g, Arrangement(arr.order[::-1]))).beta
     # the anchor moves from the first to the last vertex
     assert rev - fwd == g.degree(2) - g.degree(4)
     # an arrangement and its reversal have the same beta
@@ -87,4 +86,4 @@ def test_tree_beta_under_reversal():
     for g in connected_atlas(5):
         arr = Arrangement(tuple(rng.sample(g.vertices, g.n)))
         assert (evaluate_arrangement(g, arr).beta
-                == evaluate_arrangement(g, arr.reversed()).beta)
+                == evaluate_arrangement(g, Arrangement(arr.order[::-1])).beta)

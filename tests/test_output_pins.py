@@ -89,6 +89,8 @@ REDUCE = [
     ("c5.g", "a2r", [8] * 5, 1, "1 2 3 4 5"),
     ("@s7.g", "r2a", [35] + [29] * 7, 2, "((((1 (((2 8) 7) 6)) 5) 4) 3)"),
     ("@s7.g", "a2r", [22] + [16] * 7, 2, "2 3 4 1 5 6 7 8"),
+    ("@q3.g", "r2a", [49] * 8, 1, "(((((((1 6) 5) 3) 8) 7) 4) 2)"),
+    ("@q3.g", "a2r", [28] * 8, 1, "1 2 3 4 5 6 7 8"),
 ]
 DIRECTIONS = {"r2a": "reassembling_to_arrangement", "a2r": "arrangement_to_reassembling"}
 

@@ -778,12 +778,14 @@ def test_limits(monkeypatch, engine, limit, admitted, refused):
 
 
 def test_binary_dp_on_fifteen_twin_free_vertices():
-    # the largest binary instance under the default limit: 2^22.8 splits
-    g = random_connected(random.Random(2), 15)
-    assert _twin_classes(g) == []
-    res = exact_binary_reassembling(g, "beta")
-    assert measures(g, res.witness).beta == res.value
-    assert res.value <= exact_linear_reassembling(g, "beta").value
+    # the largest binary instance under the default limit: 2^22.8 splits.
+    # Each of the 28 non-root clusters of a cycle has boundary >= 2, so
+    # C15's beta is at least 56, and its optimum attains that
+    for g, value in ((random_connected(random.Random(2), 15), 146), (cycle_graph(15), 56)):
+        assert _twin_classes(g) == []
+        res = exact_binary_reassembling(g, "beta")
+        assert measures(g, res.witness).beta == res.value == value
+        assert res.value <= exact_linear_reassembling(g, "beta").value
 
 
 def test_dp_limit_env_override(monkeypatch):

@@ -1,6 +1,10 @@
 import collections
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,41 @@ def test_sampled_suites_pass_their_default_draws(run_cli):
             "fixtures": 22, "beta_equals_gamma": 1000, "roundtrips": 900,
             "bin_can": 600, "dp_vs_brute": dp_vs_brute}
         assert [res["suite"] for res in results] == sampled
+
+
+# every verify suite at seed 0 through the CLI, one JSON line each, then
+# the checks and failures of the balance lemmas on the 12-vertex auxiliary
+# graphs of C4 and the paw at every anchor, with the interpreter's -O flag
+UNDER_O = """import json, sys
+from reasm.cli import main
+from reasm.graph import Graph, cycle_graph
+from reasm.reduction import build_auxiliary
+from reasm.verify import _Recorder, _balance_lemmas
+code = main(["verify"])
+got = {"optimize": sys.flags.optimize, "code": code}
+for name, g in (("c4", cycle_graph(4)), ("paw", Graph(4, ((1, 2), (2, 3), (1, 3), (3, 4))))):
+    rec = _Recorder("balance_lemmas")
+    for w in g.vertices:
+        _balance_lemmas(rec, build_auxiliary(g, w))
+    got[name] = [rec.checks, rec.failures]
+print(json.dumps(got))
+"""
+
+
+def test_every_check_fires_under_python_O():
+    # -O strips asserts; src/reasm holds none (test_errors.py), so every
+    # identity check still runs: each suite passes with its seed-0 count of
+    # checks, balance_lemmas' descattering moves, normal-form records and
+    # guarded walk included, and so do criterion 7's C4 and paw
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    *suites, last = map(json.loads, proc.stdout.splitlines())
+    assert {r["suite"]: r["checks"] for r in suites if r["ok"]} == {
+        "fixtures": 22, "beta_equals_gamma": 1000, "roundtrips": 900, "bin_can": 600,
+        "balance_lemmas": 83592, "dp_vs_brute": 148}, suites
+    assert last == {"optimize": 1, "code": 0, "c4": [94256, 0], "paw": [94240, 0]}
 
 
 @pytest.mark.parametrize("g, orders", [(path_graph(3), 210), (complete_graph(3), 504)])
