@@ -196,6 +196,22 @@ def test_tables_in_wider_lanes(monkeypatch, random_tables, quotient_tables, code
     assert _prefix_table(_cut_table(g, st), st).format == code
 
 
+def test_cut_fill_in_small_chunks_counts_the_digits_above(monkeypatch, quotient_tables):
+    # with chunks of at most 4 lanes, a fill adds, per chunk, v's neighbours
+    # counted in the digits above the chunk (j // s % r); here 212 (digit,
+    # neighbour digit) pairs put a twin class of radix above 2 there, where
+    # the default chunk of 2^13 lanes puts none
+    monkeypatch.setattr(solvers, "_CHUNK", 4)
+    above = 0
+    for g, classes, cuts, costs in quotient_tables:
+        if g.n <= 12:
+            st = _assert_tables_match(g, classes, cuts, costs)
+            chunk = solvers._low_span(st, 4)
+            above += sum(chunk <= s < h and len(other) > 1 and g.adj[v - 1] >> (other[0] - 1) & 1
+                         for h, (v, *_) in st.digits for s, other in st.digits)
+    assert above == 212
+
+
 def test_prefix_table_in_blocks_of_a_large_lowest_class():
     # a lowest class above _LEAF runs in blocks of isqrt(size // 4)
     # states, the first one short: K300 has one period of 301 = 5 + 37 * 8
