@@ -14,11 +14,9 @@ original problem.  Minimizing over all anchors gives the exact optimum.
 _normal_step makes one move: _descatter on a scattered order, else
 _rebalance on an unbalanced one.  One guarded walk, _normalize, is the
 only normalization loop: it makes the moves to a fixpoint and raises past
-4 |order| + beta moves.  normalize_sequence runs it alone.  verify's
-balance_lemmas suite runs it only from the unscattered orders of G_w, with
-one table per anchor: a descattering move lowers the clique span by one,
-so the suite makes one _descatter move per scattered order and takes the
-normal form of the order it reached, already found at the lower span.
+4 |order| + beta moves.  normalize_sequence runs it alone; _normal_forms,
+which finds the normal form of every order of G_w, runs it only from the
+unscattered ones.
 
 An order's beta has a closed form.  Let q_1 < ... < q_n be the positions of
 the base vertices pi_1 ... pi_n and k_1 < ... < k_{p+1} those of U + {w},
@@ -128,7 +126,10 @@ def _score(aux: AuxiliaryGraph, order: tuple) -> VCSequence:
 
 
 def _aux_layouts(aux) -> tuple:
-    """(perms, rows): the parts _aux_sequences scores its orders from.
+    """(perms, rows): the parts of every order of the auxiliary vertex set
+    up to permuting U among itself (U vertices are interchangeable by
+    symmetry).  Such an order is a choice of the base positions, an order
+    of the base vertices there, and U ascending in the other positions.
     perms holds (perm, slot of w, prefix cuts) per base order, in
     itertools.permutations order; rows holds, per choice of base positions
     in itertools.combinations order, (positions, gaps between them, a
@@ -159,26 +160,14 @@ def _aux_layouts(aux) -> tuple:
 
 def _row_sequences(aux, row, perms):
     """The scored orders with the base positions of `row`, one per base
-    order of `perms`, in that order."""
+    order of `perms`, in that order.  beta is _score's closed form taken
+    apart: the clique term of w's slot, plus the dot product of the base
+    order's prefix cuts with the gaps between base positions."""
     _, gaps, place, layouts = row
     us = tuple(aux.u_vertices)
     for perm, slot, cuts in perms:
         k_pos, clique = layouts[slot]
         yield VCSequence(aux, place(perm + us), clique + sum(map(mul, cuts, gaps)), k_pos)
-
-
-def _aux_sequences(aux):
-    """Every order of the auxiliary vertex set up to permuting U among
-    itself (U vertices are interchangeable by symmetry), scored: choose the
-    positions of the base vertices, order them, and fill the rest with U
-    ascending.  The order at row c and base order r has enumeration index
-    c n! + r.  beta is _score's closed form taken apart: per choice of
-    positions, one clique term for each slot w can take, plus, per base
-    order, the dot product of its prefix cuts with the gaps between base
-    positions."""
-    perms, rows = _aux_layouts(aux)
-    for row in rows:
-        yield from _row_sequences(aux, row, perms)
 
 
 def _scatter_positions(seq: VCSequence):
@@ -343,6 +332,56 @@ def _normalize(seq: VCSequence, table: dict, moves: int = 0) -> VCSequence:
     for d, passed in enumerate(reversed(walk), start=depth + 1):
         table[passed.order] = (nf, d)
     return nf
+
+
+def _normal_forms(aux):
+    """Yield (s, scattered, t, nf) for every order s of _aux_layouts(aux),
+    scored: whether s is scattered, t its one normalization step (None at
+    a fixpoint) and nf its normal form, which equals normalize_sequence(s).
+    verify's balance_lemmas suite checks the normalization lemmas on them.
+
+    The order with base order r (of perms) at row c (of rows) has the
+    enumeration index c n! + r.  A descattering move lowers the clique
+    span (the last position of U + {w} minus the first) by one, so the
+    clique layouts are visited in increasing span.  A scattered order makes
+    its one _descatter move and takes the normal form recorded at the
+    enumeration index of the order it reached, visited at the lower span;
+    a target with none raises.  Only the unscattered orders (span p) walk,
+    through _normalize and one table, which holds only orders that a
+    rebalancing move reached."""
+    perms, rows = _aux_layouts(aux)
+    n, size = aux.base.n, len(perms)
+    rank = {perm: r for r, (perm, _, _) in enumerate(perms)}
+    row_start = {row[0]: c * size for c, row in enumerate(rows)}  # positions -> index
+    by_slot = [([r for r, x in enumerate(perms) if x[1] == slot],
+                [x for x in perms if x[1] == slot]) for slot in range(n)]
+    nfs: list = [None] * (len(rows) * size)  # normal form by enumeration index
+    table: dict = {}
+    for _, c, slot in sorted((k_pos[-1] - k_pos[0], c, slot)
+                             for c, (_, _, _, layouts) in enumerate(rows)
+                             for slot, (k_pos, _) in enumerate(layouts)):
+        ranks, slot_perms = by_slot[slot]
+        seqs = _row_sequences(aux, rows[c], slot_perms)
+        head = next(seqs)
+        pos = _scatter_positions(head)  # the same for every order of the layout
+        at = None
+        for r, s in zip(ranks, itertools.chain((head,), seqs)):
+            if pos is None:
+                scattered, t = _normal_step(s)
+                nf = s if t is None else _normalize(t, table, 1)
+            else:
+                scattered, t = True, _descatter(s, pos)
+                if at is None:
+                    # the layout's orders all move their base vertices alike
+                    moved = tuple(i for i, v in enumerate(t.order, start=1) if v <= n)
+                    at, pick = row_start[moved], itemgetter(*(i - 1 for i in moved))
+                r_t = rank.get(pick(t.order))
+                nf = None if r_t is None else nfs[at + r_t]
+                if nf is None:
+                    raise VerificationError(f"descattering {s.order} gave {t.order}, "
+                                            f"which has no normal form recorded")
+            nfs[c * size + r] = nf
+            yield s, scattered, t, nf
 
 
 def _is_right_balanced(seq: VCSequence) -> bool:

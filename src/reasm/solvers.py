@@ -199,9 +199,23 @@ class SolveResult:
                           "millis": self.stats.get("millis", 0)}}
 
 
-def _check_objective(objective: str) -> None:
-    if objective not in ("alpha", "beta"):
-        raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
+def _solver(mode: str):
+    """Make `solve`, (g, objective, ...) -> (value, witness, anchor, states),
+    a public solver of `mode`: it checks the objective, then runs `solve`
+    and returns its SolveResult, whose stats["millis"] counts from the
+    entry."""
+    def wrap(solve):
+        @functools.wraps(solve)
+        def solver(g: Graph, objective: str, *args, **kwargs) -> SolveResult:
+            t0 = time.perf_counter()
+            if objective not in ("alpha", "beta"):
+                raise ValidationError(f"objective must be 'alpha' or 'beta', got {objective!r}")
+            value, witness, anchor, states = solve(g, objective, *args, **kwargs)
+            millis = int((time.perf_counter() - t0) * 1000)
+            return SolveResult(objective, mode, int(value), witness, anchor,
+                               {"states": states, "millis": millis})
+        return solver
+    return wrap
 
 
 def _check_work(n: int, count: int, unit: str) -> None:
@@ -298,22 +312,6 @@ def _ones(width: int, lanes: int) -> int:
     return int.from_bytes((1).to_bytes(width, sys.byteorder) * lanes, sys.byteorder)
 
 
-def _lanewise(view: memoryview, width: int, chunk: int, dst: int, src: int, count: int,
-              op) -> None:
-    """Lanes [dst, dst + count) of `view` become op(j, a, b, ones), chunk by
-    chunk, where a and b are the lanes from dst + j and src + j read as ints
-    and `ones` has a 1 in every lane; `chunk` divides `count` if smaller."""
-    order = sys.byteorder
-    lanes = min(count, chunk)
-    n = lanes * width
-    ones = _ones(width, lanes)
-    for j in range(0, count, lanes):
-        i, o = (dst + j) * width, (src + j) * width
-        a = int.from_bytes(view[i:i + n], order)
-        b = int.from_bytes(view[o:o + n], order)
-        view[i:i + n] = op(j, a, b, ones).to_bytes(n, order)
-
-
 def _table(code: str, size: int, fill: int) -> memoryview:
     """`size` lanes of the array code `code`, each holding `fill`, as a
     memoryview cast to that code.
@@ -351,10 +349,13 @@ def _cut_table(g: Graph, st: _States) -> memoryview:
 
     where nb[k] counts v's neighbours in state k and t = 1 for true twins
     (the c - 1 twins already placed are neighbours too).  Each fill is one
-    lane-parallel add per chunk spanning the lowest digits: over a chunk,
-    nb is a fixed pattern over those digits plus a constant from the digits
-    above them.  No lane under- or overflows, since every result is a cut,
-    at most m.
+    lane-parallel add per chunk: the lowest digits whose radices multiply
+    to at most _CHUNK, or all of the h states below the digit if fewer,
+    which the chunk then divides.  Over a chunk starting at state j below
+    h, nb is a fixed pattern over its lanes plus a constant, v's
+    neighbours counted in the digits of j above them.  Each chunk reads
+    only its source lanes, the chunk h states below it, as one int.  No
+    lane under- or overflows, since every result is a cut, at most m.
     """
     cut = _table(_lanes(g.m), st.size, 0)
     width, order = cut.itemsize, sys.byteorder
@@ -368,14 +369,18 @@ def _cut_table(g: Graph, st: _States) -> memoryview:
         nbrs = [(s, len(other) + 1) for s, other in st.digits
                 if s < h and a >> (other[0] - 1) & 1]
         lanes = min(h, chunk)
+        n, ones = lanes * width, _ones(width, lanes)
         nb2 = sum(int.from_bytes(b"".join((2 * c).to_bytes(width, order) * s for c in range(r))
                                  * (lanes // (s * r)), order) for s, r in nbrs if s < lanes)
         up = [(s, r) for s, r in nbrs if s >= lanes]
         t = a >> (members[-1] - 1) & 1  # true twins are adjacent; a class of one has c = 1
         for c in range(1, len(members) + 1):
             d = st.deg[v - 1] - 2 * t * (c - 1)
-            _lanewise(view, width, chunk, c * h, (c - 1) * h, h, lambda j, _, b, ones: (
-                b + (d - 2 * sum(j // s % r for s, r in up)) * ones - nb2))
+            for j in range(0, h, lanes):
+                i, o = (c * h + j) * width, ((c - 1) * h + j) * width
+                b = int.from_bytes(view[o:o + n], order)
+                b += (d - 2 * sum(j // s % r for s, r in up)) * ones - nb2
+                view[i:i + n] = b.to_bytes(n, order)
     view.release()
     return cut
 
@@ -607,9 +612,16 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
     else:
         start, k = 1 << (anchor - 1), deg[anchor - 1]
     # every stored set -> its cut, or None once the witness walk finds it
-    # dead; the work is checked before a set is stored into a table whose
-    # size is a power of two, so the first set past the limit is refused
+    # dead
     seen = {start: 0 if anchor is None else k}
+
+    def store(s, cut):
+        # the work is checked before a new set enters a table whose size is
+        # a power of two, so the first set past the limit is refused
+        if s not in seen and not len(seen) & (len(seen) - 1):
+            _check_work(g.n, (len(seen) + 1) << per_set, unit)
+        seen[s] = cut
+
     # admitted sets to scan for successors of cut <= k; and, by cut, the
     # scanned sets whose least successor above k has that cut (no set above
     # k is admitted yet)
@@ -629,9 +641,7 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
                 if cu < above:
                     above = cu
             elif s | b not in seen:
-                if not len(seen) & (len(seen) - 1):
-                    _check_work(g.n, (len(seen) + 1) << per_set, unit)
-                seen[s | b] = cu
+                store(s | b, cu)
                 todo.append(s | b)
         if above != unset:
             waiting.setdefault(above, []).append(s)
@@ -652,40 +662,33 @@ def _cut_search(g: Graph, anchor: Optional[int] = None, linear: bool = False) ->
                     stack.append((s | b, cu, iter(rows)))
                     break
         else:
-            if s not in seen and not len(seen) & (len(seen) - 1):
-                _check_work(g.n, (len(seen) + 1) << per_set, unit)
-            seen[s] = None
+            store(s, None)
             stack.pop()
     order = [] if anchor is None else [anchor]
     order += [(u ^ s).bit_length() for (s, _, _), (u, _, _) in zip(stack, stack[1:])]
     return value, order, len(seen)
 
 
-def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None) -> SolveResult:
-    """Optimal arrangement, free or anchored at a vertex: by the cut-bounded
-    search for alpha, by the prefix DP for beta."""
-    t0 = time.perf_counter()
-    _check_objective(objective)
-    search = _cut_search if objective == "alpha" else _prefix_search
-    value, order, states = search(g, anchor)
-    millis = int((time.perf_counter() - t0) * 1000)
-    return SolveResult(objective, "arrangement", int(value), Arrangement(tuple(order)),
-                       anchor=anchor, stats={"states": states, "millis": millis})
+def _engine(objective: str):
+    """The arrangement engine of an objective: the cut-bounded search for
+    alpha, the prefix DP for beta."""
+    return _cut_search if objective == "alpha" else _prefix_search
 
 
-def exact_linear_reassembling(g: Graph, objective: str,
-                              anchor: Optional[int] = None) -> SolveResult:
+@_solver("arrangement")
+def exact_arrangement(g: Graph, objective: str, anchor: Optional[int] = None):
+    """Optimal arrangement, free or anchored at a vertex."""
+    value, order, states = _engine(objective)(g, anchor)
+    return value, Arrangement(tuple(order)), anchor, states
+
+
+@_solver("linear_reassembling")
+def exact_linear_reassembling(g: Graph, objective: str, anchor: Optional[int] = None):
     """Optimal linear reassembling via anchored arrangements."""
-    t0 = time.perf_counter()
-    _check_objective(objective)
-    search = _cut_search if objective == "alpha" else _prefix_search
-    value, order, states = search(g, anchor, linear=True)
+    value, order, states = _engine(objective)(g, anchor, linear=True)
     # a single vertex has no feasible anchor: its one-leaf tree costs 0
     w = order[0] if g.n > 1 else None
-    tree = induce_reassembling(g, Arrangement(tuple(order)))
-    millis = int((time.perf_counter() - t0) * 1000)
-    return SolveResult(objective, "linear_reassembling", int(value), tree,
-                       anchor=w, stats={"states": states, "millis": millis})
+    return value, induce_reassembling(g, Arrangement(tuple(order))), w, states
 
 
 def _splits(s: int):
@@ -697,10 +700,9 @@ def _splits(s: int):
         a = (a - 1) & rest
 
 
-def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
+@_solver("binary_reassembling")
+def exact_binary_reassembling(g: Graph, objective: str):
     """Optimal binary reassembling by subset DP over splits."""
-    t0 = time.perf_counter()
-    _check_objective(objective)
     # _splits yields 2^(k-1) - 1 pairs for each of the C(n, k) sets S of
     # size k >= 2: (3^n + 1) / 2 - 2^n in all
     _check_solvable(g, (3 ** g.n + 1) // 2 - (1 << g.n), "splits")
@@ -723,20 +725,15 @@ def exact_binary_reassembling(g: Graph, objective: str) -> SolveResult:
                 for child in (s ^ a, a):
                     stack.append((child, best[child] if objective == "beta" else budget))
                 break
-    tree = ReassemblyTree(masks)
-    millis = int((time.perf_counter() - t0) * 1000)
-    return SolveResult(objective, "binary_reassembling", best[g.full_mask], tree,
-                       stats={"states": len(best), "millis": millis})
+    return best[g.full_mask], ReassemblyTree(masks), None, len(best)
 
 
 # ---------------------------------------------------------------------------
 # brute force reference
 
-def brute_force_arrangement(g: Graph, objective: str,
-                            anchor: Optional[int] = None) -> SolveResult:
+@_solver("arrangement")
+def brute_force_arrangement(g: Graph, objective: str, anchor: Optional[int] = None):
     """Factorial scan over all arrangements (reference implementation)."""
-    t0 = time.perf_counter()
-    _check_objective(objective)
     _check_solvable(g, math.factorial(g.n if anchor is None else g.n - 1), "orders", anchor)
     deg = [a.bit_count() for a in g.adj]
     # anchored, the orders (anchor, v) + rest for each follower v: the
@@ -750,6 +747,4 @@ def brute_force_arrangement(g: Graph, objective: str,
         value = fold(g._prefix_cuts(order))
         if best is None or value < best[0]:
             best = (value, order)
-    millis = int((time.perf_counter() - t0) * 1000)
-    return SolveResult(objective, "arrangement", best[0], Arrangement(best[1]),
-                       anchor=anchor, stats={"states": count, "millis": millis})
+    return best[0], Arrangement(best[1]), anchor, count

@@ -18,16 +18,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import ValidationError, VerificationError
+from .errors import ValidationError
 from .graph import Graph, complete_graph, path_graph, qcube3_graph, star_graph
 from .layout import (Arrangement, _gamma, evaluate_arrangement,
                      induce_arrangement, induce_reassembling)
-from . import reduction
-from .reduction import (_aux_layouts, _normal_step, _normalize, _row_sequences,
-                        _scatter_positions, build_auxiliary, scatter, unbalance)
+from .reduction import _normal_forms, build_auxiliary, scatter, unbalance
 from .sequential import (SeqTrace, block_tree, canonical_ordering, chain_to_ordering,
                          seq_reassemble)
 from .solvers import (brute_force_arrangement, exact_arrangement,
@@ -160,60 +157,6 @@ def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:
         _bin_can(rec, g, trace.tree())
         _chain_roundtrip(rec, g, trace)
     return rec.result()
-
-
-def _normal_forms(aux):
-    """Yield (s, scattered, t, nf) for every order of _aux_sequences(aux):
-    s the scored order, whether it is scattered, t its one normalization
-    step (None at a fixpoint) and nf its normal form, which equals
-    normalize_sequence(s).
-
-    A descattering move lowers the clique span (the last position of
-    U + {w} minus the first) by one, so the clique layouts are visited in
-    increasing span.  A scattered order makes its one move, to the base
-    positions its layout predicts, and takes the normal form recorded at
-    its target's enumeration index; a target with none raises.  Only the
-    unscattered orders (span p) walk, through _normalize and one table per
-    anchor, which holds only orders that a rebalancing move reached."""
-    perms, rows = _aux_layouts(aux)
-    size = len(perms)
-    rank = {perm: r for r, (perm, _, _) in enumerate(perms)}
-    row_start = {row[0]: c * size for c, row in enumerate(rows)}  # positions -> index
-    by_slot = [([r for r, x in enumerate(perms) if x[1] == slot],
-                [x for x in perms if x[1] == slot]) for slot in range(aux.base.n)]
-    nfs: list = [None] * (len(rows) * size)  # normal form by enumeration index
-    table: dict = {}
-    descatter = reduction._descatter
-    for _, c, slot in sorted((k_pos[-1] - k_pos[0], c, slot)
-                             for c, (_, _, _, layouts) in enumerate(rows)
-                             for slot, (k_pos, _) in enumerate(layouts)):
-        ranks, slot_perms = by_slot[slot]
-        start = c * size
-        seqs = _row_sequences(aux, rows[c], slot_perms)
-        head = next(seqs)
-        pos = _scatter_positions(head)
-        if pos is not None:
-            # v, the blocking base vertex, lands at the run's far end, and w
-            # shifts by one toward v's old place if it is in the run
-            positions = rows[c][0]
-            i, j, k, l = pos
-            src, dst, lo, hi, shift = (j, i, i, j - 1, 1) if j - i <= l - k else (k, l, k + 1, l, -1)
-            moved = tuple(sorted(dst if x == src else x + shift if lo <= x <= hi else x
-                                 for x in positions))
-            at, pick = row_start[moved], itemgetter(*(x - 1 for x in moved))
-        for r, s in zip(ranks, itertools.chain((head,), seqs)):
-            if pos is None:
-                scattered, t = _normal_step(s)
-                nf = s if t is None else _normalize(t, table, 1)
-            else:
-                scattered, t = True, descatter(s, pos)
-                r_t = rank.get(pick(t.order))
-                nf = None if r_t is None else nfs[at + r_t]
-                if nf is None:
-                    raise VerificationError(f"descattering {s.order} gave {t.order}, "
-                                            f"which has no normal form recorded")
-            nfs[start + r] = nf
-            yield s, scattered, t, nf
 
 
 def _balance_lemmas(rec: _Recorder, aux) -> None:

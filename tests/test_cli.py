@@ -638,9 +638,10 @@ def test_public_names():
                "first_nonstrict_pair"),
         sequential: ("Partition", "Edge"),
         solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states",
-                  "_check_anchor"),
+                  "_check_anchor", "_check_objective", "_lanewise"),
         solvers.SolveResult: ("witness_text",),
-        reduction: ("ProcessPoolExecutor", "descatter_move", "rebalance_move"),
+        reduction: ("ProcessPoolExecutor", "descatter_move", "rebalance_move",
+                    "_aux_sequences"),
         reduction.VCSequence: ("reversed",),
         layout: ("is_anchored_arrangement", "is_anchored_reassembling",
                  "restrict_arrangement", "restrict_tree", "edge_length"),

@@ -4,8 +4,12 @@ with 0, 2, 3 or 4; the package's checks are exceptions, not asserts, so
 they hold under python -O too."""
 
 import ast
+import importlib.util
 import io
+import os
 import pickle
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -30,6 +34,37 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow])
 
 EXIT_CODES = {0, 2, 3, 4}
+
+
+FAILING_PROPERTY = """from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("libcst") is None, reason="needs libcst")
+def test_a_failing_property_is_reported_under_W_error(tmp_path):
+    # Hypothesis imports libcst to report the failure; loaded with the shared
+    # conftest as a plugin, the run reports it and goes on to the next test
+    # instead of ending in an INTERNALERROR.  The working directory is
+    # tmp_path, where Hypothesis writes its .hypothesis directory
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "conftest",
+                           "-p", "no:cacheprovider", "test_property.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert proc.returncode == 1
+    assert proc.stdout.rstrip().splitlines()[-1].startswith("1 failed, 1 passed"), proc.stdout
 
 
 def test_exit_code_is_a_property_of_the_class():
