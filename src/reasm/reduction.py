@@ -350,7 +350,8 @@ def _normal_forms(aux):
     through _normalize and one table, which holds only orders that a
     rebalancing move reached."""
     perms, rows = _aux_layouts(aux)
-    n, size = aux.base.n, len(perms)
+    n = aux.base.n
+    size = len(perms)
     rank = {perm: r for r, (perm, _, _) in enumerate(perms)}
     row_start = {row[0]: c * size for c, row in enumerate(rows)}  # positions -> index
     by_slot = [([r for r, x in enumerate(perms) if x[1] == slot],

@@ -348,14 +348,15 @@ def _cut_table(g: Graph, st: _States) -> memoryview:
         cut[c h + k] = cut[(c - 1) h + k] + deg(v) - 2 (nb[k] + t (c - 1))
 
     where nb[k] counts v's neighbours in state k and t = 1 for true twins
-    (the c - 1 twins already placed are neighbours too).  Each fill is one
-    lane-parallel add per chunk: the lowest digits whose radices multiply
-    to at most _CHUNK, or all of the h states below the digit if fewer,
-    which the chunk then divides.  Over a chunk starting at state j below
-    h, nb is a fixed pattern over its lanes plus a constant, v's
-    neighbours counted in the digits of j above them.  Each chunk reads
-    only its source lanes, the chunk h states below it, as one int.  No
-    lane under- or overflows, since every result is a cut, at most m.
+    (the c - 1 twins already placed are neighbours too).  A fill runs over
+    its h states in chunks of min(h, chunk) lanes, chunk being the states
+    spanned by the lowest digits whose radices multiply to at most _CHUNK
+    (a chunk below h divides it: both are products of the lowest radices),
+    one lane-parallel add per chunk.  Over the chunk from state j, nb is a
+    fixed pattern over its lanes plus a constant, v's neighbours counted
+    in the digits of j above the chunk.  The add reads only the source
+    lanes, h states below, as one int.  No lane under- or overflows, since
+    every result is a cut, at most m.
     """
     cut = _table(_lanes(g.m), st.size, 0)
     width, order = cut.itemsize, sys.byteorder
@@ -369,7 +370,8 @@ def _cut_table(g: Graph, st: _States) -> memoryview:
         nbrs = [(s, len(other) + 1) for s, other in st.digits
                 if s < h and a >> (other[0] - 1) & 1]
         lanes = min(h, chunk)
-        n, ones = lanes * width, _ones(width, lanes)
+        n = lanes * width
+        ones = _ones(width, lanes)
         nb2 = sum(int.from_bytes(b"".join((2 * c).to_bytes(width, order) * s for c in range(r))
                                  * (lanes // (s * r)), order) for s, r in nbrs if s < lanes)
         up = [(s, r) for s, r in nbrs if s >= lanes]
@@ -688,7 +690,8 @@ def exact_linear_reassembling(g: Graph, objective: str, anchor: Optional[int] = 
     value, order, states = _engine(objective)(g, anchor, linear=True)
     # a single vertex has no feasible anchor: its one-leaf tree costs 0
     w = order[0] if g.n > 1 else None
-    return value, induce_reassembling(g, Arrangement(tuple(order))), w, states
+    tree = induce_reassembling(g, Arrangement(tuple(order)))
+    return value, tree, w, states
 
 
 def _splits(s: int):
