@@ -849,3 +849,12 @@ def test_result_json_shape():
     assert out["value"] == 2 and out["witness"] == "1 2 3"
     assert out["anchor"] is None
     assert set(out["stats"]) == {"states", "millis"}
+    # every solver's mode, and its anchor: the given one, a linear tree's
+    # first vertex, none for a binary tree
+    g = path_graph(3)
+    outs = [r.to_json() for r in (
+        exact_arrangement(g, "alpha", anchor=1), exact_linear_reassembling(g, "beta"),
+        exact_binary_reassembling(g, "alpha"), brute_force_arrangement(g, "beta", anchor=3))]
+    assert [(out["mode"], out["anchor"]) for out in outs] == [
+        ("arrangement", 1), ("linear_reassembling", 1), ("binary_reassembling", None),
+        ("arrangement", 3)]
