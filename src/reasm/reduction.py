@@ -42,7 +42,6 @@ arrangement.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional
@@ -51,8 +50,8 @@ from .errors import ValidationError, VerificationError
 from .graph import Graph
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
-from .solvers import (_check_work, _states, _twin_classes, exact_arrangement,
-                      exact_linear_reassembling)
+from .solvers import (_check_work, _cpus, _pooled, _states, _twin_classes,
+                      exact_arrangement, exact_linear_reassembling)
 from .tree import measures
 
 R2A = "reassembling_to_arrangement"  # solve reassembling with an arrangement solver
@@ -456,9 +455,8 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     per anchor; the winner is the (beta, anchor) lexicographic minimum.
 
     `jobs` caps the worker processes, which are also at most one per anchor
-    and one per CPU the process may use (its affinity mask, which taskset
-    and cpusets narrow, where the platform has one): the pool starts all of
-    its workers at once."""
+    and one per CPU the process may use (solvers._cpus): the pool starts
+    all of its workers at once, and they fill their tables serially."""
     if direction not in (R2A, A2R):
         raise ValidationError(f"direction must be {R2A!r} or {A2R!r}")
     if jobs < 1:
@@ -466,14 +464,13 @@ def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
     if not g.is_connected():
         raise ValidationError("beta reduction needs a connected graph")
     _check_auxiliary_states(g)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, g.n, cpus or 1)
+    workers = min(jobs, g.n, _cpus())
     args = (_solve_anchor, itertools.repeat(g), g.vertices, itertools.repeat(direction))
     # both maps keep the order of g.vertices, so rows are in anchor order
     if workers > 1:
         # imported here: a serial run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pooled) as pool:
             rows = list(pool.map(*args))
     else:
         rows = list(map(*args))

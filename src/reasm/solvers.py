@@ -53,6 +53,20 @@ about sqrt(size / 4) states, pulled like the digits above.  Both tables
 are anonymous mappings from _MAPPED bytes up, returned to the system when
 the solve drops them.
 
+A table of _GROUPED states or more is filled in several processes where
+they can run at once: this one and a forked worker per further CPU.  Its
+cells are runs of whole groups, one per value of the top digits (at least
+two, whose radices multiply to at most _CELLS), and a cell reads only its
+own states and the cells one vertex below it in one of those digits.  So
+the cells of one level, the sum of the top digits, are independent: each
+process fills its round-robin share of a level, and all meet at a pipe
+barrier, one byte each way, before the next.  The workers write straight
+into the mapping of X, which is shared, and end with os._exit; the kernels
+are compiled before the fork, and every worker is reaped before the table
+is returned.  The fill stays in one process with one usable CPU, in a
+reduce_beta pool worker, without os.fork, while other threads run, or
+with fewer than two digits above the groups (K_n, stars).
+
 Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
 Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
 cut <= k is a union of components of G - C, where C is its cut, so few
@@ -139,6 +153,7 @@ import operator
 import os
 import struct
 import sys
+import threading
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -160,6 +175,11 @@ _CHUNK = 1 << 13
 # fewest bytes of a table kept off the heap
 _GROUPED = 1 << 18
 _MAPPED = 1 << 17
+# the most cells of a parallel prefix fill: the top digits above its tile
+# whose radices multiply to at most this
+_CELLS = 1 << 6
+# set in the workers of a reduce_beta pool, which fill their tables serially
+_POOLED = False
 
 
 def _lanes(bound: int) -> str:
@@ -167,6 +187,24 @@ def _lanes(bound: int) -> str:
     `bound` and a larger sentinel, all with the top bit clear."""
     return next(code for code in "BHIQ"
                 if bound < (1 << (8 * array(code).itemsize - 1)) - 1)
+
+
+def _cpus() -> int:
+    """The CPUs this process may use: its affinity mask, which taskset and
+    cpusets narrow, where the platform has one, or else the CPU count; 1 in
+    a worker of a reduce_beta pool, whose workers already take one CPU
+    each."""
+    if _POOLED:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled() -> None:
+    """The initializer of a reduce_beta pool's workers."""
+    global _POOLED
+    _POOLED = True
 
 
 def dp_limit() -> int:
@@ -317,7 +355,9 @@ def _table(code: str, size: int, fill: int) -> memoryview:
     memoryview cast to that code.
 
     A table of at least _MAPPED bytes is an anonymous mapping, returned to
-    the system as soon as its last view is gone; on the heap, a freed table
+    the system as soon as its last view is gone.  It is MAP_SHARED, so
+    processes forked while it exists write into the same pages, as the
+    parallel prefix fill needs.  On the heap, a freed table
     of that size can stay resident, and the tables of consecutive solves
     pile up there.  The mapping starts zeroed and is filled by doubling, so
     no temporary as large as the table is made.  A smaller table is an
@@ -327,7 +367,7 @@ def _table(code: str, size: int, fill: int) -> memoryview:
     width = struct.calcsize(code)
     if size * width < _MAPPED:
         return memoryview(array(code, [fill]) * size)
-    raw = memoryview(mmap.mmap(-1, size * width))
+    raw = memoryview(mmap.mmap(-1, size * width, flags=mmap.MAP_SHARED))
     if fill:
         raw[:width] = fill.to_bytes(width, sys.byteorder)
         done = width
@@ -469,6 +509,11 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     bit of every lane, t = ((a | hi) - b) & hi has hi in exactly the lanes
     where a >= b (no borrow crosses a lane, as a, b < 2^(k-1)), and
     t - (t >> (k - 1)) fills the bits below it, picking b there.
+
+    One routine, fill(start, stop), runs the groups of the states from
+    start to stop.  The fill is fill(0, size), or from _GROUPED states up,
+    where the top digits above the groups make cells, one fill per cell in
+    _fill_levels.
     """
     size = len(cut)
     code = _lanes(sum(st.deg) // 2 * len(st.deg))
@@ -506,24 +551,125 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     # each group's blocks, each with the writer of its lanes inside the group
     groups = [(a, b, [(o, kernel, struct.Struct(f"{min(span, b - a - o)}{code}").pack_into)
                       for o, kernel in plan]) for a, b in groups]
-    for base in range(0, size, tile):
-        for a, b, blocks in groups:
-            i, j = base + a, base + b
-            # X one vertex below in each digit above the group that i holds, or i's own
-            rows = ([int.from_bytes(x[i - h:i - h + lanes], order) for h, r in upper if i // h % r]
-                    or [int.from_bytes(x[i:i + lanes], order)])
-            m = rows.pop()
-            for row in rows:
-                t = ((m | hi) - row) & hi
-                m ^= (m ^ row) & (t - (t >> (k - 1)))
-            m = read_m(m.to_bytes(lanes * width, order))
-            c = read_cut(cut, i * cut.itemsize)
-            done = []
-            for o, kernel, write in blocks:
-                y = kernel(m[o:o + span], c[o:o + span], done)
-                write(x, (i + o) * width, *y[:j - i - o])
-                done.append(y)
+
+    def fill(start, stop):
+        for base in range(start, stop, tile):
+            for a, b, blocks in groups:
+                i, j = base + a, base + b
+                # X one vertex below in each digit above the group that i holds, or i's own
+                rows = ([int.from_bytes(x[i - h:i - h + lanes], order)
+                         for h, r in upper if i // h % r]
+                        or [int.from_bytes(x[i:i + lanes], order)])
+                m = rows.pop()
+                for row in rows:
+                    t = ((m | hi) - row) & hi
+                    m ^= (m ^ row) & (t - (t >> (k - 1)))
+                m = read_m(m.to_bytes(lanes * width, order))
+                c = read_cut(cut, i * cut.itemsize)
+                done = []
+                for o, kernel, write in blocks:
+                    y = kernel(m[o:o + span], c[o:o + span], done)
+                    write(x, (i + o) * width, *y[:j - i - o])
+                    done.append(y)
+
+    # the cells: one per value of the top digits above the tile whose radices
+    # multiply to at most _CELLS, by level, the sum of those digits
+    above = [d for d in upper if d[0] >= tile]
+    top = [d for i, d in enumerate(above) if math.prod(r for _, r in above[i:]) <= _CELLS]
+    procs = 1
+    if (len(top) >= 2 and size >= _GROUPED and isinstance(x.obj, mmap.mmap)
+            and hasattr(os, "fork") and threading.active_count() == 1):
+        cell = top[0][0]
+        levels = [[] for _ in range(sum(r - 1 for _, r in top) + 1)]
+        for c in range(0, size, cell):
+            levels[sum(c // h % r for h, r in top)].append(c)
+        procs = min(_cpus(), max(map(len, levels)))
+    if procs < 2:
+        fill(0, size)
+    else:
+        _fill_levels(fill, levels, cell, procs, f"n = {len(st.deg)}, {size} states")
     return x
+
+
+def _fill_levels(fill, levels, cell: int, procs: int, what: str) -> None:
+    """fill(c, c + cell) for every cell c of `levels`, one level after
+    another, in `procs` processes: this one and procs - 1 forked workers,
+    which write into the same shared mapping.  Rank p takes the cells
+    p, p + procs, ... of each level, and this process the ranks it could
+    not fork.  After each level every worker sends this process one byte,
+    and once all have, it sends each one back.  A worker ends with
+    os._exit, status 0 once it has had the byte of the last level; every
+    worker is reaped before this returns or raises, and one that ends
+    early raises VerificationError."""
+    ranks = [0]
+    workers = []  # (pid, read end of its bytes, write end of the bytes to it)
+    # each process on a CPU of its own for the fill: left to itself, the
+    # scheduler can keep a worker on its parent's CPU for the whole fill
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    _pin(mask, 0)
+    try:
+        for rank in range(1, procs):
+            pipes = []
+            try:
+                pipes += os.pipe()
+                pipes += os.pipe()
+                up, tell, hear, down = pipes
+                pid = os.fork()
+            except OSError:
+                for fd in pipes:
+                    os.close(fd)
+                ranks += range(rank, procs)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    _pin(mask, rank)
+                    for fd in [up, down] + [fd for _, r, w in workers for fd in (r, w)]:
+                        os.close(fd)
+                    for level in levels:
+                        for c in level[rank::procs]:
+                            fill(c, c + cell)
+                        os.write(tell, b"\0")
+                        if not os.read(hear, 1):
+                            break
+                    else:
+                        status = 0
+                finally:
+                    os._exit(status)
+            os.close(tell)
+            os.close(hear)
+            workers.append((pid, up, down))
+        for level in levels:
+            for rank in ranks:
+                for c in level[rank::procs]:
+                    fill(c, c + cell)
+            if not all(os.read(r, 1) for _, r, _ in workers):
+                break
+            try:
+                for _, _, w in workers:
+                    os.write(w, b"\0")
+            except BrokenPipeError:  # a worker ended after its byte
+                break
+    finally:
+        # a worker still waiting reads its end closed and stops
+        for _, r, w in workers:
+            os.close(r)
+            os.close(w)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
+        _pin(mask)
+    if any(statuses):
+        raise VerificationError(f"prefix table fill failed ({what}): "
+                                f"worker exit statuses {statuses}")
+
+
+def _pin(mask: list, rank: Optional[int] = None) -> None:
+    """Run this process on the CPUs of `mask`, or with a rank on CPU
+    mask[rank mod len(mask)] only; no mask, no change."""
+    if mask:
+        try:
+            os.sched_setaffinity(0, mask if rank is None else {mask[rank % len(mask)]})
+        except OSError:
+            pass
 
 
 def _followers(deg, w: int) -> list:

@@ -177,11 +177,12 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree):
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list:
     """Replace the reductions' process pool by an in-process stand-in that
-    records the `max_workers` of every pool asked for."""
+    records the `max_workers` of every pool asked for.  The workers'
+    initializer is not run: it would mark this process a pool worker."""
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
 
         def __enter__(self):

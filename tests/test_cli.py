@@ -450,9 +450,9 @@ def test_reduce_beta_cli(run_cli, workdir):
 
 
 def test_reduce_jobs_are_bounded(run_cli, workdir, pool_sizes, monkeypatch):
-    monkeypatch.setattr("reasm.reduction.os.sched_getaffinity", lambda pid: set(range(64)),
+    monkeypatch.setattr("reasm.solvers.os.sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
-    monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 64)
+    monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: 64)
     g = write(workdir / "p3.g", format_graph(path_graph(3)))
     for jobs in ("0", "-1"):
         code, _, err = run_cli("reduce", g, "--problem", "beta", "--jobs", jobs)
@@ -469,12 +469,12 @@ def test_reduce_on_one_usable_cpu_starts_no_pool(run_cli, workdir, pool_sizes, m
     # taskset or a cpuset leaves the process one CPU of the machine's 64; a
     # platform without affinity masks falls back to the CPU count
     if affinity:
-        monkeypatch.setattr("reasm.reduction.os.sched_getaffinity", lambda pid: {5},
+        monkeypatch.setattr("reasm.solvers.os.sched_getaffinity", lambda pid: {5},
                             raising=False)
-        monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 64)
+        monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: 64)
     else:
-        monkeypatch.delattr("reasm.reduction.os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: 1)
+        monkeypatch.delattr("reasm.solvers.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: 1)
     g = write(workdir / "p3.g", format_graph(path_graph(3)))
     code, out, _ = run_cli("reduce", g, "--problem", "beta", "--jobs", "8")
     assert code == 0 and json.loads(out)["best"]["beta"] == 5

@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import random
 
 import networkx as nx
@@ -243,14 +244,34 @@ def test_reduce_beta_bounds_workers(monkeypatch, pool_sizes, jobs, cpus, sizes):
     # the usable CPUs are the affinity mask's; a platform without one falls
     # back to the CPU count, which may be unknown
     if cpus is None:
-        monkeypatch.delattr("reasm.reduction.os.sched_getaffinity", raising=False)
+        monkeypatch.delattr("reasm.solvers.os.sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr("reasm.reduction.os.sched_getaffinity",
+        monkeypatch.setattr("reasm.solvers.os.sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr("reasm.reduction.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: cpus)
     g = cycle_graph(4)
     assert reduce_beta(g, R2A, jobs=jobs).to_json() == reduce_beta(g, R2A).to_json()
     assert pool_sizes == sizes
+
+
+def _fill_cpus(g, w, direction):
+    """A stand-in for reduction._solve_anchor whose beta is the CPU count
+    that a prefix fill in the worker would split its table over."""
+    return w, solvers._cpus(), None, True, True
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in reaches the workers through fork")
+def test_pool_workers_fill_their_tables_serially(monkeypatch):
+    # two pool workers on two CPUs that each forked fill workers of their
+    # own would run four processes: a pool worker counts one CPU
+    monkeypatch.setattr("reasm.reduction._solve_anchor", _fill_cpus)
+    monkeypatch.setattr("reasm.reduction._cpus", lambda: 2)
+    report = reduce_beta(path_graph(3), R2A, jobs=2)
+    assert report.anchors == ((1, 1), (2, 1), (3, 1))
+    assert not solvers._POOLED
+    monkeypatch.setattr(solvers, "_POOLED", True)
+    assert solvers._cpus() == 1
 
 
 def test_reduce_beta_rejects():

@@ -5,15 +5,18 @@ import mmap
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from array import array
 from pathlib import Path
 
 import pytest
 
-from reasm.errors import LimitError, ValidationError
+from reasm.errors import LimitError, ValidationError, VerificationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
                          path_graph, qcube3_graph, ring_tree_graph, star_graph, vertices_of)
 from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
@@ -393,6 +396,163 @@ def test_kernels_stay_within_the_leaf_bound(kernel_calls):
     info = _leaf_kernel.cache_info()
     assert info.misses == info.currsize == 7
     assert info.hits == len(kernel_calls) - 7 == 11
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The floor of the parallel fill lowered to 2^10 states and the mapping
+    floor to one byte, so that small tables fill in several processes; the
+    pid of every worker the fill forks, in fork order."""
+    monkeypatch.setattr(solvers, "_GROUPED", 1 << 10)
+    monkeypatch.setattr(solvers, "_MAPPED", 1)
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _parallel_layouts():
+    rng = random.Random(34)
+    for n in range(12, 17):
+        g = _twin_free(rng, n)
+        yield g, None
+        yield g, n // 2
+    # twin classes among the top digits: three pairs (radix 3) above C8's
+    # bits, two above C10's, and a triple (radix 4) and a pair above C9's
+    for g in (_with_pairs(cycle_graph(8), (1, 2, 3)), _with_pairs(cycle_graph(10), (1, 2)),
+              Graph(14, cycle_graph(9).edges + ((1, 10), (1, 11), (1, 12)) + ((2, 13), (2, 14)))):
+        st = _states(g, _twin_classes(g))
+        assert any(len(members) > 1 for _, members in st.digits[-2:])
+        yield g, None
+    # a lowest class of radix 131, filled in blocks, below two pairs
+    yield _complete_multipartite(130, 2, 2), None
+
+
+def _fill(g: Graph, skip=None) -> bytes:
+    st = _states(g, _twin_classes(g), skip=skip)
+    assert st.size >= solvers._GROUPED
+    return bytes(_prefix_table(_cut_table(g, st), st).cast("B"))
+
+
+@pytest.mark.parametrize("procs", [2, 3, "usable"])
+def test_parallel_fill_is_byte_identical_to_the_serial_fill(monkeypatch, forks, procs):
+    # every table is filled by procs processes (or one per usable CPU, 2
+    # on the 2-vCPU VM this package is measured on) and by one, and both
+    # tables are the same bytes.  A fill that fell back to one process
+    # would fork no worker.  Each process runs on a CPU of its own during
+    # the fill, and this one gets its affinity mask back
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    mask = affinity(0)
+    cpus = solvers._cpus if procs == "usable" else lambda: procs
+    for g, skip in _parallel_layouts():
+        monkeypatch.setattr(solvers, "_cpus", lambda: 1)
+        serial = _fill(g, skip)
+        monkeypatch.setattr(solvers, "_cpus", cpus)
+        before = len(forks)
+        assert _fill(g, skip) == serial, (g.edges, skip)
+        # each layout has a level of three cells or more
+        assert len(forks) - before == min(cpus(), 3) - 1
+    # every worker was reaped, and this process may run on every CPU again
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert affinity(0) == mask
+
+
+def test_a_fill_without_two_digits_above_its_groups_runs_serially(monkeypatch, forks):
+    # K1030 is one digit of radix 1031, and S600's leaf is its centre's
+    # digit, with one class of radix 601 above it; P4 with 100 false twins
+    # on vertex 1 has one class of radix 101 above its four bits
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    pendants = tuple((1, v) for v in range(5, 105))
+    for g in (complete_graph(1030), star_graph(600), Graph(104, path_graph(4).edges + pendants)):
+        _fill(g)
+        exact_arrangement(g, "beta")
+    assert forks == []
+
+
+@pytest.fixture
+def deadline():
+    """SIGALRM after 60 s: a fill that hangs fails its test, not the run."""
+    def expire(signum, frame):
+        raise TimeoutError("past the test's 60 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _kernels_failing(monkeypatch, fails):
+    """Leaf kernels that raise RuntimeError on the calls where fails() is
+    true, in whichever process runs them."""
+    def kernel_of(*key):
+        kernel = _leaf_kernel(*key)
+
+        def run(*args):
+            if fails():
+                raise RuntimeError("a failing leaf kernel")
+            return kernel(*args)
+        return run
+    monkeypatch.setattr(solvers, "_leaf_kernel", kernel_of)
+
+
+def test_a_failing_fill_worker_fails_the_solve(monkeypatch, forks, deadline):
+    # the worker fails in its first cell and exits with status 1, while the
+    # parent waits for it at the first barrier
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    parent = os.getpid()
+    _kernels_failing(monkeypatch, lambda: os.getpid() != parent)
+    g = _twin_free(random.Random(14), 14)
+    with pytest.raises(VerificationError) as err:
+        exact_arrangement(g, "beta")
+    assert str(err.value) == ("prefix table fill failed (n = 14, 16384 states): "
+                              "worker exit statuses [1]")
+    assert err.value.exit_code == 4 and len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_parent_reaps_its_fill_workers(monkeypatch, forks, deadline):
+    # the parent fails in its second cell, with two workers forked; both
+    # stop at the barrier it never reaches and are reaped
+    monkeypatch.setattr(solvers, "_cpus", lambda: 3)
+    parent, calls = os.getpid(), itertools.count()
+    # a cell of this table is one group of four blocks
+    _kernels_failing(monkeypatch, lambda: os.getpid() == parent and next(calls) >= 4)
+    with pytest.raises(RuntimeError, match="a failing leaf kernel"):
+        exact_arrangement(_twin_free(random.Random(14), 14), "beta")
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_live_thread_keeps_the_fill_serial(monkeypatch, forks):
+    # os.fork warns in a process with more than one thread (Python 3.12
+    # on), which -W error turns into a failure
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    g = _twin_free(random.Random(14), 14)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threaded = exact_arrangement(g, "beta")
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert threaded == exact_arrangement(g, "beta") and len(forks) == 1
+
+
+def test_usable_cpus():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert solvers._cpus() == (cpus or 1) and not solvers._POOLED
 
 
 def test_tables_below_and_from_the_mapping_floor():

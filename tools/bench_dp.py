@@ -2,6 +2,7 @@
 
     python3 tools/bench_dp.py --out BENCH_dp.json
     python3 tools/bench_dp.py --sizes 16-20 --runs 5 --src ../other/src --out other.json
+    python3 tools/bench_dp.py --src ../parent/src --out parent.json --src src --out BENCH_dp.json
 
 Standard library only.  For each n in --sizes the script draws a twin-free
 random connected graph with m = 2n edges from the fixed SEED: a random
@@ -14,11 +15,18 @@ time, in rounds that run every solve once.  A child imports reasm from
 `solvers.exact_arrangement(g, "beta", anchor)` and, inside it, the calls
 of `_cut_table` and `_prefix_table`, so the wall time of a run includes
 the compiles of the leaf kernels, as a one-shot solve pays them.  The
-child's peak RSS is its ru_maxrss, read by the parent from os.wait4;
+child's peak RSS is its ru_maxrss, read by the parent from os.wait4.
 Linux counts in it the spawning process's peak as of the exec, which this
-script keeps below an idle reasm import.
+script keeps below an idle reasm import.  Where the prefix fill forks
+workers (see solvers), wait4 reports the larger of the child's peak and
+its workers' peaks, not their sum.
 
-The output is one JSON file:
+--src may be given twice, each with its own --out, to compare two trees
+in one invocation: every run of a solve is then a pair of children, one
+per tree, the first tree's first in even rounds and the second's in odd
+ones, so a spell of load on a shared machine falls on both trees alike.
+
+The output is one JSON file per tree:
 
     {"git": sha of --src's checkout or null, "dirty": whether src differs
      from that commit, "python": version, "nproc": ..., "seed": SEED,
@@ -29,7 +37,8 @@ The output is one JSON file:
                     "cut_ms": median, "prefix_ms": median,
                     "peak_rss_mb": median, "peak_rss_mb_runs": [...]}]}
 
-Every run's value and states must agree, or the script exits 1.
+Every run's value and states must agree, across trees too, or the script
+exits 1.
 """
 
 from __future__ import annotations
@@ -132,15 +141,37 @@ def sizes(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
+def report(src: Path, solves: list, runs: list, count: int) -> dict:
+    """The JSON report of one tree: its runs of every solve, summarized."""
+    sha, dirty = checkout(src)
+    rows = []
+    for got, (n, edges, mode, anchor) in zip(runs, solves):
+        med = {key: round(statistics.median(r[key] for r in got), 1)
+               for key in ("wall_ms", "cut_ms", "prefix_ms", "peak_rss_mb")}
+        rows.append({"n": n, "m": len(edges), "mode": mode, "anchor": anchor or None,
+                     "value": got[0]["value"], "states": got[0]["states"],
+                     "wall_ms": med["wall_ms"],
+                     "wall_ms_runs": [round(r["wall_ms"], 1) for r in got],
+                     "cut_ms": med["cut_ms"], "prefix_ms": med["prefix_ms"],
+                     "peak_rss_mb": med["peak_rss_mb"],
+                     "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in got]})
+    return {"git": sha, "dirty": dirty, "python": platform.python_version(),
+            "nproc": os.cpu_count(), "seed": SEED, "runs": count, "instances": rows}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--sizes", type=sizes, default=sizes("16-24"), help="n range, as 16-24")
-    p.add_argument("--runs", type=int, default=3, help="fresh processes per solve")
-    p.add_argument("--src", type=Path, default=SRC, help="directory holding the reasm package")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--runs", type=int, default=3, help="fresh processes per solve and tree")
+    p.add_argument("--src", type=Path, action="append",
+                   help="directory holding the reasm package (default: this checkout's "
+                        "src); twice to compare two trees")
+    p.add_argument("--out", type=Path, action="append", required=True,
+                   help="the report, one per --src")
     args = p.parse_args(argv)
-    src = args.src.resolve()
-    sha, dirty = checkout(src)
+    srcs = [src.resolve() for src in args.src or [SRC]]
+    if len(args.out) != len(srcs) or len(srcs) > 2:
+        p.error("give one --out for each of one or two --src")
     rng = random.Random(SEED)
     solves = []  # (n, edges, mode, anchor or 0)
     for n in args.sizes:
@@ -152,27 +183,19 @@ def main(argv=None) -> int:
         least = min(range(1, n + 1), key=lambda v: (deg[v], v))
         solves += [(n, edges, "free", 0), (n, edges, "anchored", least)]
     # round by round, every solve once a round: a spell of load on a shared
-    # machine then falls on one run of each solve, which the median drops
-    runs = [[] for _ in solves]
-    for _ in range(args.runs):
-        for got, (n, edges, _, anchor) in zip(runs, solves):
-            got.append(run_child(str(src), n, edges, anchor))
-    rows = []
-    for got, (n, edges, mode, anchor) in zip(runs, solves):
-        if len({(r["value"], r["states"]) for r in got}) != 1:
+    # machine then falls on one run of each solve, which the median drops;
+    # and within a run on each tree, in turns that swap every round
+    runs = [[[] for _ in solves] for _ in srcs]  # by tree, then by solve
+    for r in range(args.runs):
+        for i, (n, edges, _, anchor) in enumerate(solves):
+            for tree in (range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs)))):
+                runs[tree][i].append(run_child(str(srcs[tree]), n, edges, anchor))
+    for i, (n, _, mode, _) in enumerate(solves):
+        got = [run for tree in runs for run in tree[i]]
+        if len({(run["value"], run["states"]) for run in got}) != 1:
             sys.exit(f"n = {n} {mode}: runs disagree: {got}")
-        med = {key: round(statistics.median(r[key] for r in got), 1)
-               for key in ("wall_ms", "cut_ms", "prefix_ms", "peak_rss_mb")}
-        rows.append({"n": n, "m": len(edges), "mode": mode, "anchor": anchor or None,
-                     "value": got[0]["value"], "states": got[0]["states"],
-                     "wall_ms": med["wall_ms"],
-                     "wall_ms_runs": [round(r["wall_ms"], 1) for r in got],
-                     "cut_ms": med["cut_ms"], "prefix_ms": med["prefix_ms"],
-                     "peak_rss_mb": med["peak_rss_mb"],
-                     "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in got]})
-    report = {"git": sha, "dirty": dirty, "python": platform.python_version(),
-              "nproc": os.cpu_count(), "seed": SEED, "runs": args.runs, "instances": rows}
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for src, tree, out in zip(srcs, runs, args.out):
+        out.write_text(json.dumps(report(src, solves, tree, args.runs), indent=1) + "\n")
     return 0
 
 
