@@ -62,10 +62,11 @@ the cells of one level, the sum of the top digits, are independent: each
 process fills its round-robin share of a level, and all meet at a pipe
 barrier, one byte each way, before the next.  The workers write straight
 into the mapping of X, which is shared, and end with os._exit; the kernels
-are compiled before the fork, and every worker is reaped before the table
-is returned.  The fill stays in one process with one usable CPU, in a
-reduce_beta pool worker, without os.fork, while other threads run, or
-with fewer than two digits above the groups (K_n, stars).
+are compiled before the fork, each process runs on a CPU of its own for
+the fill, and every worker is reaped before the table is returned.  The
+fill stays in one process with one usable CPU, in a reduce_beta pool
+worker, without os.fork, while other threads run, or with fewer than two
+digits above the groups (K_n, stars).
 
 Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
 Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
