@@ -399,6 +399,18 @@ def test_kernels_stay_within_the_leaf_bound(kernel_calls):
 
 
 @pytest.fixture
+def deadline():
+    """SIGALRM after 60 s: a fill that hangs fails its test, not the run."""
+    def expire(signum, frame):
+        raise TimeoutError("past the test's 60 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
 def forks(monkeypatch) -> list:
     """The floor of the parallel fill lowered to 2^10 states and the mapping
     floor to one byte, so that small tables fill in several processes; the
@@ -440,7 +452,8 @@ def _fill(g: Graph, skip=None) -> bytes:
 
 
 @pytest.mark.parametrize("procs", [2, 3, "usable"])
-def test_parallel_fill_is_byte_identical_to_the_serial_fill(monkeypatch, forks, procs):
+def test_parallel_fill_is_byte_identical_to_the_serial_fill(monkeypatch, forks, deadline,
+                                                             procs):
     # every table is filled by procs processes (or one per usable CPU, 2
     # on the 2-vCPU VM this package is measured on) and by one, and both
     # tables are the same bytes.  A fill that fell back to one process
@@ -473,18 +486,6 @@ def test_a_fill_without_two_digits_above_its_groups_runs_serially(monkeypatch, f
         _fill(g)
         exact_arrangement(g, "beta")
     assert forks == []
-
-
-@pytest.fixture
-def deadline():
-    """SIGALRM after 60 s: a fill that hangs fails its test, not the run."""
-    def expire(signum, frame):
-        raise TimeoutError("past the test's 60 s deadline")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def _kernels_failing(monkeypatch, fails):
@@ -531,7 +532,7 @@ def test_a_failing_parent_reaps_its_fill_workers(monkeypatch, forks, deadline):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_live_thread_keeps_the_fill_serial(monkeypatch, forks):
+def test_a_live_thread_keeps_the_fill_serial(monkeypatch, forks, deadline):
     # os.fork warns in a process with more than one thread (Python 3.12
     # on), which -W error turns into a failure
     monkeypatch.setattr(solvers, "_cpus", lambda: 2)
