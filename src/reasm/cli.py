@@ -15,8 +15,10 @@ charges 2^5 states per set it stores and refuses the first set past the
 limit), or an input above MAX_VERTICES vertices or MAX_EDGES edges,
 refused before it is built;
 4 verification failure: a failed verify suite, or an identity of the
-paper that failed in any verb.  A reader that closes stdout early ends the
-run with exit 0.
+paper that failed in any verb;
+130 (128 + SIGINT) interrupted: Ctrl-C prints `error: interrupted`, and
+leaves no worker process.  A reader that closes stdout early ends the run
+with exit 0.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_connected_graph(args.graph)
     if args.problem == "beta":
-        report = reduce_beta(g, DIRECTIONS[args.direction], jobs=args.jobs)
+        report = reduce_beta(g, DIRECTIONS[args.direction])
     else:
         report = reduce_alpha(g)
     _emit(report.to_json(), args.pretty)
@@ -304,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, choices=("alpha", "beta"))
     p.add_argument("--direction", default="r2a", choices=sorted(DIRECTIONS),
                    help="beta only: which problem is reduced to which")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers, one auxiliary graph each "
-                        "(at most one per vertex and one per usable CPU)")
     p.set_defaults(fn=cmd_reduce)
 
     p = _sub(sub, "verify", help="run invariant suites")
@@ -354,6 +353,9 @@ def main(argv=None) -> int:
     except ReasmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # whoever reads stdout stopped reading; point fd 1 at the null
         # device so the flush at exit does not raise again

@@ -50,8 +50,8 @@ from .errors import ValidationError, VerificationError
 from .graph import Graph
 from .layout import (Arrangement, evaluate_arrangement, format_witness,
                      induce_arrangement, induce_reassembling)
-from .solvers import (_check_work, _cpus, _pooled, _states, _twin_classes,
-                      exact_arrangement, exact_linear_reassembling)
+from .solvers import (_check_work, _forked, _states, _twin_classes, exact_arrangement,
+                      exact_linear_reassembling)
 from .tree import measures
 
 R2A = "reassembling_to_arrangement"  # solve reassembling with an arrangement solver
@@ -439,41 +439,36 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     return w, beta, obj, scatter0, balanced
 
 
-def _check_auxiliary_states(g: Graph) -> None:
+def _check_auxiliary_states(g: Graph) -> int:
     """Refuse, before any G_w is built, the first anchor whose DP would
-    refuse G_w.  G_w's twin classes are G's without w plus the clique U,
-    one class of p members, and w has no twin: its states are those of G's
-    layout anchored at w, times 2 for w and p + 1 for U."""
+    refuse G_w, and return the states of all of their DPs.  G_w's twin
+    classes are G's without w plus the clique U, one class of p members,
+    and w has no twin: its states are those of G's layout anchored at w,
+    times 2 for w and p + 1 for U."""
     classes = _twin_classes(g)
     p = 2 * g.m
+    total = 0
     for w in g.vertices:
-        _check_work(g.n + p, _states(g, classes, skip=w).size * 2 * (p + 1), "states")
+        count = _states(g, classes, skip=w).size * 2 * (p + 1)
+        _check_work(g.n + p, count, "states")
+        total += count
+    return total
 
 
-def reduce_beta(g: Graph, direction: str, jobs: int = 1) -> ReductionReport:
+def reduce_beta(g: Graph, direction: str) -> ReductionReport:
     """Solve one beta problem exactly through the other, one auxiliary graph
     per anchor; the winner is the (beta, anchor) lexicographic minimum.
 
-    `jobs` caps the worker processes, which are also at most one per anchor
-    and one per CPU the process may use (solvers._cpus): the pool starts
-    all of its workers at once, and they fill their tables serially."""
+    The anchors are independent: solvers._forked splits them between the
+    usable CPUs from 2^18 auxiliary states in all, and the DPs inside its
+    processes fill their tables serially."""
     if direction not in (R2A, A2R):
         raise ValidationError(f"direction must be {R2A!r} or {A2R!r}")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     if not g.is_connected():
         raise ValidationError("beta reduction needs a connected graph")
-    _check_auxiliary_states(g)
-    workers = min(jobs, g.n, _cpus())
-    args = (_solve_anchor, itertools.repeat(g), g.vertices, itertools.repeat(direction))
-    # both maps keep the order of g.vertices, so rows are in anchor order
-    if workers > 1:
-        # imported here: a serial run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pooled) as pool:
-            rows = list(pool.map(*args))
-    else:
-        rows = list(map(*args))
+    solved = _forked(lambda w: _solve_anchor(g, w, direction), [g.vertices],
+                     _check_auxiliary_states(g), f"beta reduction (n = {g.n})")
+    rows = [solved[w] for w in g.vertices]
     best = min(rows, key=lambda row: (row[1], row[0]))
     return ReductionReport(
         problem="beta",

@@ -53,20 +53,18 @@ about sqrt(size / 4) states, pulled like the digits above.  Both tables
 are anonymous mappings from _MAPPED bytes up, returned to the system when
 the solve drops them.
 
-A table of _GROUPED states or more is filled in several processes where
-they can run at once: this one and a forked worker per further CPU.  Its
-cells are runs of whole groups, one per value of the top digits (at least
-two, whose radices multiply to at most _CELLS), and a cell reads only its
-own states and the cells one vertex below it in one of those digits.  So
-the cells of one level, the sum of the top digits, are independent: each
-process fills its round-robin share of a level, and all meet at a pipe
-barrier, one byte each way, before the next.  The workers write straight
-into the mapping of X, which is shared, and end with os._exit; the kernels
-are compiled before the fork, each process runs on a CPU of its own for
-the fill, and every worker is reaped before the table is returned.  The
-fill stays in one process with one usable CPU, in a reduce_beta pool
-worker, without os.fork, while other threads run, or with fewer than two
-digits above the groups (K_n, stars).
+One routine, _forked, runs independent items in several processes, for
+the prefix fill and for reduction's reduce_beta, whose items are its
+anchors.  From _GROUPED states of work up it runs them in this process and
+a forked worker per further usable CPU, each pinned to a CPU of its own,
+so a _forked call inside any of them runs serially.  The fill's items are
+cells, runs of whole groups, one per value of the top digits (at least
+two, whose radices multiply to at most _CELLS).  A cell reads only its
+own states and the cells one vertex below it in one of those digits, so
+the cells of one level, the sum of the top digits, are independent.  The
+workers write straight into the mapping of X, which is shared, and the
+kernels are compiled before the fork.  X on the heap, or fewer than two
+digits above the groups (K_n, stars), leaves a single cell.
 
 Alpha is the cutwidth, which for a fixed bound k is polynomial (Thilikos,
 Serna and Bodlaender, "Cutwidth I", J. Algorithms 2005): a prefix set with
@@ -172,15 +170,13 @@ DEFAULT_DP_LIMIT = 24
 # their temporary ints
 _LEAF = 1 << 6
 _CHUNK = 1 << 13
-# the fewest prefix-table states that run grouped leaf blocks, and the
-# fewest bytes of a table kept off the heap
+# the fewest states of work that run grouped leaf blocks or forked
+# workers, and the fewest bytes of a table kept off the heap
 _GROUPED = 1 << 18
 _MAPPED = 1 << 17
 # the most cells of a parallel prefix fill: the top digits above its tile
 # whose radices multiply to at most this
 _CELLS = 1 << 6
-# set in the workers of a reduce_beta pool, which fill their tables serially
-_POOLED = False
 
 
 def _lanes(bound: int) -> str:
@@ -191,21 +187,9 @@ def _lanes(bound: int) -> str:
 
 
 def _cpus() -> int:
-    """The CPUs this process may use: its affinity mask, which taskset and
-    cpusets narrow, where the platform has one, or else the CPU count; 1 in
-    a worker of a reduce_beta pool, whose workers already take one CPU
-    each."""
-    if _POOLED:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pooled() -> None:
-    """The initializer of a reduce_beta pool's workers."""
-    global _POOLED
-    _POOLED = True
+    """The CPUs this process may use: its affinity mask, which taskset,
+    cpusets and _forked's pinning narrow, or 1 where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def dp_limit() -> int:
@@ -461,7 +445,9 @@ def _leaf_kernel(radices: tuple, carries: int):
         lines.append(f"    x{lo} = c{lo} + t")
     lines.append("    return " + "".join(f"x{lo}, " for lo in range(span)))
     namespace = {}
-    exec("\n".join(lines), namespace)
+    # a code object, not a string: CPython takes a KeyboardInterrupt raised
+    # inside exec of a string as unhandled, and ends by SIGINT, not exit 130
+    exec(compile("\n".join(lines), "<string>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -512,9 +498,7 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
     t - (t >> (k - 1)) fills the bits below it, picking b there.
 
     One routine, fill(start, stop), runs the groups of the states from
-    start to stop.  The fill is fill(0, size), or from _GROUPED states up,
-    where the top digits above the groups make cells, one fill per cell in
-    _fill_levels.
+    start to stop, and _forked runs it on each cell, level by level.
     """
     size = len(cut)
     code = _lanes(sum(st.deg) // 2 * len(st.deg))
@@ -574,40 +558,46 @@ def _prefix_table(cut: memoryview, st: _States) -> memoryview:
                     done.append(y)
 
     # the cells: one per value of the top digits above the tile whose radices
-    # multiply to at most _CELLS, by level, the sum of those digits
-    above = [d for d in upper if d[0] >= tile]
+    # multiply to at most _CELLS, by level, the sum of those digits; X on
+    # the heap, which forked workers would not share, is one cell
+    above = [d for d in upper if d[0] >= tile and isinstance(x.obj, mmap.mmap)]
     top = [d for i, d in enumerate(above) if math.prod(r for _, r in above[i:]) <= _CELLS]
-    procs = 1
-    if (len(top) >= 2 and size >= _GROUPED and isinstance(x.obj, mmap.mmap)
-            and hasattr(os, "fork") and threading.active_count() == 1):
-        cell = top[0][0]
-        levels = [[] for _ in range(sum(r - 1 for _, r in top) + 1)]
-        for c in range(0, size, cell):
-            levels[sum(c // h % r for h, r in top)].append(c)
-        procs = min(_cpus(), max(map(len, levels)))
-    if procs < 2:
-        fill(0, size)
-    else:
-        _fill_levels(fill, levels, cell, procs, f"n = {len(st.deg)}, {size} states")
+    cell = top[0][0] if top else size
+    levels = [[] for _ in range(sum(r - 1 for _, r in top) + 1)]
+    for c in range(0, size, cell):
+        levels[sum(c // h % r for h, r in top)].append(c)
+    _forked(lambda c: fill(c, c + cell), levels, size,
+            f"prefix table fill (n = {len(st.deg)}, {size} states)")
     return x
 
 
-def _fill_levels(fill, levels, cell: int, procs: int, what: str) -> None:
-    """fill(c, c + cell) for every cell c of `levels`, one level after
-    another, in `procs` processes: this one and procs - 1 forked workers,
-    which write into the same shared mapping.  Rank p takes the cells
-    p, p + procs, ... of each level, and this process the ranks it could
-    not fork.  After each level every worker sends this process one byte,
-    and once all have, it sends each one back.  A worker ends with
-    os._exit, status 0 once it has had the byte of the last level; every
-    worker is reaped before this returns or raises, and one that ends
-    early raises VerificationError."""
-    ranks = [0]
-    workers = []  # (pid, read end of its bytes, write end of the bytes to it)
-    # each process on a CPU of its own for the fill: left to itself, the
-    # scheduler can keep a worker on its parent's CPU for the whole fill
-    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    _pin(mask, 0)
+def _forked(run, levels, work: int, what: str) -> dict:
+    """{item: run(item)} for every item of `levels`, level by level; the
+    items of a level may not read each other's results.
+
+    From `work` of _GROUPED states up, with os.fork and no other thread,
+    this process and a forked worker per further usable CPU, at most one
+    per item of a level, run them, each pinned to a CPU of its own.  Rank
+    p runs the items p, p + procs, ... of each level, this process those
+    of the ranks it could not fork.  After each level every worker sends
+    its results, pickled, or the exception it raised, which is raised
+    here, and waits for a byte back.  Every worker ends with os._exit and
+    is reaped before this returns or raises; one that ended early raises
+    VerificationError."""
+    procs = min(_cpus(), max(map(len, levels))) if work >= _GROUPED else 1
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return {item: run(item) for level in levels for item in level}
+    import pickle  # here, so that a serial run never loads it
+    import signal
+    results, ranks = {}, [0]
+    workers = []  # (pid, reader of its results, write end of the bytes to it)
+    # left to itself, the scheduler can keep a worker on its parent's CPU
+    # for the whole run
+    mask = sorted(os.sched_getaffinity(0))
+    _pin({mask[0]})
+    # SIGINT waits while workers are forked, until each is listed here and
+    # inside its try there
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
     try:
         for rank in range(1, procs):
             pipes = []
@@ -624,53 +614,63 @@ def _fill_levels(fill, levels, cell: int, procs: int, what: str) -> None:
             if pid == 0:
                 status = 1
                 try:
-                    _pin(mask, rank)
-                    for fd in [up, down] + [fd for _, r, w in workers for fd in (r, w)]:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    _pin({mask[rank % len(mask)]})
+                    for fd in [up, down] + [fd for _, r, w in workers for fd in (r.fileno(), w)]:
                         os.close(fd)
-                    for level in levels:
-                        for c in level[rank::procs]:
-                            fill(c, c + cell)
-                        os.write(tell, b"\0")
-                        if not os.read(hear, 1):
-                            break
-                    else:
-                        status = 0
+                    with open(tell, "wb") as out:
+                        for level in levels:
+                            try:
+                                sent = {item: run(item) for item in level[rank::procs]}
+                            except BaseException as exc:
+                                sent = exc
+                            pickle.dump(sent, out)
+                            out.flush()
+                            if isinstance(sent, BaseException) or not os.read(hear, 1):
+                                break
+                        else:
+                            status = 0
                 finally:
                     os._exit(status)
+            workers.append((pid, open(up, "rb"), down))
             os.close(tell)
             os.close(hear)
-            workers.append((pid, up, down))
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         for level in levels:
             for rank in ranks:
-                for c in level[rank::procs]:
-                    fill(c, c + cell)
-            if not all(os.read(r, 1) for _, r, _ in workers):
+                results.update((item, run(item)) for item in level[rank::procs])
+            try:
+                sent = [pickle.load(reader) for _, reader, _ in workers]
+            except (EOFError, pickle.UnpicklingError):  # a worker ended early
                 break
+            for part in sent:
+                if isinstance(part, BaseException):
+                    raise part
+                results.update(part)
             try:
                 for _, _, w in workers:
                     os.write(w, b"\0")
-            except BrokenPipeError:  # a worker ended after its byte
+            except BrokenPipeError:  # a worker ended after it sent
                 break
     finally:
         # a worker still waiting reads its end closed and stops
-        for _, r, w in workers:
-            os.close(r)
+        for _, reader, w in workers:
+            reader.close()
             os.close(w)
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
         _pin(mask)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
     if any(statuses):
-        raise VerificationError(f"prefix table fill failed ({what}): "
-                                f"worker exit statuses {statuses}")
+        raise VerificationError(f"{what} failed: worker exit statuses {statuses}")
+    return results
 
 
-def _pin(mask: list, rank: Optional[int] = None) -> None:
-    """Run this process on the CPUs of `mask`, or with a rank on CPU
-    mask[rank mod len(mask)] only; no mask, no change."""
-    if mask:
-        try:
-            os.sched_setaffinity(0, mask if rank is None else {mask[rank % len(mask)]})
-        except OSError:
-            pass
+def _pin(cpus) -> None:
+    """Run this process on `cpus` only, where the system lets it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _followers(deg, w: int) -> list:

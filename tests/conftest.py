@@ -2,10 +2,13 @@
 independent binary-tree enumerator, a per-mask prefix-cost recurrence, the
 prefix table's per-state leaf loop, deep caterpillar trees, the
 order-by-order enumeration of an auxiliary graph, the first non-strict
-sibling pair of a tree, a process-pool stand-in and a CLI runner."""
+sibling pair of a tree, a deadline, lowered floors and a fork counter for
+the forked runs, an affinity stand-in and a CLI runner."""
 
 import itertools
 import math
+import os
+import signal
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -13,10 +16,15 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from reasm import solvers
 from reasm.graph import Graph, vertices_of
 from reasm.tree import ReassemblyTree
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# this process's CPUs when the tests start, and the call that reads them,
+# taken before any stand-in
+affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+CPUS = affinity(0)
 
 # Hypothesis imports libcst, where installed, to report a failing example.
 # That import warns that mypy_extensions.TypedDict is deprecated, which
@@ -175,26 +183,57 @@ def first_nonstrict_pair(g: Graph, tree: ReassemblyTree):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch) -> list:
-    """Replace the reductions' process pool by an in-process stand-in that
-    records the `max_workers` of every pool asked for.  The workers'
-    initializer is not run: it would mark this process a pool worker."""
-    sizes = []
+def deadline():
+    """SIGALRM after 60 s: a forked run that hangs fails its test, not the
+    run."""
+    def expire(signum, frame):
+        raise TimeoutError("past the test's 60 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.fixture
+def forks(monkeypatch):
+    """The floor of the forked runs lowered to 2^10 states and the mapping
+    floor to one byte, so that small tables and small reductions run in
+    several processes; the pid of every worker forked, in fork order.  A
+    worker that forks again raises AssertionError, which it sends back to
+    be raised in this process.  At the end no child may be left, and this
+    process must have the CPUs it started with."""
+    monkeypatch.setattr(solvers, "_GROUPED", 1 << 10)
+    monkeypatch.setattr(solvers, "_MAPPED", 1)
+    pids, fork, parent = [], os.fork, os.getpid()
 
-        def __exit__(self, *exc):
-            return False
+    def counted():
+        if os.getpid() != parent:
+            raise AssertionError("a forked worker forked again")
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert affinity(0) == CPUS
 
-        map = staticmethod(map)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    return sizes
+@pytest.fixture
+def cpus(monkeypatch):
+    """A stand-in for the affinity calls, whatever CPUs the machine has:
+    cpus(k) lets this process use CPUs 0..k-1, and pinning sets the mask of
+    the process that pins, a forked worker's own copy included."""
+    mask = set()
+
+    def pin(pid, chosen):
+        mask.clear()
+        mask.update(chosen)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+    return lambda k: pin(0, range(k))
 
 
 @pytest.fixture

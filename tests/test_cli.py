@@ -2,16 +2,18 @@ import dataclasses
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import reasm
 from reasm import graph, layout, reduction, sequential, solvers, tree, verify
-from reasm.graph import (MAX_EDGES, MAX_VERTICES, format_graph, parse_graph, path_graph,
-                         star_graph)
+from reasm.graph import (MAX_EDGES, MAX_VERTICES, cycle_graph, format_graph, parse_graph,
+                         path_graph, star_graph)
 from reasm.sequential import format_ordering
 
 from conftest import FIXTURES, caterpillar_text
@@ -449,36 +451,20 @@ def test_reduce_beta_cli(run_cli, workdir):
     assert data["checks"] == {"scatter0": True, "balanced": True}
 
 
-def test_reduce_jobs_are_bounded(run_cli, workdir, pool_sizes, monkeypatch):
-    monkeypatch.setattr("reasm.solvers.os.sched_getaffinity", lambda pid: set(range(64)),
-                        raising=False)
-    monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: 64)
-    g = write(workdir / "p3.g", format_graph(path_graph(3)))
-    for jobs in ("0", "-1"):
-        code, _, err = run_cli("reduce", g, "--problem", "beta", "--jobs", jobs)
-        assert code == 2 and "jobs" in err
-    assert pool_sizes == []
-    code, out, _ = run_cli("reduce", g, "--problem", "beta", "--jobs", "100000")
-    assert code == 0 and json.loads(out)["best"]["beta"] == 5
-    assert pool_sizes == [3]  # one worker per anchor
-
-
 @pytest.mark.parametrize("affinity", [True, False])
-def test_reduce_on_one_usable_cpu_starts_no_pool(run_cli, workdir, pool_sizes, monkeypatch,
-                                                 affinity):
-    # taskset or a cpuset leaves the process one CPU of the machine's 64; a
-    # platform without affinity masks falls back to the CPU count
+def test_reduce_on_one_usable_cpu_forks_nothing(run_cli, workdir, forks, deadline, monkeypatch,
+                                                affinity):
+    # taskset or a cpuset leaves the process one CPU of the machine's; a
+    # platform without affinity masks counts one.  C5's reduction is above
+    # the lowered floor
     if affinity:
-        monkeypatch.setattr("reasm.solvers.os.sched_getaffinity", lambda pid: {5},
-                            raising=False)
-        monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
     else:
-        monkeypatch.delattr("reasm.solvers.os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: 1)
-    g = write(workdir / "p3.g", format_graph(path_graph(3)))
-    code, out, _ = run_cli("reduce", g, "--problem", "beta", "--jobs", "8")
-    assert code == 0 and json.loads(out)["best"]["beta"] == 5
-    assert pool_sizes == []
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    g = write(workdir / "c5.g", format_graph(cycle_graph(5)))
+    code, out, _ = run_cli("reduce", g, "--problem", "beta")
+    assert code == 0 and json.loads(out)["best"]["beta"] == 16
+    assert forks == []
 
 
 def test_reduce_alpha_cli(run_cli):
@@ -608,11 +594,46 @@ def test_closed_stdout_exits_cleanly(first):
 
 
 def test_import_loads_no_process_pool():
-    # concurrent.futures is imported only when reduce --jobs starts a pool
-    proc = subprocess.run([sys.executable, "-c", "import sys, reasm.cli; "
-                           "print('concurrent.futures' in sys.modules)"],
+    # pickle is imported only where a run forks workers, and nothing
+    # imports a process pool
+    proc = subprocess.run([sys.executable, "-c", "import sys, reasm.cli; print("
+                           "[m for m in ('concurrent.futures', 'pickle') if m in sys.modules])"],
                           capture_output=True, text=True, env=_module_env())
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_an_interrupted_verb_exits_130(run_cli, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr("reasm.cli.exact_arrangement", interrupted)
+    try:
+        code, out, err = run_cli("solve", FIXTURES / "q3.g", "--objective", "beta",
+                                 "--witness-out", os.devnull)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
+def test_ctrl_c_ends_a_reduction_and_its_workers(workdir):
+    # C16's auxiliary graphs have 2^15 * 2 * 33 states each, 2^25 in all,
+    # above the floor of a forked reduction, which runs for seconds.  SIGINT
+    # to the process group, as Ctrl-C sends it, reaches the workers too
+    g = write(workdir / "c16.g", format_graph(cycle_graph(16)))
+    with subprocess.Popen([sys.executable, "-m", "reasm", "reduce", g, "--problem", "beta"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=_module_env(), start_new_session=True) as proc:
+        # running once it has forked a worker, or after a second where
+        # it forks none (one usable CPU)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        for _ in range(100):
+            if children.exists() and children.read_text().strip():
+                break
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 @pytest.mark.parametrize("engine", ["dp", "brute"])

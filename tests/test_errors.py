@@ -76,7 +76,7 @@ def test_exit_code_is_a_property_of_the_class():
 
 @pytest.mark.parametrize("cls", [ValidationError, LimitError, VerificationError])
 def test_errors_survive_a_pickle_round_trip(cls):
-    # --jobs workers send their errors back through the process pool
+    # forked workers send their errors back pickled, to be raised again
     exc = pickle.loads(pickle.dumps(cls("anchor 3: broken")))
     assert type(exc) is cls and str(exc) == "anchor 3: broken"
 
@@ -100,6 +100,19 @@ def test_unbalanced_normal_form_exits_4(run_cli, monkeypatch):
     code, out, err = run_cli("reduce", FIXTURES / "q3.g", "--problem", "beta")
     assert code == 4 and out == ""
     assert err.startswith("error: anchor 1:") and err.count("\n") == 1
+
+
+def test_a_worker_only_failure_exits_4(run_cli, monkeypatch, forks, cpus, deadline):
+    # the check fails in the forked worker alone, on the anchors it runs
+    # (the even ones of q3's eight): its error reaches the command line
+    parent, balanced = os.getpid(), reduction._is_right_balanced
+    monkeypatch.setattr(reduction, "_is_right_balanced",
+                        lambda seq: os.getpid() == parent and balanced(seq))
+    cpus(2)
+    code, out, err = run_cli("reduce", FIXTURES / "q3.g", "--problem", "beta")
+    assert code == 4 and out == ""
+    assert err.startswith("error: anchor 2:") and err.count("\n") == 1
+    assert len(forks) == 1
 
 
 def test_idle_rebalancing_is_caught(monkeypatch):
@@ -283,11 +296,10 @@ def test_solve_exit_codes(files, graph, objective, mode, anchor, engine, out):
 
 @FUZZ
 @given(graph=GRAPH, problem=st.sampled_from(("alpha", "beta")),
-       direction=st.sampled_from(("r2a", "a2r", "up")),
-       jobs=st.sampled_from(("-1", "0", "1", "x")))  # no worker processes
-def test_reduce_exit_codes(files, graph, problem, direction, jobs):
+       direction=st.sampled_from(("r2a", "a2r", "up")))
+def test_reduce_exit_codes(files, graph, problem, direction):
     argv = ["reduce", files.put("g", graph), "--problem", problem,
-            "--direction", direction, "--jobs", jobs]
+            "--direction", direction]
     assert _exit_code(argv) in EXIT_CODES
 
 

@@ -1,13 +1,13 @@
 import itertools
 import json
-import multiprocessing
+import os
 import random
 
 import networkx as nx
 import pytest
 
-from reasm.errors import LimitError, ValidationError
-from reasm import solvers
+from reasm.errors import LimitError, ValidationError, VerificationError
+from reasm import reduction, solvers
 from reasm.graph import (Graph, complete_graph, cycle_graph, format_graph, path_graph,
                          qcube3_graph, ring_tree_graph, star_graph)
 from reasm.layout import Arrangement, evaluate_arrangement
@@ -27,12 +27,12 @@ def test_auxiliary_states_are_counted_from_the_base(monkeypatch):
                         lambda n, count, unit: checked.append((n, count, unit)))
     for g in connected_atlas(5):
         checked.clear()
-        _check_auxiliary_states(g)
+        total = _check_auxiliary_states(g)
         want = []
         for w in g.vertices:
             aux = build_auxiliary(g, w).combined
             want.append((aux.n, _states(aux, _twin_classes(aux)).size, "states"))
-        assert checked == want
+        assert checked == want and total == sum(count for _, count, _ in want)
 
 
 def test_beta_reduction_is_refused_before_building(monkeypatch):
@@ -228,50 +228,49 @@ def test_reduce_beta_matches_direct_solves(g):
     assert evaluate_arrangement(g, a2r.best_object).beta == arr_opt
 
 
-def test_reduce_beta_parallel_matches_serial():
-    g = path_graph(3)
-    assert reduce_beta(g, R2A, jobs=2).to_json() == reduce_beta(g, R2A).to_json()
+def test_reduce_beta_parallel_matches_serial(forks, cpus, deadline):
+    # C9's anchors split between two processes give the report of one
+    # process, in both directions
+    g = cycle_graph(9)
+    for direction in (R2A, A2R):
+        cpus(1)
+        serial = reduce_beta(g, direction).to_json()
+        assert forks == []
+        cpus(2)
+        assert reduce_beta(g, direction).to_json() == serial
+        assert len(forks) == 1
+        forks.clear()
 
 
-@pytest.mark.parametrize("jobs, cpus, sizes", [
-    (100000, 64, [4]),  # one worker per anchor at most
-    (3, 64, [3]),
-    (100000, 2, [2]),  # one worker per CPU at most
-    (4, None, []),  # unknown CPU count: serial
-    (1, 64, []),
-])
-def test_reduce_beta_bounds_workers(monkeypatch, pool_sizes, jobs, cpus, sizes):
-    # the usable CPUs are the affinity mask's; a platform without one falls
-    # back to the CPU count, which may be unknown
-    if cpus is None:
-        monkeypatch.delattr("reasm.solvers.os.sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr("reasm.solvers.os.sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr("reasm.solvers.os.cpu_count", lambda: cpus)
-    g = cycle_graph(4)
-    assert reduce_beta(g, R2A, jobs=jobs).to_json() == reduce_beta(g, R2A).to_json()
-    assert pool_sizes == sizes
+def test_fills_inside_reduce_workers_fork_nothing(forks, cpus, deadline):
+    # on two CPUs the DP of one of C9's auxiliary graphs forks a fill worker
+    # of its own; inside a reduction every process is pinned to one CPU, so
+    # procs - 1 forks are all there are, and a worker that forked would
+    # fail the reduction
+    g = cycle_graph(9)
+    cpus(2)
+    exact_arrangement(build_auxiliary(g, 1).combined, "beta")
+    assert len(forks) == 1
+    for procs in (2, 3):
+        cpus(procs)
+        forks.clear()
+        reduce_beta(g, R2A)
+        assert len(forks) == procs - 1
 
 
-def _fill_cpus(g, w, direction):
-    """A stand-in for reduction._solve_anchor whose beta is the CPU count
-    that a prefix fill in the worker would split its table over."""
-    return w, solvers._cpus(), None, True, True
+def test_a_dying_reduce_worker_fails_the_reduction(monkeypatch, forks, cpus, deadline):
+    parent = os.getpid()
 
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the stand-in reaches the workers through fork")
-def test_pool_workers_fill_their_tables_serially(monkeypatch):
-    # two pool workers on two CPUs that each forked fill workers of their
-    # own would run four processes: a pool worker counts one CPU
-    monkeypatch.setattr("reasm.reduction._solve_anchor", _fill_cpus)
-    monkeypatch.setattr("reasm.reduction._cpus", lambda: 2)
-    report = reduce_beta(path_graph(3), R2A, jobs=2)
-    assert report.anchors == ((1, 1), (2, 1), (3, 1))
-    assert not solvers._POOLED
-    monkeypatch.setattr(solvers, "_POOLED", True)
-    assert solvers._cpus() == 1
+    def solve(g, w, direction):
+        if os.getpid() != parent:
+            os._exit(3)
+        return w, 0, None, True, True
+    monkeypatch.setattr(reduction, "_solve_anchor", solve)
+    cpus(2)
+    with pytest.raises(VerificationError) as err:
+        reduce_beta(cycle_graph(5), R2A)
+    assert str(err.value) == "beta reduction (n = 5) failed: worker exit statuses [3]"
+    assert len(forks) == 1
 
 
 def test_reduce_beta_rejects():
@@ -279,9 +278,6 @@ def test_reduce_beta_rejects():
         reduce_beta(path_graph(3), "sideways")
     with pytest.raises(ValidationError):
         reduce_beta(Graph(3, ((1, 2),)), R2A)
-    for jobs in (0, -3):
-        with pytest.raises(ValidationError, match="jobs"):
-            reduce_beta(path_graph(3), R2A, jobs=jobs)
 
 
 def test_reduce_beta_report_json():

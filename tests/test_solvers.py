@@ -5,7 +5,6 @@ import mmap
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from reasm.errors import LimitError, ValidationError, VerificationError
+from reasm.errors import LimitError, ValidationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
                          path_graph, qcube3_graph, ring_tree_graph, star_graph, vertices_of)
 from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
@@ -398,36 +397,6 @@ def test_kernels_stay_within_the_leaf_bound(kernel_calls):
     assert info.hits == len(kernel_calls) - 7 == 11
 
 
-@pytest.fixture
-def deadline():
-    """SIGALRM after 60 s: a fill that hangs fails its test, not the run."""
-    def expire(signum, frame):
-        raise TimeoutError("past the test's 60 s deadline")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list:
-    """The floor of the parallel fill lowered to 2^10 states and the mapping
-    floor to one byte, so that small tables fill in several processes; the
-    pid of every worker the fill forks, in fork order."""
-    monkeypatch.setattr(solvers, "_GROUPED", 1 << 10)
-    monkeypatch.setattr(solvers, "_MAPPED", 1)
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 def _parallel_layouts():
     rng = random.Random(34)
     for n in range(12, 17):
@@ -457,10 +426,7 @@ def test_parallel_fill_is_byte_identical_to_the_serial_fill(monkeypatch, forks, 
     # every table is filled by procs processes (or one per usable CPU, 2
     # on the 2-vCPU VM this package is measured on) and by one, and both
     # tables are the same bytes.  A fill that fell back to one process
-    # would fork no worker.  Each process runs on a CPU of its own during
-    # the fill, and this one gets its affinity mask back
-    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
-    mask = affinity(0)
+    # would fork no worker
     cpus = solvers._cpus if procs == "usable" else lambda: procs
     for g, skip in _parallel_layouts():
         monkeypatch.setattr(solvers, "_cpus", lambda: 1)
@@ -470,10 +436,6 @@ def test_parallel_fill_is_byte_identical_to_the_serial_fill(monkeypatch, forks, 
         assert _fill(g, skip) == serial, (g.edges, skip)
         # each layout has a level of three cells or more
         assert len(forks) - before == min(cpus(), 3) - 1
-    # every worker was reaped, and this process may run on every CPU again
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert affinity(0) == mask
 
 
 def test_a_fill_without_two_digits_above_its_groups_runs_serially(monkeypatch, forks):
@@ -503,19 +465,16 @@ def _kernels_failing(monkeypatch, fails):
 
 
 def test_a_failing_fill_worker_fails_the_solve(monkeypatch, forks, deadline):
-    # the worker fails in its first cell and exits with status 1, while the
-    # parent waits for it at the first barrier
+    # the worker fails in its first cell and sends its error, while the
+    # parent waits for it at the first barrier: the solve raises what the
+    # serial fill would
     monkeypatch.setattr(solvers, "_cpus", lambda: 2)
     parent = os.getpid()
     _kernels_failing(monkeypatch, lambda: os.getpid() != parent)
     g = _twin_free(random.Random(14), 14)
-    with pytest.raises(VerificationError) as err:
+    with pytest.raises(RuntimeError, match="a failing leaf kernel"):
         exact_arrangement(g, "beta")
-    assert str(err.value) == ("prefix table fill failed (n = 14, 16384 states): "
-                              "worker exit statuses [1]")
-    assert err.value.exit_code == 4 and len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
 
 
 def test_a_failing_parent_reaps_its_fill_workers(monkeypatch, forks, deadline):
@@ -528,8 +487,6 @@ def test_a_failing_parent_reaps_its_fill_workers(monkeypatch, forks, deadline):
     with pytest.raises(RuntimeError, match="a failing leaf kernel"):
         exact_arrangement(_twin_free(random.Random(14), 14), "beta")
     assert len(forks) == 2
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_live_thread_keeps_the_fill_serial(monkeypatch, forks, deadline):
@@ -551,9 +508,45 @@ def test_a_live_thread_keeps_the_fill_serial(monkeypatch, forks, deadline):
     assert threaded == exact_arrangement(g, "beta") and len(forks) == 1
 
 
-def test_usable_cpus():
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert solvers._cpus() == (cpus or 1) and not solvers._POOLED
+def test_usable_cpus(monkeypatch):
+    # the affinity mask, or one CPU on a platform without one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert solvers._cpus() == cpus
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert solvers._cpus() == 1
+
+
+@pytest.mark.parametrize("usable, work, workers", [
+    (64, 1 << 10, 3),  # one process per item of the largest level at most
+    (2, 1 << 10, 1),  # one per usable CPU at most
+    (1, 1 << 10, 0),
+    (64, (1 << 10) - 1, 0),  # below the floor
+])
+def test_forked_bounds_its_workers(forks, cpus, deadline, usable, work, workers):
+    # every item's result, in whichever process ran it, and the levels in
+    # order: the items of level 1 read the write of level 0 in a shared
+    # mapping, and level 2 reads theirs.  An item's result is the process
+    # that ran it and the CPUs it could use
+    cpus(usable)
+    done = solvers._table("B", 8, 0)
+    assert isinstance(done.obj, mmap.mmap)
+    levels = [[0], [1, 2, 3, 4], [5]]
+    reads = {0: [], 1: [0], 2: [0], 3: [0], 4: [0], 5: [1, 2, 3, 4]}
+
+    def run(item):
+        done[item] = 1 + sum(done[i] for i in reads[item])
+        return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
+
+    got = solvers._forked(run, levels, work, "a test run")
+    assert sorted(got) == list(range(6))
+    assert done.tolist() == [1, 2, 2, 2, 2, 9, 0, 0]
+    # each process on a CPU of its own, or this one on all of them
+    places = set(got.values())
+    if workers:
+        assert sorted(cpu for _, cpu in places) == [(c,) for c in range(workers + 1)]
+    else:
+        assert places == {(os.getpid(), tuple(range(usable)))}
+    assert len(forks) == workers
 
 
 def test_tables_below_and_from_the_mapping_floor():
