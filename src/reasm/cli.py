@@ -19,6 +19,10 @@ paper that failed in any verb;
 130 (128 + SIGINT) interrupted: Ctrl-C prints `error: interrupted`, and
 leaves no worker process.  A reader that closes stdout early ends the run
 with exit 0.
+
+The process entry point is `reasm.__main__.main`, which imports this
+module inside the one handler that turns a KeyboardInterrupt into exit
+130; `main` here lets the interrupt through to its caller.
 """
 
 from __future__ import annotations
@@ -353,9 +357,6 @@ def main(argv=None) -> int:
     except ReasmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
     except BrokenPipeError:
         # whoever reads stdout stopped reading; point fd 1 at the null
         # device so the flush at exit does not raise again
@@ -363,7 +364,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

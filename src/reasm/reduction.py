@@ -413,7 +413,8 @@ class ReductionReport:
 def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     aux = build_auxiliary(g, w)
     if direction == R2A:
-        order = exact_arrangement(aux.combined, "beta").witness.order
+        res = exact_arrangement(aux.combined, "beta")
+        order = res.witness.order
     else:
         res = exact_linear_reassembling(aux.combined, "beta")
         order = induce_arrangement(aux.combined, res.witness).order
@@ -428,6 +429,15 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
                                 f"have the shape U ... U w V-{{w}}")
     # positions 1..p+1 hold U + {w} with w last, so w leads the restriction
     restricted = tuple(v for v in s.order if v <= g.n)
+    # G_w's optimum is the clique's sum of c (p + 1 - c) plus the arrangement
+    # beta of the restriction; a linear reassembling adds 2 m(G_w) - p
+    clique = sum(c * (aux.p + 1 - c) for c in range(1, aux.p + 1))
+    want = clique + sum(g._prefix_cuts(restricted))
+    if direction == A2R:
+        want += 2 * aux.combined.m - aux.p
+    if res.value != want:
+        raise VerificationError(f"anchor {w}: G_w optimum {res.value} != {want} from the "
+                                f"clique sum {clique} and the restriction {restricted}")
     anchored_tree = induce_reassembling(g, Arrangement(restricted))
     if direction == R2A:
         beta = measures(g, anchored_tree).beta

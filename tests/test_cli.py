@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import reasm
+import reasm.__main__
 from reasm import graph, layout, reduction, sequential, solvers, tree, verify
 from reasm.graph import (MAX_EDGES, MAX_VERTICES, cycle_graph, format_graph, parse_graph,
                          path_graph, star_graph)
@@ -337,7 +339,7 @@ def test_dp_tables_are_compact(workdir):
     # ints would add 8 bytes a state per table, 16 MB).  Both peaks are the
     # child's VmHWM, which starts afresh at exec.
     n = 20
-    g = reasm.Graph(n, tuple(sorted({tuple(sorted((v, (v + d - 1) % n + 1)))
+    g = graph.Graph(n, tuple(sorted({tuple(sorted((v, (v + d - 1) % n + 1)))
                                      for v in range(1, n + 1) for d in (1, 3)})))
     assert g.m == 40 and g.is_connected() and solvers._twin_classes(g) == []
     peaks = []
@@ -579,6 +581,30 @@ def test_module_entry_point(workdir):
     assert json.loads(proc.stdout)["m"] == 4
 
 
+def _console_script() -> str:
+    """What an installed `reasm` script runs: the `module:attr` target that
+    pyproject.toml gives it, called without arguments, whose return value
+    is the exit code."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, attr = re.search(r'^reasm = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n"
+
+
+def test_console_script_entry_point(workdir):
+    proc = subprocess.run([sys.executable, "-c", _console_script(), "gen",
+                           "--family", "path", "--size", "3"],
+                          capture_output=True, text=True, env=_module_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["text"] == "3 2\n1 2\n2 3\n"
+
+
+def test_import_reasm_loads_no_submodule():
+    proc = subprocess.run([sys.executable, "-c", "import sys, reasm; print(sorted("
+                           "m for m in sys.modules if m.startswith('reasm')))"],
+                          capture_output=True, text=True, env=_module_env())
+    assert (proc.returncode, proc.stdout) == (0, "['reasm']\n"), proc.stderr
+
+
 @pytest.mark.parametrize("first", [0, 1], ids=["at-once", "after-one-byte"])
 def test_closed_stdout_exits_cleanly(first):
     # a reader that stops early, at once or after one byte as `| head -c 1`
@@ -602,16 +628,77 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-def test_an_interrupted_verb_exits_130(run_cli, monkeypatch):
+def test_an_interrupted_verb_exits_130(run_cli, capsys, monkeypatch):
+    # cli.main lets the interrupt through, as any library call does; the
+    # process entry point turns it into exit 130
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
     monkeypatch.setattr("reasm.cli.exact_arrangement", interrupted)
+    argv = ["solve", str(FIXTURES / "q3.g"), "--objective", "beta", "--witness-out", os.devnull]
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv)
     try:
-        code, out, err = run_cli("solve", FIXTURES / "q3.g", "--objective", "beta",
-                                 "--witness-out", os.devnull)
+        code = reasm.__main__.main(argv)
     except KeyboardInterrupt:
         pytest.fail("KeyboardInterrupt escaped main")
-    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert (code, *capsys.readouterr()) == (130, "", "error: interrupted\n")
+
+
+# sitecustomize runs at start-up, before any reasm code.  Its meta-path hook
+# interrupts the first import of reasm.solvers, which reasm.cli's imports
+# reach, either plainly or inside exec of a string, as an interrupt lands
+# in the code that dataclasses generate at import
+INTERRUPT_ON_SOLVERS = """import sys
+
+class InterruptOnSolvers:
+    def find_spec(self, name, path=None, target=None):
+        if name == "reasm.solvers":
+            {raise_}
+
+sys.meta_path.insert(0, InterruptOnSolvers())
+"""
+
+
+@pytest.mark.parametrize("raise_", ["raise KeyboardInterrupt", 'exec("raise KeyboardInterrupt")'],
+                         ids=["raised", "inside-exec"])
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+def test_an_interrupted_import_exits_130(tmp_path, entry, raise_):
+    (tmp_path / "sitecustomize.py").write_text(INTERRUPT_ON_SOLVERS.format(raise_=raise_))
+    env = _module_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    argv = ["-m", "reasm"] if entry == "module" else ["-c", _console_script()]
+    proc = subprocess.run([sys.executable, *argv, "gen", "--family", "path", "--size", "3"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
+
+
+def test_ctrl_c_at_start_up_shows_no_reasm_traceback(workdir, run_cli):
+    # SIGINT 0.02-0.10 s in lands in the interpreter's start-up, which
+    # reports it (or dies of it) without naming a reasm file, or in reasm
+    # code, from reasm.__main__'s first line on, which exits 130.  Each
+    # beta solve of the 20-vertex ring tree would run for longer than that.
+    # A signal that came in while CPython loaded reasm/__init__.py or
+    # reasm/__main__.py (in a garbage collection, say) is raised on entry
+    # to the file's code, shown as line 0, before any line of it has run
+    assert run_cli("gen", "--family", "ring_tree", "--ring-sizes", "5,5,5,5",
+                   "--out", "rt20.g")[0] == 0
+    pkg = str(Path(reasm.__file__).resolve().parent)
+    runs = 32
+    for i in range(runs):
+        with subprocess.Popen([sys.executable, "-m", "reasm", "solve", "rt20.g",
+                               "--objective", "beta", "--witness-out", os.devnull],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=_module_env(), start_new_session=True) as proc:
+            time.sleep(0.02 + 0.08 * i / (runs - 1))
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        frames = re.findall(r'File "(.*)", line (\d+)', err)
+        assert [f for f in frames if f[0].startswith(pkg)] in (
+            [], [(f"{pkg}/__init__.py", "0")], [(f"{pkg}/__main__.py", "0")]), err
+        if err and "Traceback" not in err:
+            assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 def test_ctrl_c_ends_a_reduction_and_its_workers(workdir):
@@ -651,8 +738,6 @@ def test_an_anchor_outside_the_graph_is_refused_before_the_work(run_cli, tmp_pat
 
 
 def test_public_names():
-    for name in reasm.__all__:
-        assert getattr(reasm, name) is not None
     removed = {
         graph: ("popcount", "iter_bits", "Deg3Report", "classify_deg3"),
         tree: ("cross_sections", "validate_tree", "is_strict", "Cluster",

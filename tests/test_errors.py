@@ -4,6 +4,7 @@ with 0, 2, 3 or 4; the package's checks are exceptions, not asserts, so
 they hold under python -O too."""
 
 import ast
+import dataclasses
 import importlib.util
 import io
 import os
@@ -21,7 +22,7 @@ import reasm
 from reasm import reduction, solvers
 from reasm.cli import main
 from reasm.errors import LimitError, ReasmError, ValidationError, VerificationError
-from reasm.graph import path_graph
+from reasm.graph import parse_graph, path_graph
 from reasm.layout import parse_arrangement
 from reasm.reduction import build_auxiliary, normalize_sequence, scatter, unbalance, vc_sequence
 from reasm.sequential import parse_ordering
@@ -102,6 +103,20 @@ def test_unbalanced_normal_form_exits_4(run_cli, monkeypatch):
     assert err.startswith("error: anchor 1:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("direction, solver", [("r2a", "exact_arrangement"),
+                                               ("a2r", "exact_linear_reassembling")])
+def test_a_wrong_auxiliary_optimum_exits_4(run_cli, monkeypatch, direction, solver):
+    # one more than G_w's optimum breaks the identity with the clique sum
+    # and the beta of the restriction
+    solve = getattr(reduction, solver)
+    monkeypatch.setattr(reduction, solver, lambda g, objective: dataclasses.replace(
+        res := solve(g, objective), value=res.value + 1))
+    code, out, err = run_cli("reduce", FIXTURES / "q3.g", "--problem", "beta",
+                             "--direction", direction)
+    assert code == 4 and out == ""
+    assert err.startswith("error: anchor 1: G_w optimum ") and err.count("\n") == 1
+
+
 def test_a_worker_only_failure_exits_4(run_cli, monkeypatch, forks, cpus, deadline):
     # the check fails in the forked worker alone, on the anchors it runs
     # (the even ones of q3's eight): its error reaches the command line
@@ -164,7 +179,7 @@ def test_inconsistent_prefix_table_exits_4(run_cli, monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 # parsers and the CLI on arbitrary input
 
-PARSERS = [reasm.parse_graph, parse_tree, parse_arrangement, parse_ordering]
+PARSERS = [parse_graph, parse_tree, parse_arrangement, parse_ordering]
 
 
 @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)

@@ -48,6 +48,25 @@ def test_beta_reduction_is_refused_before_building(monkeypatch):
         reduce_beta(star, R2A)
 
 
+def test_auxiliary_optima_are_the_clique_sum_plus_the_anchored_optimum():
+    # G_w's arrangement optimum is sum_{c=1..p} c (p + 1 - c) plus the least
+    # beta of an arrangement of G that starts at w, here by brute force, and
+    # its linear-reassembling optimum adds 2 m(G_w) - p; reduce_beta checks
+    # the identity at every anchor
+    for g in connected_atlas(5):
+        for w in g.vertices:
+            aux = build_auxiliary(g, w)
+            rest = [v for v in g.vertices if v != w]
+            want = (sum(c * (aux.p + 1 - c) for c in range(1, aux.p + 1))
+                    + min(sum(g._prefix_cuts((w, *order)))
+                          for order in itertools.permutations(rest)))
+            assert exact_arrangement(aux.combined, "beta").value == want
+            assert (exact_linear_reassembling(aux.combined, "beta").value
+                    == want + 2 * aux.combined.m - aux.p)
+        for direction in (R2A, A2R):
+            reduce_beta(g, direction)
+
+
 def p2_aux():
     return build_auxiliary(path_graph(2), 1)
 
