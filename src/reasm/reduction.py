@@ -430,7 +430,8 @@ def _solve_anchor(g: Graph, w: int, direction: str) -> tuple:
     # positions 1..p+1 hold U + {w} with w last, so w leads the restriction
     restricted = tuple(v for v in s.order if v <= g.n)
     # G_w's optimum is the clique's sum of c (p + 1 - c) plus the arrangement
-    # beta of the restriction; a linear reassembling adds 2 m(G_w) - p
+    # beta of the restriction; a linear reassembling adds 2 m(G_w) less the
+    # degree p of the U vertex it starts from
     clique = sum(c * (aux.p + 1 - c) for c in range(1, aux.p + 1))
     want = clique + sum(g._prefix_cuts(restricted))
     if direction == A2R:
