@@ -130,9 +130,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rep = measures(g, tree)
         out = {
             "steps": [{"merged": [list(vertices_of(a)), list(vertices_of(b))],
-                       "bridges": [list(e) for e in step.bridges]}
-                      for step in trace.steps
-                      for a, b in [step.merged]],
+                       "bridges": [list(e) for e in g.bridges(a, b)]}
+                      for a, b in trace.steps],
             "tree": print_tree(tree),
             "measures": {"alpha": rep.alpha, "beta": rep.beta},
         }

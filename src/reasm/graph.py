@@ -77,10 +77,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(a.bit_count() for a in self.adj)
 
-    def cut_mask(self, mask: int) -> int:
-        """Boundary degree of the vertex set given as a bitmask."""
-        return sum((self.adj[v - 1] & ~mask).bit_count() for v in vertices_of(mask))
-
     def _prefix_cuts(self, order) -> list:
         """Boundary degree of each prefix of `order`, distinct vertices that
         the caller has checked: entry i is the cut of order[:i + 1].  Adding

@@ -7,7 +7,10 @@ inside the merged block is consumed along with it.  A connected graph on n
 vertices always produces a chain of exactly n partitions (n - 1 merges).
 The process walks the ordering once: an edge whose ends already share a
 block went with the merge that joined them, and a merge consumes exactly the
-edges between its two blocks.
+edges between its two blocks.  So a trace records each merge as its pair
+(A, B) of vertex masks, the side holding the lower vertex first, as a
+tree's sweep records its child pairs; the edges a merge consumes are the
+graph's `bridges(A, B)`, which the trace does not copy.
 The blocks appearing in the chain form a strict binary reassembling; in the
 other direction every strict reassembling has a canonical edge ordering that
 reproduces it.
@@ -30,15 +33,9 @@ def _norm_edge(e) -> tuple:
 
 
 @dataclass(frozen=True)
-class MergeStep:
-    merged: tuple  # (A, B) as vertex masks, lower-vertex side first
-    bridges: tuple  # edges between A and B, lexicographic
-
-
-@dataclass(frozen=True)
 class SeqTrace:
     n: int
-    steps: tuple  # n - 1 MergeSteps
+    steps: tuple  # n - 1 merges (A, B), vertex masks, the lower-vertex side first
 
     @property
     def chain(self) -> tuple:
@@ -47,7 +44,7 @@ class SeqTrace:
         merges on each call: the trace stores no partition."""
         parts = {v: 1 << (v - 1) for v in range(1, self.n + 1)}  # lowest vertex -> block
         chain = [tuple(parts.values())]
-        for a, b in (s.merged for s in self.steps):
+        for a, b in self.steps:
             # the merged block keeps a's place in the lowest-vertex order
             parts[(a & -a).bit_length()] = a | b
             del parts[(b & -b).bit_length()]
@@ -57,7 +54,7 @@ class SeqTrace:
     def tree(self) -> ReassemblyTree:
         """The binary reassembling whose clusters are all blocks of the chain:
         the singletons and the union made by each merge step."""
-        merged = (a | b for a, b in (s.merged for s in self.steps))
+        merged = (a | b for a, b in self.steps)
         return ReassemblyTree([*(1 << v for v in range(self.n)), *merged])
 
 
@@ -81,12 +78,9 @@ def seq_reassemble(g: Graph, ordering) -> SeqTrace:
         for x in vertices_of(mask.pop(ib)):
             block[x] = ia
         mask[ia] = ma | mb
-        # every edge inside either block went with an earlier merge, so the
-        # edges consumed now are exactly those between the two blocks
-        bridges = g.bridges(ma, mb)
         if ma & -ma > mb & -mb:
             ma, mb = mb, ma  # ma holds the lower vertex
-        steps.append(MergeStep(merged=(ma, mb), bridges=bridges))
+        steps.append((ma, mb))
     return SeqTrace(g.n, tuple(steps))
 
 
@@ -138,9 +132,8 @@ def canonical_ordering(g: Graph, tree: ReassemblyTree) -> tuple:
         a, b = tree._children[m]
         bridges = g.bridges(a, b)
         if not bridges:
-            lo, hi = (a, b) if a & -a < b & -b else (b, a)
             raise ValidationError(f"tree is not strict: no edge between "
-                                  f"{list(vertices_of(lo))} and {list(vertices_of(hi))}")
+                                  f"{list(vertices_of(a))} and {list(vertices_of(b))}")
         ca, cb = can.pop(a), can.pop(b)
         if ca and cb and cb[0] < ca[0]:
             ca, cb = cb, ca

@@ -11,8 +11,12 @@ the union of the clusters, may be any set of positive ints -- a parsed tree
 keeps the vertex ids it was written with.  Every tree, whether given as
 clusters, parsed or built by a solver, is checked by one merge sweep in
 ascending cluster size, which also records each non-singleton cluster's
-child pair.  The module evaluates the alpha/beta measures and reads and
-writes the bracket text format.
+child pair (A, B), the side holding the cluster's lowest vertex first.
+That pair is the one record of a merge: the printer, the measures and the
+canonical edge ordering in `sequential` all read it, and the merge's edges
+are the graph's `bridges(A, B)`.  The module evaluates the alpha/beta
+measures bottom up, cut(A | B) = cut(A) + cut(B) - 2 |E(A, B)|, and reads
+and writes the bracket text format.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class ReassemblyTree:
                 raise ValidationError(
                     f"cluster {set(vertices_of(x))} is not the union of a sibling pair")
             del head[b & -b]
-            children[x] = (min(a, b), max(a, b))
+            children[x] = (a, b)
             head[low] = x
         self.ground_mask = ground
         self.clusters = tuple(clusters)
@@ -114,9 +118,18 @@ def _check_ground(g: Graph, tree: ReassemblyTree) -> None:
 
 def measures(g: Graph, tree: ReassemblyTree) -> MeasureReport:
     """alpha = max boundary degree over all clusters (singletons included),
-    beta = sum of boundary degrees over all 2n - 1 clusters."""
+    beta = sum of boundary degrees over all 2n - 1 clusters.
+
+    In ascending size, a singleton's boundary degree is its vertex degree
+    and a merge's is cut(A) + cut(B) - 2 |E(A, B)|, the edges counted from
+    the smaller side's adjacency rows, so the vertices scanned are at most
+    the sum over merges of min(|A|, |B|)."""
     _check_ground(g, tree)
-    per = {m: g.cut_mask(m) for m in tree.clusters}
+    per = {m: g.adj[m.bit_length() - 1].bit_count() for m in tree.clusters[:tree.n]}
+    for m in tree.clusters[tree.n:]:
+        a, b = sorted(tree._children[m], key=int.bit_count)
+        per[m] = per[a] + per[b] - 2 * sum((g.adj[v - 1] & b).bit_count()
+                                           for v in vertices_of(a))
     vals = per.values()
     return MeasureReport(alpha=max(vals), beta=sum(vals), per_cluster=per)
 
@@ -189,8 +202,6 @@ def print_tree(tree: ReassemblyTree) -> str:
             out.append(item)
         elif item in tree._children:
             a, b = tree._children[item]
-            if a & -a > b & -b:
-                a, b = b, a
             out.append("(")
             todo.extend((")", b, " ", a))
         else:

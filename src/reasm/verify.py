@@ -140,7 +140,7 @@ def _chain_roundtrip(rec: _Recorder, g: Graph, trace: SeqTrace) -> None:
     reproduces that chain."""
     chain = trace.chain
     rec.expect(seq_reassemble(g, chain_to_ordering(g, chain)).chain == chain,
-               "chain not reproduced for the merges {}", [s.merged for s in trace.steps])
+               "chain not reproduced for the merges {}", list(trace.steps))
 
 
 def suite_bin_can(seed: int, trials: Optional[int] = None) -> SuiteResult:

@@ -1,9 +1,10 @@
-"""Shared fixtures: the exhaustive small-graph catalog, vertex masks, an
-independent binary-tree enumerator, a per-mask prefix-cost recurrence, the
-prefix table's per-state leaf loop, deep caterpillar trees, the
-order-by-order enumeration of an auxiliary graph, the first non-strict
-sibling pair of a tree, a deadline, lowered floors and a fork counter for
-the forked runs, an affinity stand-in and a CLI runner."""
+"""Shared fixtures: the exhaustive small-graph catalog, vertex masks, the
+cut of a vertex set, an independent binary-tree enumerator, a per-mask
+prefix-cost recurrence, the prefix table's per-state leaf loop, deep
+caterpillar trees, the order-by-order enumeration of an auxiliary graph,
+the first non-strict sibling pair of a tree, a deadline, lowered floors
+and a fork counter for the forked runs, an affinity stand-in and a CLI
+runner."""
 
 import itertools
 import math
@@ -111,13 +112,20 @@ def binary_tree_masks(n: int) -> tuple:
     return trees
 
 
+def cut_of(g: Graph, mask: int) -> int:
+    """Boundary degree of the vertex set given as a bitmask, summed over its
+    vertices' adjacency rows: the oracle for the package's cuts, the cut
+    table's, the prefix scans' and the bottom-up measures'."""
+    return sum((g.adj[v - 1] & ~mask).bit_count() for v in vertices_of(mask))
+
+
 def prefix_costs(g: Graph, objective: str) -> list:
     """X[T] = cut(T) (+) min over v in T of X[T - v], X[0] = 0, one mask at
-    a time from `Graph.cut_mask` ((+) is + for beta, max for alpha)."""
+    a time from `cut_of` ((+) is + for beta, max for alpha)."""
     x = [0] * (1 << g.n)
     for t in range(1, 1 << g.n):
         best = min(x[t & ~(1 << i)] for i in range(g.n) if t >> i & 1)
-        cut = g.cut_mask(t)
+        cut = cut_of(g, t)
         x[t] = cut + best if objective == "beta" else max(cut, best)
     return x
 

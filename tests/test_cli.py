@@ -647,8 +647,18 @@ def test_an_interrupted_verb_exits_130(run_cli, capsys, monkeypatch):
 # sitecustomize runs at start-up, before any reasm code.  Its meta-path hook
 # interrupts the first import of reasm.solvers, which reasm.cli's imports
 # reach, either plainly or inside exec of a string, as an interrupt lands
-# in the code that dataclasses generate at import
-INTERRUPT_ON_SOLVERS = """import sys
+# in the code that dataclasses generate at import, or by SIGINT inside a
+# weakref callback, as one lands in importlib's module-lock callback, where
+# CPython reports the KeyboardInterrupt as unraisable and drops it
+INTERRUPT_ON_SOLVERS = """import signal, sys, weakref
+
+class Referent:
+    pass
+
+def lose_an_interrupt():
+    referent = Referent()
+    ref = weakref.ref(referent, lambda ref: signal.raise_signal(signal.SIGINT))
+    del referent
 
 class InterruptOnSolvers:
     def find_spec(self, name, path=None, target=None):
@@ -659,8 +669,9 @@ sys.meta_path.insert(0, InterruptOnSolvers())
 """
 
 
-@pytest.mark.parametrize("raise_", ["raise KeyboardInterrupt", 'exec("raise KeyboardInterrupt")'],
-                         ids=["raised", "inside-exec"])
+@pytest.mark.parametrize("raise_", ["raise KeyboardInterrupt", 'exec("raise KeyboardInterrupt")',
+                                    "lose_an_interrupt()"],
+                         ids=["raised", "inside-exec", "lost-in-a-weakref-callback"])
 @pytest.mark.parametrize("entry", ["module", "console-script"])
 def test_an_interrupted_import_exits_130(tmp_path, entry, raise_):
     (tmp_path / "sitecustomize.py").write_text(INTERRUPT_ON_SOLVERS.format(raise_=raise_))
@@ -742,7 +753,7 @@ def test_public_names():
         graph: ("popcount", "iter_bits", "Deg3Report", "classify_deg3"),
         tree: ("cross_sections", "validate_tree", "is_strict", "Cluster",
                "first_nonstrict_pair"),
-        sequential: ("Partition", "Edge"),
+        sequential: ("Partition", "Edge", "MergeStep"),
         solvers: ("BRUTE_ARRANGEMENT_LIMIT", "BINARY_TREE_LIMIT", "_check_states",
                   "_check_anchor", "_check_objective", "_lanewise"),
         solvers.SolveResult: ("witness_text",),
@@ -757,13 +768,12 @@ def test_public_names():
                               "_parent", "_heights", "_trusted", "_from_masks",
                               "_init_from", "cluster_masks", "_sorted_masks", "vertices",
                               "linear_chain"),
-        graph.Graph: ("boundary_degree", "_check_block", "cut_vertices"),
+        graph.Graph: ("boundary_degree", "_check_block", "cut_vertices", "cut_mask"),
     }
     for home, names in removed.items():
         for name in names:
             assert not hasattr(home, name), f"{home.__name__}.{name}"
             assert not hasattr(reasm, name), name
-    assert "consumed" not in {f.name for f in dataclasses.fields(sequential.MergeStep)}
     assert "pairs" not in reduction.VCSequence._fields
     assert "chain" not in {f.name for f in dataclasses.fields(sequential.SeqTrace)}
     assert "classifier" not in {f.name for f in dataclasses.fields(reduction.AlphaReductionReport)}

@@ -13,7 +13,7 @@ from reasm.reduction import reduce_alpha
 from reasm.tree import measures, parse_tree
 from reasm.verify import FIXTURE_TREES
 
-from conftest import mask_of
+from conftest import cut_of, mask_of
 
 from conftest import connected_atlas
 
@@ -89,17 +89,17 @@ def test_data_lines_are_the_lines_of_splitlines(monkeypatch, slice_len):
 
 def test_boundary_degree_and_cut_mask():
     g = cycle_graph(5)
-    assert g.cut_mask(mask_of([1])) == 2
-    assert g.cut_mask(mask_of([1, 2, 3])) == 2
-    assert g.cut_mask(g.full_mask) == 0
+    assert cut_of(g, mask_of([1])) == 2
+    assert cut_of(g, mask_of([1, 2, 3])) == 2
+    assert cut_of(g, g.full_mask) == 0
     for r in range(1, 5):
         for block in itertools.combinations(range(1, 6), r):
             b = set(block)
-            assert g.cut_mask(mask_of(block)) == sum((u in b) != (v in b) for u, v in g.edges)
+            assert cut_of(g, mask_of(block)) == sum((u in b) != (v in b) for u, v in g.edges)
 
 
 def _check_prefix_cuts(g, order):
-    assert g._prefix_cuts(order) == [g.cut_mask(mask_of(order[:i + 1]))
+    assert g._prefix_cuts(order) == [cut_of(g, mask_of(order[:i + 1]))
                                      for i in range(len(order))]
 
 

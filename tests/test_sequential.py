@@ -4,8 +4,7 @@ import pytest
 
 from reasm import graph, sequential, verify
 from reasm.errors import LimitError, ValidationError
-from reasm.graph import (Graph, complete_graph, cycle_graph, path_graph,
-                         star_graph, vertices_of)
+from reasm.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from reasm.sequential import (block_tree, canonical_ordering,
                               chain_to_ordering, format_ordering,
                               parse_ordering, seq_reassemble)
@@ -26,34 +25,48 @@ def test_trace_on_a_path():
         masks({1, 2}, {3}),
         masks({1, 2, 3}),
     )
-    assert [s.merged for s in trace.steps] == [masks({1}, {2}), masks({1, 2}, {3})]
-    assert trace.steps[1].bridges == ((2, 3),)
+    assert trace.steps == (masks({1}, {2}), masks({1, 2}, {3}))
+    assert g.bridges(*trace.steps[1]) == ((2, 3),)
 
 
 def test_merge_consumes_every_parallel_bridge():
     # after {1,2} forms, the edge (1,3) merges in 3 and (2,3) goes with it
-    trace = seq_reassemble(complete_graph(3), [(1, 2), (1, 3), (2, 3)])
-    assert len(trace.steps) == 2
-    assert trace.steps[1].bridges == ((1, 3), (2, 3))
+    g = complete_graph(3)
+    trace = seq_reassemble(g, [(1, 2), (1, 3), (2, 3)])
+    assert trace.steps == (masks({1}, {2}), masks({1, 2}, {3}))
+    assert g.bridges(*trace.steps[1]) == ((1, 3), (2, 3))
 
 
 def test_consumed_keeps_input_order():
-    # the bridges come sorted, whatever order the ordering consumed them in
-    trace = seq_reassemble(complete_graph(3), [(2, 3), (1, 3), (1, 2)])
-    assert trace.steps[1].bridges == ((1, 2), (1, 3))
+    # a merge's pair puts the side with the lower vertex first, whichever
+    # block the edge that joins them names first, and its edges come
+    # sorted, whatever order the ordering consumed them in
+    g = complete_graph(3)
+    trace = seq_reassemble(g, [(2, 3), (1, 3), (1, 2)])
+    assert trace.steps == (masks({2}, {3}), masks({1}, {2, 3}))
+    assert g.bridges(*trace.steps[1]) == ((1, 2), (1, 3))
+    # the path 1-4-3-2: (3, 4) joins the block of 3, {2, 3}, to that of 4
+    trace = seq_reassemble(Graph(4, ((1, 4), (2, 3), (3, 4))), [(1, 4), (2, 3), (3, 4)])
+    assert trace.steps == (masks({1}, {4}), masks({2}, {3}), masks({1, 4}, {2, 3}))
 
 
 def test_bridges_are_the_edges_between_the_blocks_sorted():
+    # replayed from the ordering, the edges each merge consumes, those whose
+    # ends first share a block at that merge, are the graph's bridges of its
+    # pair
     rng = random.Random(7)
     for g in connected_atlas(6):
         for _ in range(3):
             pi = list(g.edges)
             rng.shuffle(pi)
-            for step in seq_reassemble(g, pi).steps:
-                a, b = (set(vertices_of(m)) for m in step.merged)
-                between = [(u, v) for u, v in pi
-                           if (u in a and v in b) or (u in b and v in a)]
-                assert step.bridges == tuple(sorted(between))
+            steps = seq_reassemble(g, pi).steps
+            consumed = [[] for _ in steps]
+            for e in pi:
+                ends = mask_of(e)
+                k = next(k for k, (a, b) in enumerate(steps) if not ends & ~(a | b))
+                consumed[k].append(e)
+            assert [g.bridges(a, b) for a, b in steps] == [tuple(sorted(c)) for c in consumed]
+            assert all(a & -a < b & -b for a, b in steps)
 
 
 def test_trace_rejects_bad_input():

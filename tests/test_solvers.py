@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from reasm.errors import LimitError, ValidationError
+from reasm.errors import LimitError, ValidationError, VerificationError
 from reasm.graph import (Graph, complete_graph, cycle_graph, parse_graph,
                          path_graph, qcube3_graph, ring_tree_graph, star_graph, vertices_of)
 from reasm.layout import Arrangement, evaluate_arrangement, induce_reassembling
@@ -27,7 +27,8 @@ from reasm.solvers import (_States, _cut_table, _lanes, _leaf_kernel, _prefix_ta
                            exact_binary_reassembling, exact_linear_reassembling)
 from reasm.tree import measures, print_tree
 
-from conftest import FIXTURES, binary_tree_masks, connected_atlas, leaf_loop, prefix_costs
+from conftest import (FIXTURES, binary_tree_masks, connected_atlas, cut_of, leaf_loop,
+                      prefix_costs)
 
 
 def random_connected(rng: random.Random, n: int) -> Graph:
@@ -42,12 +43,12 @@ def test_cut_table_matches_cut_mask():
     rng = random.Random(12)
     for n in range(1, 13):
         g = random_connected(rng, n)
-        assert list(_cut_table(g, _states(g, ()))) == [g.cut_mask(s) for s in range(1 << n)]
+        assert list(_cut_table(g, _states(g, ()))) == [cut_of(g, s) for s in range(1 << n)]
 
 
 def _per_mask_tables(g: Graph) -> tuple:
     """(g, classes, cut by mask, beta prefix cost by mask)."""
-    return (g, _twin_classes(g), [g.cut_mask(t) for t in range(1 << g.n)],
+    return (g, _twin_classes(g), [cut_of(g, t) for t in range(1 << g.n)],
             prefix_costs(g, "beta"))
 
 
@@ -251,7 +252,7 @@ def test_grouped_tables_match_the_per_mask_recurrence(monkeypatch, kernel_calls)
         g = _twin_free(rng, n)
         del kernel_calls[:]
         costs = prefix_costs(g, "beta")
-        _assert_tables_match(g, (), [g.cut_mask(t) for t in range(1 << n)], costs)
+        _assert_tables_match(g, (), [cut_of(g, t) for t in range(1 << n)], costs)
         assert {carries for _, carries in kernel_calls} == {0, 1, 2}
         if n == 16:
             anchored = g, costs
@@ -289,7 +290,7 @@ def test_grouping_stops_at_a_twin_class(monkeypatch, kernel_calls):
         classes = _twin_classes(g)
         assert [len(c) for c in classes] == [2] * len(hosts)
         del kernel_calls[:]
-        st = _assert_tables_match(g, classes, [g.cut_mask(t) for t in range(1 << g.n)],
+        st = _assert_tables_match(g, classes, [cut_of(g, t) for t in range(1 << g.n)],
                                   prefix_costs(g, "beta"))
         assert st.size >= solvers._GROUPED
         assert {c for _, c in kernel_calls} == carries, g
@@ -549,6 +550,81 @@ def test_forked_bounds_its_workers(forks, cpus, deadline, usable, work, workers)
     assert len(forks) == workers
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("call, fails_at, workers", [("pipe", 0, 0), ("fork", 1, 1)])
+def test_a_fill_that_cannot_fork_runs_the_other_ranks_itself(monkeypatch, forks, cpus, deadline,
+                                                            call, fails_at, workers):
+    # os.pipe failing on its first call, or os.fork on its second, in a
+    # 3-CPU fill: this process runs the ranks it could not fork, the table
+    # is the serial one, and the pipes made for the refused fork are closed
+    g, skip = next(_parallel_layouts())
+    cpus(1)
+    serial = _fill(g, skip)
+    cpus(3)
+    real, calls = getattr(os, call), itertools.count()
+
+    def failing(*args):
+        if next(calls) == fails_at:
+            raise OSError(f"os.{call} refused")
+        return real(*args)
+    monkeypatch.setattr(os, call, failing)
+    fds = _open_fds()
+    assert _fill(g, skip) == serial
+    assert len(forks) == workers
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("seen_at", ["load", "write"])
+def test_a_worker_that_exits_after_its_first_level_fails_the_fill(monkeypatch, forks, cpus,
+                                                                 deadline, seen_at):
+    # the worker sends its first level and exits with status 9 where it
+    # waits for the byte back: after reading it, so that this process finds
+    # the worker's pipe ended at the next level's load, or before, and this
+    # process writes the byte only once the worker has ended, into a pipe
+    # that no one reads
+    g, skip = next(_parallel_layouts())
+    cpus(2)
+    parent, read, write = os.getpid(), os.read, os.write
+
+    def read_then_exit(fd, n):
+        if os.getpid() == parent:
+            return read(fd, n)
+        if seen_at == "load":
+            read(fd, n)
+        os._exit(9)
+
+    def write_once_ended(fd, data):
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        return write(fd, data)
+    monkeypatch.setattr(os, "read", read_then_exit)
+    if seen_at == "write":
+        monkeypatch.setattr(os, "write", write_once_ended)
+    with pytest.raises(VerificationError, match=r"worker exit statuses \[9\]"):
+        _fill(g, skip)
+    assert len(forks) == 1
+
+
+def test_a_fill_that_cannot_pin_still_matches_the_serial_fill(monkeypatch, forks, cpus, deadline):
+    # every pin is refused, this process's and each worker's
+    g, skip = next(_parallel_layouts())
+    cpus(1)
+    serial = _fill(g, skip)
+    cpus(3)
+    pins = []
+
+    def refused(pid, chosen):
+        pins.append(chosen)
+        raise OSError("pinning refused")
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    assert _fill(g, skip) == serial
+    assert len(forks) == 2
+    # this process's pins, to its first CPU and back, each refused
+    assert pins == [{0}, [0, 1, 2]]
+
+
 def test_tables_below_and_from_the_mapping_floor():
     # under _MAPPED bytes a table is an array, from there an anonymous
     # mapping filled by doubling, the last copy cut short when the byte
@@ -578,7 +654,7 @@ def test_cut_table_is_complement_symmetric_on_odd_state_counts():
         assert st.size == len(cut) == size
         assert all(cut[t] == cut[size - 1 - t] for t in range(size))
         for t in range(1 << g.n):
-            assert cut[sum(st.stride[v - 1] for v in vertices_of(t))] == g.cut_mask(t)
+            assert cut[sum(st.stride[v - 1] for v in vertices_of(t))] == cut_of(g, t)
 
 
 def test_cut_table_needs_little_beyond_itself():
@@ -734,7 +810,7 @@ def _prefix_cuts(g: Graph, order) -> list:
     cuts, prefix = [], 0
     for v in order:
         prefix |= 1 << (v - 1)
-        cuts.append(g.cut_mask(prefix))
+        cuts.append(cut_of(g, prefix))
     return cuts
 
 
@@ -875,7 +951,7 @@ def test_binary_dp_matches_tree_enumeration():
                 cuts = []
                 for m in tree:
                     if m not in cut:
-                        cut[m] = g.cut_mask(m)
+                        cut[m] = cut_of(g, m)
                     cuts.append(cut[m])
                 value = max(cuts) if objective == "alpha" else sum(cuts)
                 if expected is None or value < expected:

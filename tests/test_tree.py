@@ -1,12 +1,17 @@
 import itertools
+import random
 
 import pytest
 
+from reasm import graph, tree as tree_module
 from reasm.errors import ValidationError
-from reasm.graph import complete_graph, path_graph, star_graph
+from reasm.graph import complete_graph, path_graph, star_graph, vertices_of
+from reasm.solvers import exact_binary_reassembling, exact_linear_reassembling
 from reasm.tree import ReassemblyTree, measures, parse_tree, print_tree
+from reasm.verify import _random_connected_graph
 
-from conftest import binary_tree_masks, caterpillar_text, first_nonstrict_pair, mask_of
+from conftest import (binary_tree_masks, caterpillar_text, connected_atlas, cut_of,
+                      first_nonstrict_pair, mask_of)
 
 B1 = "((((1 2) (3 4)) (5 6)) (7 8))"
 CHAIN8 = "(((((((1 2) 3) 4) 5) 6) 7) 8)"
@@ -117,6 +122,53 @@ def test_measures_by_hand():
     json = rep.to_json()
     assert json["alpha"] == 2 and json["beta"] == 5
     assert {"set": [1, 2], "degree": 1} in json["clusters"]
+
+
+def _assert_measures_match_the_oracle(g, tree):
+    rep = measures(g, tree)
+    assert rep.per_cluster == {m: cut_of(g, m) for m in tree.clusters}
+    assert (rep.alpha, rep.beta) == (max(rep.per_cluster.values()), sum(rep.per_cluster.values()))
+    return rep
+
+
+def test_measures_match_the_cut_oracle():
+    # the bottom-up cuts against each cluster's own: every binary tree over
+    # {1..n} of every connected graph with n <= 5, and the binary and linear
+    # optima of random connected graphs with n <= 9, where the report also
+    # gives the optimum's value
+    for g in connected_atlas(5):
+        for masks in binary_tree_masks(g.n):
+            _assert_measures_match_the_oracle(g, ReassemblyTree(masks))
+    rng = random.Random(37)
+    for n in range(1, 10):
+        for _ in range(4):
+            g = _random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            for objective in ("alpha", "beta"):
+                for solve in (exact_binary_reassembling, exact_linear_reassembling):
+                    res = solve(g, objective)
+                    rep = _assert_measures_match_the_oracle(g, res.witness)
+                    assert getattr(rep, objective) == res.value
+
+
+def test_measures_scan_the_smaller_side_of_each_merge(monkeypatch):
+    # on the 3000-vertex caterpillar of P3000 every merge adds one leaf, so
+    # the smaller sides hold n - 1 vertices in all, where a rescan of every
+    # cluster would visit n^2 / 2
+    n = 3000
+    g, tree = path_graph(n), parse_tree(caterpillar_text(n))
+    smaller = sum(min(a, b, key=int.bit_count).bit_count() for a, b in tree._children.values())
+    assert smaller == n - 1
+    scanned = []
+
+    def counted(mask):
+        out = vertices_of(mask)
+        scanned.append(len(out))
+        return out
+    monkeypatch.setattr(tree_module, "vertices_of", counted)
+    monkeypatch.setattr(graph, "vertices_of", counted)
+    rep = measures(g, tree)
+    assert 0 < sum(scanned) <= smaller
+    assert (rep.alpha, rep.beta) == (2, 3 * n - 4)
 
 
 def test_measures_rejects_wrong_ground_set():
