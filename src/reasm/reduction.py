@@ -12,11 +12,11 @@ every beta-optimal order of G_w into the shape  U ... U  w  V-{w},  and in
 that shape the restriction to V is an optimal anchored solution of the
 original problem.  Minimizing over all anchors gives the exact optimum.
 _normal_step makes one move: _descatter on a scattered order, else
-_rebalance on an unbalanced one.  One guarded walk, _normalize, is the
-only normalization loop: it makes the moves to a fixpoint and raises past
-4 |order| + beta moves.  normalize_sequence runs it alone; _normal_forms,
-which finds the normal form of every order of G_w, runs it only from the
-unscattered ones.
+_rebalance on an unbalanced one.  normalize_sequence is the only
+normalization loop: it makes the moves to a fixpoint and raises past
+4 |order| + beta moves.  _normal_forms, which finds the normal form of
+every order of G_w, runs it only from the unscattered ones and looks the
+others up by the order their descattering move reaches.
 
 An order's beta has a closed form.  Let q_1 < ... < q_n be the positions of
 the base vertices pi_1 ... pi_n and k_1 < ... < k_{p+1} those of U + {w},
@@ -131,9 +131,9 @@ def _aux_layouts(aux) -> tuple:
     of the base vertices there, and U ascending in the other positions.
     perms holds (perm, slot of w, prefix cuts) per base order, in
     itertools.permutations order; rows holds, per choice of base positions
-    in itertools.combinations order, (positions, gaps between them, a
-    function that lays perm + U out as the order, and per slot of w the
-    clique layout: its clique positions and clique term)."""
+    in itertools.combinations order, (the gaps between them, a function
+    that lays perm + U out as the order, and per slot of w the clique
+    layout: its clique positions and clique term)."""
     g, p = aux.base, aux.p
     n, total = g.n, g.n + p
     perms = [(perm, perm.index(aux.w), g._prefix_cuts(perm))
@@ -153,7 +153,7 @@ def _aux_layouts(aux) -> tuple:
         for q in positions:
             k_pos = tuple(sorted(upos + [q]))
             layouts.append((k_pos, _clique_term(p, k_pos, total + 1)))
-        rows.append((positions, gaps, place, layouts))
+        rows.append((gaps, place, layouts))
     return perms, rows
 
 
@@ -162,19 +162,18 @@ def _row_sequences(aux, row, perms):
     order of `perms`, in that order.  beta is _score's closed form taken
     apart: the clique term of w's slot, plus the dot product of the base
     order's prefix cuts with the gaps between base positions."""
-    _, gaps, place, layouts = row
+    gaps, place, layouts = row
     us = tuple(aux.u_vertices)
     for perm, slot, cuts in perms:
         k_pos, clique = layouts[slot]
         yield VCSequence(aux, place(perm + us), clique + sum(map(mul, cuts, gaps)), k_pos)
 
 
-def _scatter_positions(seq: VCSequence):
-    """None if the clique vertices sit consecutively; otherwise (i, j, k, l)
-    where i/l are the outermost clique positions and j/k the nearest base
-    vertices inside them: the first gap in `k_pos` from the left and the
-    last from the right."""
-    pos = seq.k_pos
+def _scatter_positions(pos: tuple):
+    """None if the clique positions `pos` (ascending, a sequence's k_pos)
+    are consecutive; otherwise (i, j, k, l) where i/l are the outermost
+    clique positions and j/k the nearest base vertices inside them: the
+    first gap in `pos` from the left and the last from the right."""
     i, l = pos[0], pos[-1]
     last = len(pos) - 1
     if l - i == last:
@@ -191,7 +190,7 @@ def _scatter_positions(seq: VCSequence):
 def scatter(seq: VCSequence) -> int:
     """0 iff the clique vertices sit consecutively; otherwise min(j-i, l-k)
     in the notation of _scatter_positions."""
-    pos = _scatter_positions(seq)
+    pos = _scatter_positions(seq.k_pos)
     if pos is None:
         return 0
     i, j, k, l = pos
@@ -291,7 +290,7 @@ def _normal_step(seq: VCSequence) -> tuple:
     """(scattered, step) for the one normalization step: descatter a
     scattered sequence, else rebalance an unbalanced one; step is None at a
     fixpoint."""
-    pos = _scatter_positions(seq)
+    pos = _scatter_positions(seq.k_pos)
     if pos is not None:
         return True, _descatter(seq, pos)
     return False, _rebalance(seq) if unbalance(seq) > 0 else None
@@ -299,38 +298,19 @@ def _normal_step(seq: VCSequence) -> tuple:
 
 def normalize_sequence(seq: VCSequence) -> VCSequence:
     """Descatter then rebalance to a fixpoint: scatter 0, unbalance 0, and
-    beta no larger than the input's.  Balanced inputs come back unchanged."""
-    return _normalize(seq, {})
+    beta no larger than the input's.  Balanced inputs come back unchanged.
 
-
-def _normalize(seq: VCSequence, table: dict, moves: int = 0) -> VCSequence:
-    """The normal form of seq, an order that `moves` moves already reached.
-
-    `table` maps each order a walk reached to its normal form and the
-    number of moves from it to there.  The walk stops at a fixpoint or at
-    the first order in the table, then adds every order it passed.
-    verify's balance_lemmas shares one table among the walks from the
-    unscattered orders of an anchor, which rebalance only.  More
-    than 4 |order| + beta moves in all, with the normal form's beta, raise
-    VerificationError.  beta never rises along a walk, so a walk that
-    passes the bound taken at its start, as a cycle does, stays past it."""
-    limit = 4 * len(seq.order) + seq.beta - moves
-    walk = []
-    hit = table.get(seq.order)
-    while hit is None and len(walk) <= limit:
+    More than 4 |order| + beta moves, with the normal form's beta, raise
+    VerificationError.  beta never rises along the walk, so the walk stops
+    once it passes the bound taken at its start, as a cycle would."""
+    for moves in range(4 * len(seq.order) + seq.beta + 1):
         _, nxt = _normal_step(seq)
         if nxt is None:
-            hit = table[seq.order] = (seq, 0)
-        else:
-            walk.append(seq)
-            seq = nxt
-            hit = table.get(seq.order)
-    if hit is None or moves + len(walk) + hit[1] > 4 * len(seq.order) + hit[0].beta:
-        raise VerificationError(f"normalization did not terminate, at order {seq.order}")
-    nf, depth = hit
-    for d, passed in enumerate(reversed(walk), start=depth + 1):
-        table[passed.order] = (nf, d)
-    return nf
+            if moves <= 4 * len(seq.order) + seq.beta:
+                return seq
+            break
+        seq = nxt
+    raise VerificationError(f"normalization did not terminate, at order {seq.order}")
 
 
 def _normal_forms(aux):
@@ -339,48 +319,32 @@ def _normal_forms(aux):
     a fixpoint) and nf its normal form, which equals normalize_sequence(s).
     verify's balance_lemmas suite checks the normalization lemmas on them.
 
-    The order with base order r (of perms) at row c (of rows) has the
-    enumeration index c n! + r.  A descattering move lowers the clique
-    span (the last position of U + {w} minus the first) by one, so the
-    clique layouts are visited in increasing span.  A scattered order makes
-    its one _descatter move and takes the normal form recorded at the
-    enumeration index of the order it reached, visited at the lower span;
-    a target with none raises.  Only the unscattered orders (span p) walk,
-    through _normalize and one table, which holds only orders that a
-    rebalancing move reached."""
+    A descattering move lowers the clique span (the last position of
+    U + {w} minus the first) by one, so the clique layouts are visited in
+    increasing span.  A scattered order makes its one _descatter move and
+    takes the normal form recorded for the order it reached, visited at
+    the lower span; a target with none raises.  The orders of the widest
+    span, which no move reaches, go unrecorded.  Only the unscattered
+    orders (span p) walk, through normalize_sequence."""
     perms, rows = _aux_layouts(aux)
-    n = aux.base.n
-    size = len(perms)
-    rank = {perm: r for r, (perm, _, _) in enumerate(perms)}
-    row_start = {row[0]: c * size for c, row in enumerate(rows)}  # positions -> index
-    by_slot = [([r for r, x in enumerate(perms) if x[1] == slot],
-                [x for x in perms if x[1] == slot]) for slot in range(n)]
-    nfs: list = [None] * (len(rows) * size)  # normal form by enumeration index
-    table: dict = {}
-    for _, c, slot in sorted((k_pos[-1] - k_pos[0], c, slot)
-                             for c, (_, _, _, layouts) in enumerate(rows)
-                             for slot, (k_pos, _) in enumerate(layouts)):
-        ranks, slot_perms = by_slot[slot]
-        seqs = _row_sequences(aux, rows[c], slot_perms)
-        head = next(seqs)
-        pos = _scatter_positions(head)  # the same for every order of the layout
-        at = None
-        for r, s in zip(ranks, itertools.chain((head,), seqs)):
+    by_slot = [[x for x in perms if x[1] == slot] for slot in range(aux.base.n)]
+    nfs: dict = {}  # order -> its normal form
+    for span, c, slot, k_pos in sorted((k_pos[-1] - k_pos[0], c, slot, k_pos)
+                                       for c, (_, _, layouts) in enumerate(rows)
+                                       for slot, (k_pos, _) in enumerate(layouts)):
+        pos = _scatter_positions(k_pos)  # the same for every order of the layout
+        for s in _row_sequences(aux, rows[c], by_slot[slot]):
             if pos is None:
                 scattered, t = _normal_step(s)
-                nf = s if t is None else _normalize(t, table, 1)
+                nf = s if t is None else normalize_sequence(t)
             else:
                 scattered, t = True, _descatter(s, pos)
-                if at is None:
-                    # the layout's orders all move their base vertices alike
-                    moved = tuple(i for i, v in enumerate(t.order, start=1) if v <= n)
-                    at, pick = row_start[moved], itemgetter(*(i - 1 for i in moved))
-                r_t = rank.get(pick(t.order))
-                nf = None if r_t is None else nfs[at + r_t]
+                nf = nfs.get(t.order)
                 if nf is None:
                     raise VerificationError(f"descattering {s.order} gave {t.order}, "
                                             f"which has no normal form recorded")
-            nfs[c * size + r] = nf
+            if span < len(s.order) - 1:  # below the widest span, which no move reaches
+                nfs[s.order] = nf
             yield s, scattered, t, nf
 
 

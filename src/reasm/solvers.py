@@ -582,7 +582,8 @@ def _forked(run, levels, work: int, what: str) -> dict:
     of the ranks it could not fork.  After each level every worker sends
     its results, pickled, or the exception it raised, which is raised
     here, and waits for a byte back.  Every worker ends with os._exit and
-    is reaped before this returns or raises; one that ended early raises
+    is reaped before this returns or raises, also when SIGINT comes just
+    before or during the clean-up; one that ended early raises
     VerificationError."""
     procs = min(_cpus(), max(map(len, levels))) if work >= _GROUPED else 1
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -653,13 +654,20 @@ def _forked(run, levels, work: int, what: str) -> dict:
             except BrokenPipeError:  # a worker ended after it sent
                 break
     finally:
-        # a worker still waiting reads its end closed and stops
-        for _, reader, w in workers:
-            reader.close()
-            os.close(w)
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
-        _pin(mask)
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        try:
+            # SIGINT waits until every worker is reaped: the restore below
+            # delivers it.  One that came in before the clean-up is raised
+            # here, once it is blocked, as CPython runs a signal's handler
+            # right after the mask changes
+            signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        finally:
+            # a worker still waiting reads its end closed and stops
+            for _, reader, w in workers:
+                reader.close()
+                os.close(w)
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in workers]
+            _pin(mask)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
     if any(statuses):
         raise VerificationError(f"{what} failed: worker exit statuses {statuses}")
     return results

@@ -196,7 +196,7 @@ def suite_balance_lemmas(seed: int, trials: Optional[int] = None) -> SuiteResult
     are scored one clique layout at a time, in increasing clique span; a
     scattered order makes one descattering move, scored by its delta, and
     takes the normal form of the order it reached, so only the unscattered
-    orders walk, through a per-anchor table."""
+    orders walk, through normalize_sequence."""
     del seed, trials  # exhaustive, nothing to sample
     rec = _Recorder("balance_lemmas")
     for g in BALANCE_BASES:

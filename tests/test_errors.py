@@ -139,8 +139,8 @@ def test_idle_rebalancing_is_caught(monkeypatch):
         normalize_sequence(seq)
 
 
-def test_idle_rebalancing_stops_the_normal_form_table(run_cli, monkeypatch):
-    # balance_lemmas walks with its per-anchor table, normalize_sequence with none
+def test_idle_rebalancing_stops_the_normal_forms(run_cli, monkeypatch):
+    # balance_lemmas walks from its unscattered orders through normalize_sequence
     monkeypatch.setattr(reduction, "_rebalance", lambda seq: seq)
     code, out, err = run_cli("verify", "--suite", "balance_lemmas")
     assert code == 4 and out == ""

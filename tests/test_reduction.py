@@ -145,7 +145,7 @@ def test_scatter_positions_match_their_definition():
         clique = [q for q, v in enumerate(order, start=1) if v > aux.base.n or v == aux.w]
         i, l = clique[0], clique[-1]
         gaps = [q for q in range(i, l + 1) if q not in clique]  # base vertices inside
-        assert _scatter_positions(seq) == ((i, gaps[0], gaps[-1], l) if gaps else None)
+        assert _scatter_positions(seq.k_pos) == ((i, gaps[0], gaps[-1], l) if gaps else None)
         assert scatter(seq) == (min(gaps[0] - i, l - gaps[-1]) if gaps else 0)
         orders += 1
     assert orders == 5040
@@ -154,7 +154,7 @@ def test_scatter_positions_match_their_definition():
 def _descatter_reference(seq):
     """The move by list surgery, scored by vc_sequence's closed form; and
     whether w sits in the clique run the moved vertex crosses."""
-    i, j, k, l = _scatter_positions(seq)
+    i, j, k, l = _scatter_positions(seq.k_pos)
     order = list(seq.order)
     if j - i <= l - k:
         run = order[i - 1:j - 1]

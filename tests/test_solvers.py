@@ -5,6 +5,7 @@ import mmap
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -623,6 +624,54 @@ def test_a_fill_that_cannot_pin_still_matches_the_serial_fill(monkeypatch, forks
     assert len(forks) == 2
     # this process's pins, to its first CPU and back, each refused
     assert pins == [{0}, [0, 1, 2]]
+
+
+@pytest.mark.parametrize("lands", ["in_the_reaping", "before_the_clean_up"])
+def test_an_interrupt_at_the_clean_up_still_reaps_every_worker(monkeypatch, forks, cpus,
+                                                               deadline, lands):
+    # SIGINT in this process's first os.waitpid of the clean-up waits until
+    # every worker is reaped, and then ends the fill as KeyboardInterrupt.
+    # One that came in just before the clean-up is raised by the call that
+    # blocks SIGINT there, as CPython does once the mask has changed, and
+    # the reaping still runs.  A worker left unreaped would be a child still
+    # here; SIGINT is unblocked again either way
+    g, skip = next(_parallel_layouts())
+    cpus(2)
+    parent, waitpid, sigmask = os.getpid(), os.waitpid, signal.pthread_sigmask
+    blocks, raised = [], []
+
+    def interrupted(pid, options):
+        if os.getpid() == parent and not raised:
+            raised.append(pid)
+            signal.raise_signal(signal.SIGINT)
+        return waitpid(pid, options)
+
+    def blocked_then_interrupted(how, mask):
+        old = sigmask(how, mask)
+        if os.getpid() == parent and how == signal.SIG_BLOCK:
+            blocks.append(how)
+            if len(blocks) == 2:  # the first blocks SIGINT while the workers fork
+                raised.append(how)
+                raise KeyboardInterrupt
+        return old
+    if lands == "in_the_reaping":
+        monkeypatch.setattr(os, "waitpid", interrupted)
+    else:
+        monkeypatch.setattr(signal, "pthread_sigmask", blocked_then_interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _fill(g, skip)
+        assert len(raised) == len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            waitpid(-1, os.WNOHANG)
+        assert signal.SIGINT not in sigmask(signal.SIG_BLOCK, [])
+    finally:
+        for pid in forks:  # so that a failing run leaves nothing behind
+            try:
+                os.kill(pid, signal.SIGKILL)
+                waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
 
 
 def test_tables_below_and_from_the_mapping_floor():
